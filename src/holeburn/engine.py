@@ -22,6 +22,7 @@ __all__ = [
     "IonClassState",
     "DriveRates",
     "build_rate_matrix",
+    "add_pump_rates",
     "evolve",
     "propagator",
     "propagator_batch",
@@ -137,15 +138,8 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     m[2, 2] -= a_same + a_flip
     m[3, 3] -= a_same + a_flip
 
-    # Optical pumping, transition order (g1-e1, g1-e2, g2-e1, g2-e2).
-    pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
-    for rate, (lo, up) in zip(drive.pump_rate, pairs):
-        if rate == 0.0:
-            continue
-        m[up, lo] += rate
-        m[lo, lo] -= rate
-        m[lo, up] += rate
-        m[up, up] -= rate
+    if any(drive.pump_rate):
+        add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
 
     # Stimulated emission through the eliminated intermediate level.
     bz = params.beta_z2
@@ -174,6 +168,20 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
         m[3, 3] -= leak
 
     return m
+
+
+def add_pump_rates(matrices: np.ndarray, rates: np.ndarray) -> None:
+    """Add bidirectional optical pumping to generators, in place.
+
+    matrices has shape (..., 4, 4) and rates shape (..., 4), one rate per
+    transition in (g1-e1, g1-e2, g2-e1, g2-e2) order.
+    """
+    for k, (lo, up) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+        r = rates[..., k]
+        matrices[..., up, lo] += r
+        matrices[..., lo, lo] -= r
+        matrices[..., lo, up] += r
+        matrices[..., up, up] -= r
 
 
 def propagator(matrix: np.ndarray, dt_ms: float) -> np.ndarray:

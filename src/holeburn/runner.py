@@ -77,6 +77,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     sweep = cfg.outputs.sweep
     if sweep is not None:
         rows = []
+        n_eig = 0
         base_raw = serialize_config(cfg)
         for value in sweep.values:
             raw = apply_override(base_raw, sweep.path, value)
@@ -90,7 +91,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             if metrics is not None:
                 row.update(asdict(metrics))
             rows.append(row)
-            stats = result.stats
+            # The eig count covers the whole sweep; other stats are the last point's.
+            n_eig += result.stats["n_eig_matrices"]
+            stats = dict(result.stats, n_eig_matrices=n_eig)
         if rows:
             cols = list(rows[0].keys())
             with open(out / "sweep.csv", "w") as fh:

@@ -6,11 +6,17 @@ flattens the channels into piecewise-constant drive segments; a repeated
 frequency sweep becomes a repeat block so the executor can build the
 propagator of one sweep cycle and raise it to the repetition count instead
 of stepping through every period.
+
+Sharing propagators between ion classes is exact: a segment's generator
+depends on the class only through the detuning of the pump from the class
+centre, so every class and sweep step with the same detuning and duration
+gets the one propagator computed for that detuning.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,6 +44,15 @@ __all__ = [
 
 # Default number of discretisation steps per sweep period.
 SWEEP_STEPS_PER_PERIOD = 50
+
+# Pump detunings from the class centre closer than this share a propagator.
+# Float rounding of those differences is about 1e-14 MHz on the bundled
+# grids; the narrowest pump line is 0.25 MHz wide.
+DETUNING_KEY_MHZ = 1e-11
+
+# Segment durations closer than this share a propagator: the steps of one
+# sweep cycle differ only by the rounding of their start and end times.
+DT_KEY_MS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -424,47 +439,6 @@ class RunResult:
     stats: dict
 
 
-def _segment_generators(ens: EnsembleState, seg: DriveSegment,
-                        cal: DriveCalibration, base_matrix: np.ndarray,
-                        trans: np.ndarray) -> np.ndarray:
-    """Per-class 4x4 generators for one segment, shape (n, 4, 4)."""
-    n = ens.n_classes
-    g = np.repeat(base_matrix[None, :, :], n, axis=0)
-
-    if seg.pump_freq_MHz is not None and seg.pump_rate_per_ms > 0.0:
-        det = seg.pump_freq_MHz - trans
-        rates = engine.pump_rate_profile(seg.pump_rate_per_ms, cal.pump_linewidth_MHz, det)
-        pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
-        for k, (lo, up) in enumerate(pairs):
-            r = rates[:, k]
-            g[:, up, lo] += r
-            g[:, lo, lo] -= r
-            g[:, lo, up] += r
-            g[:, up, up] -= r
-
-    if seg.stim_power_mW > 0.0:
-        gam = cal.stim_rate(seg.stim_power_mW)
-        if gam > 0.0:
-            bz = ens.params.beta_z2
-            g[:, 0, 2] += gam * bz
-            g[:, 1, 2] += gam * (1.0 - bz)
-            g[:, 2, 2] -= gam
-            g[:, 1, 3] += gam * bz
-            g[:, 0, 3] += gam * (1.0 - bz)
-            g[:, 3, 3] -= gam
-
-    if seg.rf_voltage_Vpp > 0.0:
-        rate = engine.rf_mix_rate(seg.rf_voltage_Vpp, cal.rf_coupling_per_V2_ms)
-        in_band = abs(ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
-        if rate > 0.0 and in_band:
-            g[:, 2, 3] += rate
-            g[:, 3, 2] += rate
-            g[:, 2, 2] -= rate
-            g[:, 3, 3] -= rate
-
-    return g
-
-
 def _apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
     """Advance populations in place, crediting any leak to the trap bucket."""
     v = pops[:, :4]
@@ -482,27 +456,113 @@ def _apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
     pops[:, 4] += leaked
 
 
-def _item_propagator(ens, item, cal, base_matrix, trans, lo, hi) -> np.ndarray:
-    """Propagator of one item for the class slice [lo, hi)."""
-    sub = EnsembleState(
-        config=ens.config,
-        params=ens.params,
-        profile=ens.profile,
-        centers_MHz=ens.centers_MHz[lo:hi],
-        weights=ens.weights[lo:hi],
-        populations=ens.populations[lo:hi],
-        probe_linewidth_MHz=ens.probe_linewidth_MHz,
-    )
-    t = trans[lo:hi]
-    if isinstance(item, RepeatBlock):
-        acc = None
-        for seg in item.segments:
-            g = _segment_generators(sub, seg, cal, base_matrix, t)
-            p = engine.propagator_batch(g, seg.dt_ms)
-            acc = p if acc is None else p @ acc
-        return engine.matrix_power_batch(acc, item.count)
-    g = _segment_generators(sub, item, cal, base_matrix, t)
-    return engine.propagator_batch(g, item.dt_ms)
+class _Propagators:
+    """Propagators of drive items, one eigendecomposition per distinct generator.
+
+    Without the pump a segment's generator is the same for every class;
+    with it, the generator varies only with the pump detuning from the
+    class centre.  n_eig counts the 4x4 matrices exponentiated so far.
+    """
+
+    def __init__(self, ens: EnsembleState, cal: DriveCalibration):
+        self.ens = ens
+        self.cal = cal
+        self.trans = ens.transition_freqs()
+        self.n_eig = 0
+
+    def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
+        self.n_eig += len(matrices)
+        return engine.propagator_batch(matrices, dt_ms)
+
+    def _drive_matrix(self, seg: DriveSegment) -> np.ndarray:
+        """The class-independent part of a segment's generator."""
+        stim = self.cal.stim_rate(seg.stim_power_mW)
+        in_band = abs(self.ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
+        rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, self.cal.rf_coupling_per_V2_ms) if in_band else 0.0
+        drive = engine.DriveRates(stim_rate_e1=stim, stim_rate_e2=stim, rf_mix_rate=rf)
+        return engine.build_rate_matrix(self.ens.params, drive)
+
+    def factors(self, item) -> tuple[list, int | None]:
+        """Shared propagator factors of an item and its repeat count.
+
+        The factors are one (propagators, index) pair per segment, in time
+        order: class i evolves under propagators[index[i]], and an index of
+        None means one propagator, shape (1, 4, 4), serves every class.
+        Segments whose drive settings are equal and whose durations agree
+        to DT_KEY_MS are exponentiated in one batch, one matrix per
+        distinct pump detuning.  The count is None for a single segment.
+        """
+        if isinstance(item, RepeatBlock):
+            segments, count = item.segments, item.count
+        else:
+            segments, count = (item,), None
+        groups: dict = {}
+        for i, seg in enumerate(segments):
+            rate = seg.pump_rate_per_ms if seg.pump_freq_MHz is not None else 0.0
+            key = (rate, seg.stim_power_mW, seg.rf_voltage_Vpp, seg.rf_center_MHz,
+                   seg.rf_bandwidth_MHz, round(seg.dt_ms / DT_KEY_MS))
+            groups.setdefault(key, []).append(i)
+
+        out: list = [None] * len(segments)
+        for (rate, *_), members in groups.items():
+            first = segments[members[0]]
+            drive = self._drive_matrix(first)
+            if rate <= 0.0:
+                props = self._expm(drive[None], first.dt_ms)
+                for i in members:
+                    out[i] = (props, None)
+                continue
+            pump = np.array([segments[i].pump_freq_MHz for i in members])
+            keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
+            _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+            seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
+            det = pump[seg_idx, None] - self.trans[cls_idx]
+            g = np.repeat(drive[None], len(det), axis=0)
+            engine.add_pump_rates(
+                g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
+            )
+            props = self._expm(g, first.dt_ms)
+            for i, index in zip(members, inverse.reshape(keys.shape)):
+                out[i] = (props, index)
+        return out, count
+
+
+def _item_propagator(plan, lo: int, hi: int) -> np.ndarray:
+    """Propagator of one item for the class slice [lo, hi).
+
+    plan is what _Propagators.factors returned for the item.  The result
+    has shape (hi - lo, 4, 4), or (1, 4, 4) when every factor is shared by
+    all classes.
+    """
+    factors, count = plan
+    acc = None
+    for props, index in factors:
+        p = props if index is None else props[index[lo:hi]]
+        acc = p if acc is None else p @ acc
+    return acc if count is None else engine.matrix_power_batch(acc, count)
+
+
+def _class_chunks(n: int, threads: int) -> list[tuple[int, int]]:
+    """Class slices [lo, hi) for threads workers, capped at the CPU count."""
+    k = max(1, min(threads, os.cpu_count() or 1, n))
+    bounds = np.linspace(0, n, k + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _advance(props: _Propagators, item, chunks, pool) -> None:
+    """Evolve the ensemble over one item, splitting classes across the pool."""
+    plan = props.factors(item)
+    pops = props.ens.populations
+
+    def step(chunk):
+        lo, hi = chunk
+        _apply_batch(_item_propagator(plan, lo, hi), pops[lo:hi])
+
+    if len(chunks) == 1 or all(index is None for _, index in plan[0]):
+        step((0, len(pops)))
+        return
+    for future in [pool.submit(step, c) for c in chunks]:
+        future.result()
 
 
 def run(ens: EnsembleState,
@@ -518,7 +578,9 @@ def run(ens: EnsembleState,
     snapshot spectrum at drives_end + at_delay_ms; when trace_window_MHz is
     given, the hole area of every readout against the initial-state baseline
     is collected into a (delay, area) trace.  horizon_ms optionally caps the
-    simulated time; a readout beyond it raises SequenceError.
+    simulated time; a readout beyond it raises SequenceError.  threads
+    splits the per-class work of each item across at most os.cpu_count()
+    worker threads; the result does not depend on it.
     """
     cal = calibration or DriveCalibration()
     if readouts is None:
@@ -533,62 +595,40 @@ def run(ens: EnsembleState,
                 f"{horizon_ms} ms horizon"
             )
 
-    base_matrix = engine.build_rate_matrix(ens.params)
-    trans = ens.transition_freqs()
-
     baselines: dict = {}
     for r in readouts:
         key = (r.f_start_MHz, r.f_stop_MHz, r.n_points)
         if key not in baselines:
             baselines[key] = readout_scan(ens, *key)
 
-    n = ens.n_classes
-    if threads > 1:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
-        chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    else:
-        chunks = [(0, n)]
-
-    def advance(item):
-        if len(chunks) == 1:
-            lo, hi = chunks[0]
-            p = _item_propagator(ens, item, cal, base_matrix, trans, lo, hi)
-            _apply_batch(p, ens.populations)
-            return
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            props = list(
-                pool.map(
-                    lambda c: _item_propagator(ens, item, cal, base_matrix, trans, *c),
-                    chunks,
-                )
-            )
-        for (lo, hi), p in zip(chunks, props):
-            _apply_batch(p, ens.populations[lo:hi])
-
+    props = _Propagators(ens, cal)
+    chunks = _class_chunks(ens.n_classes, threads)
     t = 0.0
-    for item in compiled.items:
-        advance(item)
-        t += item.dt_ms
-
     spectra: list[tuple[float, Spectrum]] = []
     trace: list[tuple[float, float]] = []
-    for r in readouts:
-        target = compiled.drives_end_ms + r.at_delay_ms
-        if target > t + 1e-12:
-            p = engine.propagator(base_matrix, target - t)
-            _apply_batch(np.broadcast_to(p, (n, 4, 4)), ens.populations)
-            t = target
-        spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
-        spectra.append((r.at_delay_ms, spec))
-        if trace_window_MHz is not None:
-            ref = baselines[(r.f_start_MHz, r.f_stop_MHz, r.n_points)]
-            trace.append((r.at_delay_ms, hole_area(spec, ref, trace_window_MHz)))
+    # The pool starts its threads only when the first chunk is submitted.
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        for item in compiled.items:
+            _advance(props, item, chunks, pool)
+            t += item.dt_ms
+
+        for r in readouts:
+            target = compiled.drives_end_ms + r.at_delay_ms
+            if target > t + 1e-12:
+                _advance(props, DriveSegment(t_start_ms=t, t_end_ms=target), chunks, pool)
+                t = target
+            spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
+            spectra.append((r.at_delay_ms, spec))
+            if trace_window_MHz is not None:
+                ref = baselines[(r.f_start_MHz, r.f_stop_MHz, r.n_points)]
+                trace.append((r.at_delay_ms, hole_area(spec, ref, trace_window_MHz)))
 
     stats = {
         "n_items": len(compiled.items),
         "n_segments": compiled.n_segments,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
+        "n_eig_matrices": props.n_eig,
     }
     return RunResult(
         baseline=baselines,

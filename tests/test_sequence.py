@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from holeburn.engine import IonClassState
+from holeburn import engine, sequence
+from holeburn.engine import DriveRates, IonClassState
 from holeburn.ensemble import InhomogeneousProfile, build_ensemble, hole_area
 from holeburn.errors import SequenceError
 from holeburn.levels import RateParams, ZeemanConfig
@@ -344,6 +347,8 @@ def test_run_trace_and_stats():
     assert res.trace[1][1] < res.trace[0][1]
     assert res.stats["drives_end_ms"] == 10.0
     assert res.stats["n_items"] == len(compile_sequence(seq).items)
+    # one matrix per distinct pump detuning, plus one per readout delay
+    assert res.stats["n_eig_matrices"] == _ens().n_classes + 2
 
 
 def test_run_readouts_share_baseline_key():
@@ -378,3 +383,122 @@ def test_drive_calibration_validation_and_stim_response():
     half = DriveCalibration(stim_slope_per_mW_ms=0.35, stim_detuning_MHz=7000.0,
                             stim_response_fwhm_MHz=14000.0)
     assert half.stim_rate(20.0) == pytest.approx(3.5, rel=1e-12)
+
+
+# -------------------------------------------------------- shared propagators
+
+NARROW = DriveCalibration(pump_linewidth_MHz=0.25)
+
+
+def _reference_propagators(ens, cal, item):
+    """Per-class propagator of an item, built class by class and step by step."""
+    trans = ens.transition_freqs()
+    if isinstance(item, RepeatBlock):
+        segments, count = item.segments, item.count
+    else:
+        segments, count = (item,), 1
+    out = []
+    for i in range(ens.n_classes):
+        acc = np.eye(4)
+        for seg in segments:
+            pump = (0.0, 0.0, 0.0, 0.0)
+            if seg.pump_freq_MHz is not None:
+                pump = tuple(engine.pump_rate_profile(
+                    seg.pump_rate_per_ms, cal.pump_linewidth_MHz, seg.pump_freq_MHz - trans[i]))
+            stim = cal.stim_rate(seg.stim_power_mW)
+            in_band = abs(FIELD.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
+            rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, cal.rf_coupling_per_V2_ms)
+            drive = DriveRates(pump_rate=pump, stim_rate_e1=stim, stim_rate_e2=stim,
+                               rf_mix_rate=rf if in_band else 0.0)
+            acc = engine.propagator(engine.build_rate_matrix(ens.params, drive), seg.dt_ms) @ acc
+        out.append(np.linalg.matrix_power(acc, count))
+    return np.array(out)
+
+
+def _gated_rf_sequence():
+    # swept, gated, stimulated and RF-mixed, then a pump-off stimulation tail
+    # that dt_max_ms splits into ten pieces
+    return compile_sequence([
+        PumpPulse(start_ms=0.0, duration_ms=0.35, center_MHz=0.0, power_rate_per_ms=2.0,
+                  sweep_span_MHz=10.0, sweep_period_ms=0.1, gate_gap_MHz=3.0),
+        StimulationPulse(start_ms=0.0, duration_ms=0.45, power_mW=20.0),
+        RFPulse(start_ms=0.0, duration_ms=0.35, center_MHz=FIELD.delta_e_MHz,
+                bandwidth_MHz=15.0, voltage_Vpp=5.0),
+    ], dt_max_ms=0.01)
+
+
+def _off_lattice_sequence():
+    # 7 steps across 10 MHz from a centre off the 1 MHz class grid: almost
+    # no detunings coincide, and none may be merged
+    return compile_sequence([
+        PumpPulse(start_ms=0.0, duration_ms=0.25, center_MHz=0.013, power_rate_per_ms=2.0,
+                  sweep_span_MHz=10.0, sweep_period_ms=0.07),
+    ], dt_max_ms=0.01)
+
+
+def _uneven_cycle():
+    # equal drive settings but unequal durations must not share a propagator
+    steps = [(0.0, 0.01, 1.0), (0.01, 0.03, 1.0), (0.03, 0.04, None), (0.04, 0.05, 2.0)]
+    block = RepeatBlock(segments=tuple(
+        DriveSegment(t_start_ms=a, t_end_ms=b, pump_freq_MHz=f,
+                     pump_rate_per_ms=2.0 if f is not None else 0.0, stim_power_mW=20.0)
+        for a, b, f in steps
+    ), count=3)
+    return CompiledSequence(items=[block], readouts=[], drives_end_ms=block.dt_ms)
+
+
+@pytest.mark.parametrize("make", [_gated_rf_sequence, _off_lattice_sequence, _uneven_cycle])
+def test_shared_propagators_match_per_class_reference(make):
+    comp = make()
+    assert any(isinstance(it, RepeatBlock) for it in comp.items)
+    ens = _ens(span=20.0, step=1.0)
+    props = sequence._Propagators(ens, NARROW)
+    for item in comp.items:
+        got = sequence._item_propagator(props.factors(item), 0, ens.n_classes)
+        ref = _reference_propagators(ens, NARROW, item)
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+def _count_matrices(monkeypatch):
+    counted = []
+    batch = engine.propagator_batch
+
+    def counting(matrices, dt_ms):
+        counted.append(len(matrices))
+        return batch(matrices, dt_ms)
+
+    monkeypatch.setattr(engine, "propagator_batch", counting)
+    return counted
+
+
+def test_pump_off_item_costs_one_matrix(monkeypatch):
+    counted = _count_matrices(monkeypatch)
+    ens = _ens()
+    res = run(ens, compile_sequence([StimulationPulse(start_ms=0.0, duration_ms=5.0,
+                                                      power_mW=20.0)]))
+    assert ens.n_classes > 1
+    assert counted == [1]
+    assert res.stats["n_eig_matrices"] == 1
+
+
+def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
+    comp = _gated_rf_sequence()
+    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    ens = _ens(span=20.0, step=1.0)
+    counted = _count_matrices(monkeypatch)
+    sequence._Propagators(ens, NARROW).factors(block)
+    lit = [s.pump_freq_MHz for s in block.segments if s.pump_freq_MHz is not None]
+    assert len(lit) < len(block.segments)
+    detunings = {round(f - c, 6) for f in lit for c in ens.centers_MHz}
+    # one batch for the lit steps, one shared matrix for the gated ones
+    assert sorted(counted) == [1, len(detunings)]
+    assert len(detunings) < len(lit) * ens.n_classes
+
+
+def test_class_chunks_cover_classes_and_cap_threads():
+    assert sequence._class_chunks(61, 1) == [(0, 61)]
+    chunks = sequence._class_chunks(61, 10**6)
+    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 61
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(hi > lo for lo, hi in chunks)
