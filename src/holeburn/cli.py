@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", help="name of a bundled preset")
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for class evolution, at most the CPU count")
+                       help="accepted for compatibility; has no effect, runs are serial")
 
     fit_p = sub.add_parser("fit", help="fit a two-column CSV trace")
     fit_p.add_argument("csv", help="input CSV with a header row")

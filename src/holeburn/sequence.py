@@ -16,8 +16,6 @@ gets the one propagator computed for that detuning.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -526,43 +524,17 @@ class _Propagators:
                 out[i] = (props, index)
         return out, count
 
+    def propagator(self, item) -> np.ndarray:
+        """Per-class propagator of one item, shape (n_classes, 4, 4).
 
-def _item_propagator(plan, lo: int, hi: int) -> np.ndarray:
-    """Propagator of one item for the class slice [lo, hi).
-
-    plan is what _Propagators.factors returned for the item.  The result
-    has shape (hi - lo, 4, 4), or (1, 4, 4) when every factor is shared by
-    all classes.
-    """
-    factors, count = plan
-    acc = None
-    for props, index in factors:
-        p = props if index is None else props[index[lo:hi]]
-        acc = p if acc is None else p @ acc
-    return acc if count is None else engine.matrix_power_batch(acc, count)
-
-
-def _class_chunks(n: int, threads: int) -> list[tuple[int, int]]:
-    """Class slices [lo, hi) for threads workers, capped at the CPU count."""
-    k = max(1, min(threads, os.cpu_count() or 1, n))
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _advance(props: _Propagators, item, chunks, pool) -> None:
-    """Evolve the ensemble over one item, splitting classes across the pool."""
-    plan = props.factors(item)
-    pops = props.ens.populations
-
-    def step(chunk):
-        lo, hi = chunk
-        _apply_batch(_item_propagator(plan, lo, hi), pops[lo:hi])
-
-    if len(chunks) == 1 or all(index is None for _, index in plan[0]):
-        step((0, len(pops)))
-        return
-    for future in [pool.submit(step, c) for c in chunks]:
-        future.result()
+        The shape is (1, 4, 4) when every factor is shared by all classes.
+        """
+        factors, count = self.factors(item)
+        acc = None
+        for props, index in factors:
+            p = props if index is None else props[index]
+            acc = p if acc is None else p @ acc
+        return acc if count is None else engine.matrix_power_batch(acc, count)
 
 
 def run(ens: EnsembleState,
@@ -578,9 +550,8 @@ def run(ens: EnsembleState,
     snapshot spectrum at drives_end + at_delay_ms; when trace_window_MHz is
     given, the hole area of every readout against the initial-state baseline
     is collected into a (delay, area) trace.  horizon_ms optionally caps the
-    simulated time; a readout beyond it raises SequenceError.  threads
-    splits the per-class work of each item across at most os.cpu_count()
-    worker threads; the result does not depend on it.
+    simulated time; a readout beyond it raises SequenceError.  threads is
+    accepted for compatibility and has no effect: the run is serial.
     """
     cal = calibration or DriveCalibration()
     if readouts is None:
@@ -602,26 +573,24 @@ def run(ens: EnsembleState,
             baselines[key] = readout_scan(ens, *key)
 
     props = _Propagators(ens, cal)
-    chunks = _class_chunks(ens.n_classes, threads)
     t = 0.0
     spectra: list[tuple[float, Spectrum]] = []
     trace: list[tuple[float, float]] = []
-    # The pool starts its threads only when the first chunk is submitted.
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        for item in compiled.items:
-            _advance(props, item, chunks, pool)
-            t += item.dt_ms
+    for item in compiled.items:
+        _apply_batch(props.propagator(item), ens.populations)
+        t += item.dt_ms
 
-        for r in readouts:
-            target = compiled.drives_end_ms + r.at_delay_ms
-            if target > t + 1e-12:
-                _advance(props, DriveSegment(t_start_ms=t, t_end_ms=target), chunks, pool)
-                t = target
-            spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
-            spectra.append((r.at_delay_ms, spec))
-            if trace_window_MHz is not None:
-                ref = baselines[(r.f_start_MHz, r.f_stop_MHz, r.n_points)]
-                trace.append((r.at_delay_ms, hole_area(spec, ref, trace_window_MHz)))
+    for r in readouts:
+        target = compiled.drives_end_ms + r.at_delay_ms
+        if target > t + 1e-12:
+            gap = DriveSegment(t_start_ms=t, t_end_ms=target)
+            _apply_batch(props.propagator(gap), ens.populations)
+            t = target
+        spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
+        spectra.append((r.at_delay_ms, spec))
+        if trace_window_MHz is not None:
+            ref = baselines[(r.f_start_MHz, r.f_stop_MHz, r.n_points)]
+            trace.append((r.at_delay_ms, hole_area(spec, ref, trace_window_MHz)))
 
     stats = {
         "n_items": len(compiled.items),

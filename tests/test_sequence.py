@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -454,7 +452,7 @@ def test_shared_propagators_match_per_class_reference(make):
     ens = _ens(span=20.0, step=1.0)
     props = sequence._Propagators(ens, NARROW)
     for item in comp.items:
-        got = sequence._item_propagator(props.factors(item), 0, ens.n_classes)
+        got = props.propagator(item)
         ref = _reference_propagators(ens, NARROW, item)
         assert np.abs(got - ref).max() <= 1e-12
 
@@ -493,12 +491,3 @@ def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
     # one batch for the lit steps, one shared matrix for the gated ones
     assert sorted(counted) == [1, len(detunings)]
     assert len(detunings) < len(lit) * ens.n_classes
-
-
-def test_class_chunks_cover_classes_and_cap_threads():
-    assert sequence._class_chunks(61, 1) == [(0, 61)]
-    chunks = sequence._class_chunks(61, 10**6)
-    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 61
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    assert all(hi > lo for lo, hi in chunks)
