@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ensemble import Spectrum
 
@@ -71,6 +70,8 @@ class FitResult:
 
 
 def _solve(model: str, func, x0, names, x, y, bounds) -> FitResult:
+    from scipy.optimize import least_squares  # slow to import; only fits need it
+
     def residual(p):
         return func(x, *p) - y
 

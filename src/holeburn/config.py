@@ -11,17 +11,17 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
-from . import engine, levels
 from .ensemble import InhomogeneousProfile
 from .errors import ConfigError
 from .levels import RateParams, ZeemanConfig
 from .sequence import (
     DriveCalibration,
+    Pulse,
     PumpPulse,
     ReadoutPulse,
     RFPulse,
@@ -49,7 +49,7 @@ class SweepSpec:
     """
 
     path: str
-    values: tuple
+    values: tuple[float, ...]
 
     def __post_init__(self):
         if not self.values:
@@ -69,48 +69,26 @@ class ExperimentConfig:
     zeeman: ZeemanConfig
     rates: RateParams
     profile: InhomogeneousProfile
-    sequence: tuple
+    sequence: tuple[Pulse, ...]
     outputs: OutputSpec = OutputSpec()
     drive: DriveCalibration = DriveCalibration()
     target_od: float | None = 1.0
     probe_linewidth_MHz: float = 1.0
     dt_max_ms: float | None = None
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.probe_linewidth_MHz <= 0:
+            raise ConfigError("probe_linewidth_MHz", "must be > 0")
+        if self.dt_max_ms is not None and self.dt_max_ms <= 0:
+            raise ConfigError("dt_max_ms", "must be > 0")
 
 
 _PULSE_KINDS = {
-    "pump": (
-        PumpPulse,
-        {
-            "start_ms": 0.0,
-            "duration_ms": None,
-            "center_MHz": None,
-            "power_rate_per_ms": None,
-            "sweep_span_MHz": 0.0,
-            "sweep_period_ms": 0.0,
-            "gate_gap_MHz": 0.0,
-        },
-    ),
-    "stimulation": (
-        StimulationPulse,
-        {"start_ms": 0.0, "duration_ms": None, "power_mW": None},
-    ),
-    "rf": (
-        RFPulse,
-        {
-            "start_ms": 0.0,
-            "duration_ms": None,
-            "center_MHz": None,
-            "bandwidth_MHz": None,
-            "voltage_Vpp": None,
-            "sweep_period_ms": 0.001,
-        },
-    ),
-    "wait": (WaitPulse, {"start_ms": 0.0, "duration_ms": None}),
-    "readout": (
-        ReadoutPulse,
-        {"f_start_MHz": None, "f_stop_MHz": None, "n_points": None, "at_delay_ms": None},
-    ),
+    "pump": PumpPulse,
+    "stimulation": StimulationPulse,
+    "rf": RFPulse,
+    "wait": WaitPulse,
+    "readout": ReadoutPulse,
 }
 
 
@@ -120,15 +98,17 @@ def _require_mapping(obj, path):
     return obj
 
 
+def _join(path, key):
+    return f"{path}.{key}" if path else str(key)
+
+
 def _check_keys(d, allowed, path):
     for key in d:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
+            raise ConfigError(_join(path, key), "unknown key")
 
 
-def _number(value, path, allow_none=False):
-    if value is None and allow_none:
-        return None
+def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return float(value)
@@ -140,9 +120,19 @@ def _integer(value, path):
     return value
 
 
+def _string(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _boolean(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected a boolean, got {value!r}")
+    return value
+
+
 def _window(value, path):
-    if value is None:
-        return None
     if (not isinstance(value, (list, tuple)) or len(value) != 2):
         raise ConfigError(path, "expected [low_MHz, high_MHz]")
     lo = _number(value[0], f"{path}[0]")
@@ -152,89 +142,75 @@ def _window(value, path):
     return (lo, hi)
 
 
-def _build_section(raw, path, cls, defaults):
-    """Parse a purely numeric section against a {key: default} whitelist."""
-    raw = _require_mapping(raw, path)
-    _check_keys(raw, set(defaults), path)
-    kwargs = {}
-    for key, default in defaults.items():
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"{path}.{key}")
-        elif default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        else:
-            kwargs[key] = default
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _values(value, path):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(path, "expected a non-empty list")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_pulse(raw, path):
-    raw = _require_mapping(raw, path)
+def _pulse(value, path):
+    raw = _require_mapping(value, path)
     kind = raw.get("kind")
     if kind not in _PULSE_KINDS:
         raise ConfigError(
             f"{path}.kind", f"expected one of {sorted(_PULSE_KINDS)}, got {kind!r}"
         )
-    cls, fields_ = _PULSE_KINDS[kind]
     body = {k: v for k, v in raw.items() if k != "kind"}
-    _check_keys(body, set(fields_), path)
+    return _build_section(body, path, _PULSE_KINDS[kind])
+
+
+def _sequence(value, path):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "expected a list of pulses")
+    return tuple(_pulse(p, f"{path}[{i}]") for i, p in enumerate(value))
+
+
+def _build_section(raw, path, cls):
+    """Build dataclass cls from a raw mapping; the fields of cls are the schema.
+
+    A field without a default is a required key, a field with one may be
+    omitted, and the field's annotation picks its coercion in _PARSERS.  A
+    value the model type rejects raises ConfigError on the section path.
+    """
+    raw = _require_mapping(raw, path)
+    _check_keys(raw, {f.name for f in fields(cls)}, path)
     kwargs = {}
-    for key, default in fields_.items():
-        if key in body:
-            val = body[key]
-        elif default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        else:
-            val = default
-        if key == "n_points":
-            kwargs[key] = _integer(val, f"{path}.{key}")
-        else:
-            kwargs[key] = _number(val, f"{path}.{key}")
+    for f in fields(cls):
+        key = _join(path, f.name)
+        if f.name in raw:
+            kwargs[f.name] = _PARSERS[f.type](raw[f.name], key)
+        elif f.default is MISSING:
+            raise ConfigError(key, "missing required key")
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-_TOP_KEYS = {
-    "zeeman", "rates", "profile", "sequence", "outputs", "drive",
-    "target_od", "probe_linewidth_MHz", "dt_max_ms", "seed",
-}
+def _section(cls):
+    return lambda value, path: _build_section(value, path, cls)
 
-_ZEEMAN_DEFAULTS = {
-    "field_mT": None,
-    "theta_deg": 135.0,
-    "g_ground": 12.0,
-    "g_excited": 8.0,
-    "bohr_MHz_per_mT": 13.996,
-}
 
-_RATES_DEFAULTS = {
-    "t1_ms": None,
-    "tz_ms": None,
-    "beta": None,
-    "beta_z2": "default",
-    "sigma_scale": 1.0,
-    "persistent_fraction": 0.0,
-    "persistent_leak_scale": levels.PERSISTENT_LEAK_SCALE,
-}
+def _optional(parse):
+    return lambda value, path: None if value is None else parse(value, path)
 
-_PROFILE_DEFAULTS = {
-    "center_MHz": 0.0,
-    "fwhm_MHz": 1000.0,
-    "shape": "flat",
-    "grid_span_MHz": 500.0,
-    "grid_step_MHz": 0.5,
-}
 
-_DRIVE_DEFAULTS = {
-    "pump_linewidth_MHz": 1.0,
-    "stim_slope_per_mW_ms": engine.DEFAULT_STIM_SLOPE_PER_MW_MS,
-    "stim_detuning_MHz": 0.0,
-    "stim_response_fwhm_MHz": 14000.0,
-    "rf_coupling_per_V2_ms": engine.DEFAULT_RF_COUPLING_PER_V2_MS,
+# Coercion of a raw value, keyed by the annotation of the field it fills.
+_PARSERS = {
+    "float": _number,
+    "float | None": _optional(_number),
+    "int": _integer,
+    "str": _string,
+    "bool": _boolean,
+    "tuple | None": _optional(_window),
+    "tuple[float, ...]": _values,
+    "tuple[Pulse, ...]": _sequence,
+    "SweepSpec | None": _optional(_section(SweepSpec)),
+    **{
+        cls.__name__: _section(cls)
+        for cls in (ZeemanConfig, RateParams, InhomogeneousProfile, DriveCalibration,
+                    OutputSpec)
+    },
 }
 
 
@@ -244,113 +220,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     Raises ConfigError with a dotted field path for unknown keys, missing
     required keys, type errors, and any value a model type rejects.
     """
-    raw = _require_mapping(raw, "")
-    _check_keys(raw, _TOP_KEYS, "")
-    for key in ("zeeman", "rates", "profile", "sequence"):
-        if key not in raw:
-            raise ConfigError(key, "missing required section")
-
-    zeeman = _build_section(raw["zeeman"], "zeeman", ZeemanConfig, _ZEEMAN_DEFAULTS)
-
-    rates_raw = _require_mapping(raw["rates"], "rates")
-    _check_keys(rates_raw, set(_RATES_DEFAULTS), "rates")
-    rates_kw = {}
-    for key, default in _RATES_DEFAULTS.items():
-        if key in rates_raw:
-            rates_kw[key] = _number(rates_raw[key], f"rates.{key}",
-                                    allow_none=(key == "beta_z2"))
-        elif default is None:
-            raise ConfigError(f"rates.{key}", "missing required key")
-        elif default == "default":
-            rates_kw[key] = None
-        else:
-            rates_kw[key] = default
-    try:
-        rates = RateParams(**rates_kw)
-    except ValueError as exc:
-        raise ConfigError("rates", str(exc)) from exc
-
-    profile_raw = _require_mapping(raw["profile"], "profile")
-    _check_keys(profile_raw, set(_PROFILE_DEFAULTS), "profile")
-    profile_kw = {}
-    for key, default in _PROFILE_DEFAULTS.items():
-        val = profile_raw.get(key, default)
-        if key == "shape":
-            if not isinstance(val, str):
-                raise ConfigError(f"profile.{key}", f"expected a string, got {val!r}")
-            profile_kw[key] = val
-        else:
-            profile_kw[key] = _number(val, f"profile.{key}")
-    try:
-        profile = InhomogeneousProfile(**profile_kw)
-    except ValueError as exc:
-        raise ConfigError("profile", str(exc)) from exc
-
-    drive = _build_section(raw.get("drive", {}), "drive", DriveCalibration, _DRIVE_DEFAULTS)
-
-    seq_raw = raw["sequence"]
-    if not isinstance(seq_raw, (list, tuple)):
-        raise ConfigError("sequence", "expected a list of pulses")
-    sequence = tuple(
-        _parse_pulse(p, f"sequence[{i}]") for i, p in enumerate(seq_raw)
-    )
-
-    outputs_raw = _require_mapping(raw.get("outputs", {}), "outputs")
-    _check_keys(
-        outputs_raw,
-        {"spectra", "trace_window_MHz", "metrics_window_MHz", "sweep"},
-        "outputs",
-    )
-    spectra_flag = outputs_raw.get("spectra", True)
-    if not isinstance(spectra_flag, bool):
-        raise ConfigError("outputs.spectra", f"expected a boolean, got {spectra_flag!r}")
-    sweep = None
-    if outputs_raw.get("sweep") is not None:
-        sweep_raw = _require_mapping(outputs_raw["sweep"], "outputs.sweep")
-        _check_keys(sweep_raw, {"path", "values"}, "outputs.sweep")
-        if "path" not in sweep_raw or "values" not in sweep_raw:
-            raise ConfigError("outputs.sweep", "sweep needs 'path' and 'values'")
-        if not isinstance(sweep_raw["path"], str):
-            raise ConfigError("outputs.sweep.path", "expected a string")
-        if not isinstance(sweep_raw["values"], (list, tuple)) or not sweep_raw["values"]:
-            raise ConfigError("outputs.sweep.values", "expected a non-empty list")
-        values = tuple(
-            _number(v, f"outputs.sweep.values[{i}]")
-            for i, v in enumerate(sweep_raw["values"])
-        )
-        sweep = SweepSpec(path=sweep_raw["path"], values=values)
-    outputs = OutputSpec(
-        spectra=spectra_flag,
-        trace_window_MHz=_window(outputs_raw.get("trace_window_MHz"), "outputs.trace_window_MHz"),
-        metrics_window_MHz=_window(
-            outputs_raw.get("metrics_window_MHz"), "outputs.metrics_window_MHz"
-        ),
-        sweep=sweep,
-    )
-
-    target_od = _number(raw.get("target_od", 1.0), "target_od", allow_none=True)
-    probe_lw = _number(raw.get("probe_linewidth_MHz", 1.0), "probe_linewidth_MHz")
-    if probe_lw <= 0:
-        raise ConfigError("probe_linewidth_MHz", "must be > 0")
-    dt_max = _number(raw.get("dt_max_ms"), "dt_max_ms", allow_none=True)
-    if dt_max is not None and dt_max <= 0:
-        raise ConfigError("dt_max_ms", "must be > 0")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
-
-    return ExperimentConfig(
-        zeeman=zeeman,
-        rates=rates,
-        profile=profile,
-        sequence=sequence,
-        outputs=outputs,
-        drive=drive,
-        target_od=target_od,
-        probe_linewidth_MHz=probe_lw,
-        dt_max_ms=dt_max,
-        seed=seed,
-    )
+    return _build_section(raw, "", ExperimentConfig)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -363,40 +233,22 @@ def parse_config_file(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _pulse_dict(pulse) -> dict:
-    for kind, (cls, fields_) in _PULSE_KINDS.items():
-        if type(pulse) is cls:
-            d = {"kind": kind}
-            d.update({k: getattr(pulse, k) for k in fields_})
-            return d
-    raise TypeError(f"not a pulse: {pulse!r}")
+_KIND_OF = {cls: kind for kind, cls in _PULSE_KINDS.items()}
+
+
+def _to_raw(value):
+    if is_dataclass(value):
+        out = {"kind": _KIND_OF[type(value)]} if type(value) in _KIND_OF else {}
+        out.update((f.name, _to_raw(getattr(value, f.name))) for f in fields(value))
+        return out
+    if isinstance(value, tuple):
+        return [_to_raw(v) for v in value]
+    return value
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
     """Canonical mapping representation; JSON- and YAML-serialisable."""
-    out = {
-        "zeeman": {k: getattr(cfg.zeeman, k) for k in _ZEEMAN_DEFAULTS},
-        "rates": {k: getattr(cfg.rates, k) for k in _RATES_DEFAULTS},
-        "profile": {k: getattr(cfg.profile, k) for k in _PROFILE_DEFAULTS},
-        "drive": {k: getattr(cfg.drive, k) for k in _DRIVE_DEFAULTS},
-        "sequence": [_pulse_dict(p) for p in cfg.sequence],
-        "outputs": {
-            "spectra": cfg.outputs.spectra,
-            "trace_window_MHz": list(cfg.outputs.trace_window_MHz)
-            if cfg.outputs.trace_window_MHz else None,
-            "metrics_window_MHz": list(cfg.outputs.metrics_window_MHz)
-            if cfg.outputs.metrics_window_MHz else None,
-            "sweep": {
-                "path": cfg.outputs.sweep.path,
-                "values": list(cfg.outputs.sweep.values),
-            } if cfg.outputs.sweep else None,
-        },
-        "target_od": cfg.target_od,
-        "probe_linewidth_MHz": cfg.probe_linewidth_MHz,
-        "dt_max_ms": cfg.dt_max_ms,
-        "seed": cfg.seed,
-    }
-    return out
+    return _to_raw(cfg)
 
 
 _PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSteadyStateError
-from .levels import RateParams
+from .levels import RateParams, TransitionSet
 
 __all__ = [
     "IonClassState",
     "DriveRates",
     "build_rate_matrix",
     "add_pump_rates",
+    "apply_batch",
     "evolve",
     "propagator",
     "propagator_batch",
@@ -176,7 +176,7 @@ def add_pump_rates(matrices: np.ndarray, rates: np.ndarray) -> None:
     matrices has shape (..., 4, 4) and rates shape (..., 4), one rate per
     transition in (g1-e1, g1-e2, g2-e1, g2-e2) order.
     """
-    for k, (lo, up) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+    for k, (lo, up) in enumerate(zip(TransitionSet.LOWER, TransitionSet.UPPER)):
         r = rates[..., k]
         matrices[..., up, lo] += r
         matrices[..., lo, lo] -= r
@@ -209,14 +209,16 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
         w, v = np.linalg.eig(mats)
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
-        return np.stack([scipy.linalg.expm(m * dt_ms) for m in mats])
-
-    recon = (v * w[:, None, :]) @ vinv
-    scale = np.abs(mats).max(axis=(1, 2)) + 1.0
-    bad = np.abs(recon.real - mats).max(axis=(1, 2)) > 1e-9 * scale
-
-    out = ((v * np.exp(w * dt_ms)[:, None, :]) @ vinv).real
+        out = np.empty_like(mats)
+        bad = np.ones(len(mats), dtype=bool)
+    else:
+        recon = (v * w[:, None, :]) @ vinv
+        scale = np.abs(mats).max(axis=(1, 2)) + 1.0
+        bad = np.abs(recon.real - mats).max(axis=(1, 2)) > 1e-9 * scale
+        out = ((v * np.exp(w * dt_ms)[:, None, :]) @ vinv).real
     if np.any(bad):
+        import scipy.linalg  # only the fallback needs SciPy; keep it off the import path
+
         for i in np.nonzero(bad)[0]:
             out[i] = scipy.linalg.expm(mats[i] * dt_ms)
     return out
@@ -237,14 +239,27 @@ def matrix_power_batch(propagators: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def _apply_propagator(p: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    out = p @ vec
-    # Eigen round-off can leave populations a hair below zero.
-    tiny = (out < 0.0) & (out > -1e-10)
-    out[tiny] = 0.0
-    if np.any(out < 0.0):
+def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
+    """Advance populations in place, crediting any leak to the trap bucket.
+
+    props has shape (n, 4, 4), or (1, 4, 4) for one propagator shared by
+    every row; pops has shape (n, 5) with the trap bucket last.  Eigen
+    round-off can leave a population or a leak a hair below zero; values
+    down to -1e-10 are clamped to zero, and anything lower raises.
+    """
+    v = pops[:, :4]
+    old = v.sum(axis=1)
+    new = np.matmul(props, v[:, :, None])[:, :, 0]
+    tiny = (new < 0.0) & (new > -1e-10)
+    new[tiny] = 0.0
+    if np.any(new < 0.0):
         raise ArithmeticError("propagation produced a negative population")
-    return out
+    leaked = old - new.sum(axis=1)
+    leaked[(leaked < 0.0) & (leaked > -1e-10)] = 0.0
+    if np.any(leaked < 0.0):
+        raise ArithmeticError("propagation created population")
+    pops[:, :4] = new
+    pops[:, 4] += leaked
 
 
 def evolve(state: IonClassState, matrix: np.ndarray, dt_ms: float) -> IonClassState:
@@ -253,16 +268,9 @@ def evolve(state: IonClassState, matrix: np.ndarray, dt_ms: float) -> IonClassSt
     Population lost by the four dynamical levels (the trap leak) is credited
     to persistent_bleached, so the five-entry total is conserved.
     """
-    vec = state.as_vector()
-    new = _apply_propagator(propagator(matrix, dt_ms), vec)
-    leaked = max(float(vec.sum() - new.sum()), 0.0)
-    return IonClassState(
-        g1=float(new[0]),
-        g2=float(new[1]),
-        e1=float(new[2]),
-        e2=float(new[3]),
-        persistent_bleached=state.persistent_bleached + leaked,
-    )
+    pops = np.array([[state.g1, state.g2, state.e1, state.e2, state.persistent_bleached]])
+    apply_batch(propagator(matrix, dt_ms)[None], pops)
+    return IonClassState(*(float(x) for x in pops[0]))
 
 
 def steady_state(matrix: np.ndarray) -> IonClassState:

@@ -139,17 +139,9 @@ class EnsembleState:
     def n_classes(self) -> int:
         return len(self.centers_MHz)
 
-    @property
-    def classes(self):
-        """Per-class view as (center_MHz, weight, population row) tuples."""
-        return list(zip(self.centers_MHz, self.weights, self.populations))
-
     def transition_freqs(self) -> np.ndarray:
         """Transition frequencies, shape (n_classes, 4)."""
-        dg = self.config.delta_g_MHz
-        de = self.config.delta_e_MHz
-        c = self.centers_MHz
-        return np.stack([c, c + de, c - dg, c - (dg - de)], axis=1)
+        return np.stack(transition_set(self.centers_MHz, self.config).as_tuple(), axis=1)
 
     def copy(self) -> "EnsembleState":
         return EnsembleState(
@@ -223,11 +215,7 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray) -> np.ndarray:
     """
     trans = ens.transition_freqs()  # (n, 4)
     pops = ens.populations
-    diff = np.stack(
-        [pops[:, lo] - pops[:, up]
-         for lo, up in zip(TransitionSet.LOWER, TransitionSet.UPPER)],
-        axis=1,
-    )  # (n, 4)
+    diff = pops[:, TransitionSet.LOWER] - pops[:, TransitionSet.UPPER]  # (n, 4)
     amp = (ens.weights[:, None] * diff).ravel()
     f0 = trans.ravel()
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2

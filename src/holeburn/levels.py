@@ -15,12 +15,6 @@ from .errors import NoDecayChannelError
 # Bohr magneton over the Planck constant, in MHz per mT.
 BOHR_MHZ_PER_MT = 13.996
 
-# Magnetic dipole scale of the excited-doublet spin transition (g_excited
-# times the Bohr frequency constant, for the default g of 8).  Informational
-# only: the mixing drive in this package is a phenomenological rate and does
-# not use this number.
-SPIN_DIPOLE_MHZ_PER_MT = 112.0
-
 # Excited-state trapping rate per unit persistent_fraction (1/ms), calibrated
 # so that a 100 ms saturating pump leaves a normalized persistent hole equal
 # to persistent_fraction; see RateParams.persistent_leak_scale.
@@ -118,6 +112,7 @@ class RateParams:
 class TransitionSet:
     """Frequencies (MHz) of the four optical transitions of one ion class.
 
+    The fields are scalars for one class, or arrays for a grid of classes.
     f1: g1 -> e1, f2: g1 -> e2, f3: g2 -> e1, f4: g2 -> e2.  By construction
     f2 - f1 equals the excited splitting, f1 - f3 the ground splitting, and
     f4 - f1 the (negative) difference of the two.
@@ -132,7 +127,7 @@ class TransitionSet:
         return (self.f1_MHz, self.f2_MHz, self.f3_MHz, self.f4_MHz)
 
     # Lower / upper level index of each transition, in the (g1, g2, e1, e2)
-    # population basis used by the engine.
+    # population basis used by the engine; the one home of the pair table.
     LOWER = (0, 0, 1, 1)
     UPPER = (2, 3, 2, 3)
 
@@ -148,7 +143,7 @@ def transition_set(class_center_MHz: float, config: ZeemanConfig) -> TransitionS
     """Transition frequencies of the class whose g1 -> e1 line sits at ``class_center_MHz``.
 
     Frequencies are offsets from the optical line center, so they may be
-    negative.
+    negative.  An array of centres gives arrays of frequencies, one per class.
     """
     dg = config.delta_g_MHz
     de = config.delta_e_MHz

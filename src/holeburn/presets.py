@@ -294,7 +294,3 @@ def preset(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
     return copy.deepcopy(PRESETS[name][1])
-
-
-def preset_description(name: str) -> str:
-    return PRESETS[name][0]

@@ -20,7 +20,7 @@ from . import __version__
 from .analysis import residual_metrics
 from .config import ExperimentConfig, apply_override, parse_config, serialize_config
 from .ensemble import build_ensemble, readout_scan
-from .sequence import compile_sequence, run, write_trace_csv
+from .sequence import ReadoutPulse, compile_sequence, run, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
 
@@ -30,7 +30,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_single(cfg: ExperimentConfig, threads: int = 1):
+def run_single(cfg: ExperimentConfig):
     """Execute one configured sequence; returns (ensemble, RunResult)."""
     ens = build_ensemble(
         cfg.profile,
@@ -45,7 +45,6 @@ def run_single(cfg: ExperimentConfig, threads: int = 1):
         compiled,
         calibration=cfg.drive,
         trace_window_MHz=cfg.outputs.trace_window_MHz,
-        threads=threads,
     )
     return ens, result
 
@@ -66,7 +65,8 @@ def _last_metrics(result, cfg):
 def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Run a scenario (with its sweep, if any) and write artifacts.
 
-    Returns the manifest, which is also written as manifest.json.
+    Returns the manifest, which is also written as manifest.json.  threads
+    is accepted for compatibility and has no effect: runs are serial.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -83,7 +83,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             raw = apply_override(base_raw, sweep.path, value)
             raw["outputs"] = dict(raw["outputs"], sweep=None)
             sub = parse_config(raw)
-            _, result = run_single(sub, threads=threads)
+            _, result = run_single(sub)
             row = {"value": value}
             if result.trace:
                 row["hole_area"] = result.trace[-1][1]
@@ -102,7 +102,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                     fh.write(",".join(repr(row[c]) for c in cols) + "\n")
             artifacts.append("sweep.csv")
     else:
-        ens, result = run_single(cfg, threads=threads)
+        ens, result = run_single(cfg)
         stats = result.stats
 
         if cfg.outputs.spectra:
@@ -145,10 +145,10 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         "wall_time_s": time.perf_counter() - t0,
         "artifacts": artifacts,
         "stats": stats,
-        "seed": cfg.seed,
-        "readout_delays_ms": [
-            p.at_delay_ms for p in cfg.sequence if type(p).__name__ == "ReadoutPulse"
-        ],
+        # In spectrum order: run takes the readouts by increasing delay.
+        "readout_delays_ms": sorted(
+            p.at_delay_ms for p in cfg.sequence if isinstance(p, ReadoutPulse)
+        ),
     }
     with open(out / "manifest.json", "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))

@@ -16,7 +16,7 @@ gets the one propagator computed for that detuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,9 +53,11 @@ DETUNING_KEY_MHZ = 1e-11
 DT_KEY_MS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PumpPulse:
     """Optical pump, optionally swept as a repeating sawtooth.
+
+    Pulses are built by keyword; start_ms defaults to 0 on every timed pulse.
 
     With sweep_span_MHz > 0 the instantaneous frequency ramps linearly from
     center - span/2 to center + span/2 once per sweep_period_ms.  The pump
@@ -63,7 +65,7 @@ class PumpPulse:
     +- gate_gap_MHz / 2 of the sweep center.
     """
 
-    start_ms: float
+    start_ms: float = 0.0
     duration_ms: float
     center_MHz: float
     power_rate_per_ms: float
@@ -85,11 +87,11 @@ class PumpPulse:
             raise ValueError("gate_gap_MHz must be smaller than sweep_span_MHz")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StimulationPulse:
     """Stimulated de-excitation drive of constant power."""
 
-    start_ms: float
+    start_ms: float = 0.0
     duration_ms: float
     power_mW: float
 
@@ -99,7 +101,7 @@ class StimulationPulse:
             raise ValueError("power_mW must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RFPulse:
     """Excited-doublet mixing drive swept over a frequency band.
 
@@ -109,7 +111,7 @@ class RFPulse:
     for documentation.
     """
 
-    start_ms: float
+    start_ms: float = 0.0
     duration_ms: float
     center_MHz: float
     bandwidth_MHz: float
@@ -126,18 +128,18 @@ class RFPulse:
             raise ValueError("sweep_period_ms must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WaitPulse:
     """Drive-free interval that extends the simulated horizon."""
 
-    start_ms: float
+    start_ms: float = 0.0
     duration_ms: float
 
     def __post_init__(self):
         _check_timing(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReadoutPulse:
     """Snapshot transmission scan taken at_delay_ms after the drives end."""
 
@@ -267,38 +269,28 @@ def _active(pulses, t):
     return None
 
 
-def _sweep_cycle(pump: PumpPulse, n_steps: int, base: DriveSegment) -> tuple[DriveSegment, ...]:
-    """Segments of one full sweep period, with t relative to the cycle start."""
+def _sweep_step(pump: PumpPulse, n_steps: int, i: int, seg: DriveSegment) -> DriveSegment:
+    """seg driven by step i of n_steps of the pump's sweep period.
+
+    Step i sits at span * ((i + 0.5) / n_steps - 0.5) from the sweep centre;
+    a step within gate_gap_MHz / 2 of the centre is gated off and leaves
+    seg's pump off.
+    """
+    offset = pump.sweep_span_MHz * ((i + 0.5) / n_steps - 0.5)
+    if abs(offset) < pump.gate_gap_MHz / 2.0:
+        return seg
+    return replace(seg, pump_freq_MHz=pump.center_MHz + offset,
+                   pump_rate_per_ms=pump.power_rate_per_ms)
+
+
+def _sweep_cycle(pump: PumpPulse, n_steps: int, base: DriveSegment,
+                 t0: float) -> tuple[DriveSegment, ...]:
+    """Segments of one full sweep period starting at t0."""
     dt = pump.sweep_period_ms / n_steps
-    segs = []
-    for i in range(n_steps):
-        offset = pump.sweep_span_MHz * ((i + 0.5) / n_steps - 0.5)
-        gated = abs(offset) < pump.gate_gap_MHz / 2.0
-        segs.append(
-            DriveSegment(
-                t_start_ms=i * dt,
-                t_end_ms=(i + 1) * dt,
-                pump_freq_MHz=None if gated else pump.center_MHz + offset,
-                pump_rate_per_ms=0.0 if gated else pump.power_rate_per_ms,
-                stim_power_mW=base.stim_power_mW,
-                rf_voltage_Vpp=base.rf_voltage_Vpp,
-                rf_center_MHz=base.rf_center_MHz,
-                rf_bandwidth_MHz=base.rf_bandwidth_MHz,
-            )
-        )
-    return tuple(segs)
-
-
-def _shift(seg: DriveSegment, t0: float) -> DriveSegment:
-    return DriveSegment(
-        t_start_ms=t0 + seg.t_start_ms,
-        t_end_ms=t0 + seg.t_end_ms,
-        pump_freq_MHz=seg.pump_freq_MHz,
-        pump_rate_per_ms=seg.pump_rate_per_ms,
-        stim_power_mW=seg.stim_power_mW,
-        rf_voltage_Vpp=seg.rf_voltage_Vpp,
-        rf_center_MHz=seg.rf_center_MHz,
-        rf_bandwidth_MHz=seg.rf_bandwidth_MHz,
+    return tuple(
+        _sweep_step(pump, n_steps, i, replace(base, t_start_ms=t0 + i * dt,
+                                              t_end_ms=t0 + (i + 1) * dt))
+        for i in range(n_steps)
     )
 
 
@@ -307,24 +299,10 @@ def _emit_partial_sweep(items, pump, base, t0, t1, n_steps):
     dt = pump.sweep_period_ms / n_steps
     t = t0
     while t < t1 - 1e-12:
-        phase = (t - pump.start_ms) / pump.sweep_period_ms
-        idx = int(math.floor(phase * n_steps + 1e-9)) % n_steps
-        step_end = pump.start_ms + (math.floor(phase * n_steps + 1e-9) + 1) * dt
-        end = min(step_end, t1)
-        offset = pump.sweep_span_MHz * ((idx + 0.5) / n_steps - 0.5)
-        gated = abs(offset) < pump.gate_gap_MHz / 2.0
-        items.append(
-            DriveSegment(
-                t_start_ms=t,
-                t_end_ms=end,
-                pump_freq_MHz=None if gated else pump.center_MHz + offset,
-                pump_rate_per_ms=0.0 if gated else pump.power_rate_per_ms,
-                stim_power_mW=base.stim_power_mW,
-                rf_voltage_Vpp=base.rf_voltage_Vpp,
-                rf_center_MHz=base.rf_center_MHz,
-                rf_bandwidth_MHz=base.rf_bandwidth_MHz,
-            )
-        )
+        step = math.floor((t - pump.start_ms) / pump.sweep_period_ms * n_steps + 1e-9)
+        end = min(pump.start_ms + (step + 1) * dt, t1)
+        items.append(_sweep_step(pump, n_steps, step % n_steps,
+                                 replace(base, t_start_ms=t, t_end_ms=end)))
         t = end
 
 
@@ -333,9 +311,9 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
 
     Swept pumps are discretised into at most dt_max_ms steps (default one
     fiftieth of the sweep period); whole sweep periods under unchanged
-    stimulation and RF settings are folded into repeat blocks.  Constant
-    intervals are subdivided only when dt_max_ms is given explicitly; the
-    propagation is exact either way.
+    stimulation and RF settings are folded into repeat blocks.  dt_max_ms
+    bounds only the sweep step: a constant interval stays one segment,
+    because its propagation is exact whatever its length.
     """
     if dt_max_ms is not None and dt_max_ms <= 0:
         raise ValueError("dt_max_ms must be > 0")
@@ -375,19 +353,10 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
         )
 
         if pump is None or pump.power_rate_per_ms == 0.0:
-            _emit_constant(items, base, a, b, dt_max_ms)
+            items.append(base)
         elif pump.sweep_span_MHz == 0.0:
-            seg = DriveSegment(
-                t_start_ms=a,
-                t_end_ms=b,
-                pump_freq_MHz=pump.center_MHz,
-                pump_rate_per_ms=pump.power_rate_per_ms,
-                stim_power_mW=base.stim_power_mW,
-                rf_voltage_Vpp=base.rf_voltage_Vpp,
-                rf_center_MHz=base.rf_center_MHz,
-                rf_bandwidth_MHz=base.rf_bandwidth_MHz,
-            )
-            _emit_constant(items, seg, a, b, dt_max_ms)
+            items.append(replace(base, pump_freq_MHz=pump.center_MHz,
+                                 pump_rate_per_ms=pump.power_rate_per_ms))
         else:
             period = pump.sweep_period_ms
             dt_eff = dt_max_ms if dt_max_ms is not None else period / SWEEP_STEPS_PER_PERIOD
@@ -399,34 +368,12 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
             if head_end < b - 1e-12:
                 n_full = int(math.floor((b - head_end) / period + 1e-9))
                 if n_full > 0:
-                    cycle = _sweep_cycle(pump, n_steps, base)
-                    cycle = tuple(_shift(s, head_end) for s in cycle)
+                    cycle = _sweep_cycle(pump, n_steps, base, head_end)
                     items.append(RepeatBlock(segments=cycle, count=n_full))
                 tail_start = head_end + n_full * period
                 _emit_partial_sweep(items, pump, base, tail_start, b, n_steps)
 
     return CompiledSequence(items=items, readouts=readouts, drives_end_ms=drives_end)
-
-
-def _emit_constant(items, seg: DriveSegment, a: float, b: float, dt_max_ms):
-    if dt_max_ms is None or b - a <= dt_max_ms + 1e-12:
-        items.append(seg)
-        return
-    n = int(math.ceil((b - a) / dt_max_ms - 1e-9))
-    edges = np.linspace(a, b, n + 1)
-    for lo, hi in zip(edges, edges[1:]):
-        items.append(
-            DriveSegment(
-                t_start_ms=float(lo),
-                t_end_ms=float(hi),
-                pump_freq_MHz=seg.pump_freq_MHz,
-                pump_rate_per_ms=seg.pump_rate_per_ms,
-                stim_power_mW=seg.stim_power_mW,
-                rf_voltage_Vpp=seg.rf_voltage_Vpp,
-                rf_center_MHz=seg.rf_center_MHz,
-                rf_bandwidth_MHz=seg.rf_bandwidth_MHz,
-            )
-        )
 
 
 @dataclass
@@ -435,23 +382,6 @@ class RunResult:
     spectra: list[tuple[float, Spectrum]]  # (delay_ms, spectrum)
     trace: list[tuple[float, float]] | None
     stats: dict
-
-
-def _apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
-    """Advance populations in place, crediting any leak to the trap bucket."""
-    v = pops[:, :4]
-    old = v.sum(axis=1)
-    new = np.matmul(props, v[:, :, None])[:, :, 0]
-    tiny = (new < 0.0) & (new > -1e-10)
-    new[tiny] = 0.0
-    if np.any(new < 0.0):
-        raise ArithmeticError("propagation produced a negative population")
-    leaked = old - new.sum(axis=1)
-    leaked[(leaked < 0.0) & (leaked > -1e-10)] = 0.0
-    if np.any(leaked < 0.0):
-        raise ArithmeticError("propagation created population")
-    pops[:, :4] = new
-    pops[:, 4] += leaked
 
 
 class _Propagators:
@@ -542,16 +472,14 @@ def run(ens: EnsembleState,
         readouts: list[ReadoutPulse] | None = None,
         calibration: DriveCalibration | None = None,
         trace_window_MHz: tuple[float, float] | None = None,
-        horizon_ms: float | None = None,
-        threads: int = 1) -> RunResult:
+        horizon_ms: float | None = None) -> RunResult:
     """Execute a compiled sequence on an ensemble (mutated in place).
 
     Readouts default to the ones found in the sequence.  Each produces a
     snapshot spectrum at drives_end + at_delay_ms; when trace_window_MHz is
     given, the hole area of every readout against the initial-state baseline
     is collected into a (delay, area) trace.  horizon_ms optionally caps the
-    simulated time; a readout beyond it raises SequenceError.  threads is
-    accepted for compatibility and has no effect: the run is serial.
+    simulated time; a readout beyond it raises SequenceError.
     """
     cal = calibration or DriveCalibration()
     if readouts is None:
@@ -577,14 +505,14 @@ def run(ens: EnsembleState,
     spectra: list[tuple[float, Spectrum]] = []
     trace: list[tuple[float, float]] = []
     for item in compiled.items:
-        _apply_batch(props.propagator(item), ens.populations)
+        engine.apply_batch(props.propagator(item), ens.populations)
         t += item.dt_ms
 
     for r in readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
         if target > t + 1e-12:
             gap = DriveSegment(t_start_ms=t, t_end_ms=target)
-            _apply_batch(props.propagator(gap), ens.populations)
+            engine.apply_batch(props.propagator(gap), ens.populations)
             t = target
         spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
         spectra.append((r.at_delay_ms, spec))

@@ -49,6 +49,34 @@ def test_run_config_file(tmp_path):
     assert manifest["readout_delays_ms"] == [1.0]
 
 
+def test_manifest_lists_delays_in_spectrum_order(tmp_path):
+    raw = {
+        "zeeman": {"field_mT": 1.2},
+        "rates": {"t1_ms": 11.0, "tz_ms": 100.0, "beta": 0.9},
+        "profile": {"grid_span_MHz": 60.0, "grid_step_MHz": 1.0},
+        "sequence": [
+            {"kind": "pump", "duration_ms": 10.0, "center_MHz": 0.0,
+             "power_rate_per_ms": 2.0},
+            {"kind": "readout", "f_start_MHz": -10.0, "f_stop_MHz": 10.0,
+             "n_points": 81, "at_delay_ms": 30.0},
+            {"kind": "readout", "f_start_MHz": -10.0, "f_stop_MHz": 10.0,
+             "n_points": 81, "at_delay_ms": 1.0},
+        ],
+    }
+    cfg_path = tmp_path / "two.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "two-out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["readout_delays_ms"] == [1.0, 30.0]
+    # the hole is deeper at the 1 ms readout, which spectrum_000.csv must hold
+    base, early, late = (
+        np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 1]
+        for name in ("baseline.csv", "spectrum_000.csv", "spectrum_001.csv")
+    )
+    assert (base - early).max() > (base - late).max()
+
+
 def test_run_unknown_preset_fails(tmp_path, capsys):
     assert main(["run", "--preset", "fig99_nope",
                  "--out", str(tmp_path / "x")]) == 1

@@ -38,7 +38,6 @@ def test_minimal_config_defaults():
     assert cfg.target_od == 1.0
     assert cfg.probe_linewidth_MHz == 1.0
     assert cfg.dt_max_ms is None
-    assert cfg.seed == 0
     assert cfg.drive.pump_linewidth_MHz == 1.0
     assert cfg.outputs.spectra is True
     assert cfg.outputs.sweep is None

@@ -1,7 +1,10 @@
 """Checks on the project files: declared dependencies and the README."""
 
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+from holeburn import config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +26,32 @@ def test_readme_python_api_example_runs(capsys):
     rho1_res, ratio = capsys.readouterr().out.split()
     assert 0.0 < float(rho1_res) < 1.0
     assert float(ratio) > 1.0
+
+
+def test_readme_configuration_lists_every_key():
+    # the keys come from the dataclass fields the parser reads them from
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+
+    def bullet(name, indent=""):
+        # a bullet runs to the next bullet at the same or a lower depth
+        m = re.search(rf"^{indent}- `?{name}`?:(.*?)(?=^ {{0,{len(indent)}}}- |\Z)",
+                      section, re.S | re.M)
+        assert m is not None, f"no README bullet for {name}"
+        return m.group(1)
+
+    def assert_lists(text, cls, where):
+        for f in fields(cls):
+            assert f"`{f.name}`" in text, f"{where}.{f.name} missing from README"
+
+    top = bullet("Top-level keys")
+    for f in fields(config.ExperimentConfig):
+        cls = getattr(config, f.type, None)
+        if f.name == "sequence":
+            for kind, pulse in config._PULSE_KINDS.items():
+                assert_lists(bullet(kind, indent="  "), pulse, f"sequence.{kind}")
+        elif is_dataclass(cls):
+            assert_lists(bullet(f.name), cls, f.name)
+        else:
+            assert f"`{f.name}`" in top, f"{f.name} missing from README"
+    assert_lists(bullet("outputs"), config.SweepSpec, "outputs.sweep")

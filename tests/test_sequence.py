@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,16 +156,23 @@ def test_compile_stim_overhang_gets_own_segment():
     assert second.t_start_ms == 10.0 and second.t_end_ms == 30.0
 
 
-def test_compile_subdivides_on_dt_max():
+def test_dt_max_bounds_only_the_sweep_step():
+    # a constant interval stays whole, since its propagation is exact
     comp = compile_sequence(
         [PumpPulse(start_ms=0.0, duration_ms=10.0, center_MHz=0.0, power_rate_per_ms=1.0)],
         dt_max_ms=1.0,
     )
-    assert comp.n_segments == 10
-    edges = [(s.t_start_ms, s.t_end_ms) for s in comp.items]
-    assert edges[0][0] == 0.0 and edges[-1][1] == 10.0
-    for (a0, a1), (b0, b1) in zip(edges, edges[1:]):
-        assert a1 == b0
+    assert comp.n_segments == 1
+    assert (comp.items[0].t_start_ms, comp.items[0].t_end_ms) == (0.0, 10.0)
+    # while a swept pump is still cut into period / dt_max_ms steps
+    comp = compile_sequence(
+        [PumpPulse(duration_ms=1.0, center_MHz=0.0, power_rate_per_ms=1.0,
+                   sweep_span_MHz=10.0, sweep_period_ms=0.1)],
+        dt_max_ms=0.01,
+    )
+    (block,) = comp.items
+    assert isinstance(block, RepeatBlock) and block.count == 10
+    assert len(block.segments) == 10
 
 
 def test_compile_wait_extends_horizon():
@@ -206,6 +215,12 @@ def test_run_is_deterministic():
     assert np.array_equal(r1.spectra[0][1].optical_depth, r2.spectra[0][1].optical_depth)
 
 
+def _split(seg, cuts):
+    """seg cut at the given times into back-to-back pieces of equal drive."""
+    edges = [seg.t_start_ms, *cuts, seg.t_end_ms]
+    return [replace(seg, t_start_ms=a, t_end_ms=b) for a, b in zip(edges, edges[1:])]
+
+
 def test_run_constant_segments_refinement_invariant():
     # splitting a constant interval must not change the exact propagation
     seq = [
@@ -213,9 +228,12 @@ def test_run_constant_segments_refinement_invariant():
         StimulationPulse(start_ms=0.0, duration_ms=10.0, power_mW=20.0),
         ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=1.0),
     ]
-    coarse = run(_ens(), compile_sequence(seq))
-    fine = run(_ens(), compile_sequence(seq, dt_max_ms=0.5))
-    d = np.abs(coarse.spectra[0][1].optical_depth - fine.spectra[0][1].optical_depth)
+    coarse = compile_sequence(seq)
+    (seg,) = coarse.items
+    fine = replace(coarse, items=_split(seg, [0.5 * k for k in range(1, 20)]))
+    assert len(fine.items) == 20
+    d = np.abs(run(_ens(), coarse).spectra[0][1].optical_depth
+               - run(_ens(), fine).spectra[0][1].optical_depth)
     assert d.max() < 1e-6
 
 
@@ -314,24 +332,6 @@ def test_run_conserves_population():
     assert ens.populations[:, 4].max() < 1e-9
 
 
-def test_run_threads_match_serial():
-    seq = [
-        PumpPulse(start_ms=0.0, duration_ms=20.0, center_MHz=0.0, power_rate_per_ms=2.0,
-                  sweep_span_MHz=10.0, sweep_period_ms=0.1),
-        StimulationPulse(start_ms=0.0, duration_ms=20.0, power_mW=20.0),
-        ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=2.0),
-    ]
-    comp = compile_sequence(seq)
-    e1, e2 = _ens(), _ens()
-    r1 = run(e1, comp, threads=1)
-    r2 = run(e2, comp, threads=2)
-    assert np.allclose(e1.populations, e2.populations, rtol=0.0, atol=1e-12)
-    assert np.allclose(
-        r1.spectra[0][1].optical_depth, r2.spectra[0][1].optical_depth,
-        rtol=0.0, atol=1e-12,
-    )
-
-
 def test_run_trace_and_stats():
     seq = [
         PumpPulse(start_ms=0.0, duration_ms=10.0, center_MHz=0.0, power_rate_per_ms=2.0),
@@ -415,14 +415,18 @@ def _reference_propagators(ens, cal, item):
 
 def _gated_rf_sequence():
     # swept, gated, stimulated and RF-mixed, then a pump-off stimulation tail
-    # that dt_max_ms splits into ten pieces
-    return compile_sequence([
+    # split by hand into ten pieces
+    comp = compile_sequence([
         PumpPulse(start_ms=0.0, duration_ms=0.35, center_MHz=0.0, power_rate_per_ms=2.0,
                   sweep_span_MHz=10.0, sweep_period_ms=0.1, gate_gap_MHz=3.0),
         StimulationPulse(start_ms=0.0, duration_ms=0.45, power_mW=20.0),
         RFPulse(start_ms=0.0, duration_ms=0.35, center_MHz=FIELD.delta_e_MHz,
                 bandwidth_MHz=15.0, voltage_Vpp=5.0),
     ], dt_max_ms=0.01)
+    tail = comp.items.pop()
+    assert tail.pump_freq_MHz is None and tail.dt_ms == pytest.approx(0.1)
+    comp.items += _split(tail, [0.35 + 0.01 * k for k in range(1, 10)])
+    return comp
 
 
 def _off_lattice_sequence():
