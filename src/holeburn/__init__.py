@@ -73,6 +73,7 @@ from .sequence import (
     DriveCalibration,
     DriveSegment,
     PumpPulse,
+    Readout,
     ReadoutPulse,
     RepeatBlock,
     RFPulse,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # An empty file is reported below, not as loadtxt's warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
+    if not len(data):
+        print("fit: CSV has no data rows", file=sys.stderr)
+        return 1
     if data.shape[1] < 2:
         print("fit: CSV needs at least two columns", file=sys.stderr)
         return 2

@@ -77,6 +77,8 @@ class ExperimentConfig:
     dt_max_ms: float | None = None
 
     def __post_init__(self):
+        if self.target_od is not None and self.target_od <= 0:
+            raise ConfigError("target_od", "must be > 0")
         if self.probe_linewidth_MHz <= 0:
             raise ConfigError("probe_linewidth_MHz", "must be > 0")
         if self.dt_max_ms is not None and self.dt_max_ms <= 0:

@@ -143,17 +143,6 @@ class EnsembleState:
         """Transition frequencies, shape (n_classes, 4)."""
         return np.stack(transition_set(self.centers_MHz, self.config).as_tuple(), axis=1)
 
-    def copy(self) -> "EnsembleState":
-        return EnsembleState(
-            config=self.config,
-            params=self.params,
-            profile=self.profile,
-            centers_MHz=self.centers_MHz,
-            weights=self.weights,
-            populations=self.populations.copy(),
-            probe_linewidth_MHz=self.probe_linewidth_MHz,
-        )
-
 
 def build_ensemble(profile: InhomogeneousProfile,
                    config: ZeemanConfig,

@@ -19,7 +19,7 @@ import scipy
 from . import __version__
 from .analysis import residual_metrics
 from .config import ExperimentConfig, apply_override, parse_config, serialize_config
-from .ensemble import build_ensemble, readout_scan
+from .ensemble import build_ensemble, hole_area, readout_scan
 from .sequence import ReadoutPulse, compile_sequence, run, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
@@ -40,26 +40,24 @@ def run_single(cfg: ExperimentConfig):
         probe_linewidth_MHz=cfg.probe_linewidth_MHz,
     )
     compiled = compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
-    result = run(
-        ens,
-        compiled,
-        calibration=cfg.drive,
-        trace_window_MHz=cfg.outputs.trace_window_MHz,
-    )
-    return ens, result
+    return ens, run(ens, compiled, calibration=cfg.drive)
+
+
+def _trace(result, cfg):
+    """(delay, hole area) of every readout; empty without a trace window."""
+    window = cfg.outputs.trace_window_MHz
+    if window is None:
+        return []
+    return [(r.delay_ms, hole_area(r.spectrum, r.baseline, window)) for r in result.readouts]
 
 
 def _last_metrics(result, cfg):
     """Residual metrics of the last readout, or None without one."""
     window = cfg.outputs.metrics_window_MHz
-    if window is None or not result.spectra:
+    if window is None or not result.readouts:
         return None
-    _, spec = result.spectra[-1]
-    # Baselines are keyed by readout grid; recover the matching one.
-    for (f0, f1, n), base in result.baseline.items():
-        if n == len(spec.freqs_MHz) and f0 == spec.freqs_MHz[0] and f1 == spec.freqs_MHz[-1]:
-            return residual_metrics(spec, base, window)
-    return None
+    last = result.readouts[-1]
+    return residual_metrics(last.spectrum, last.baseline, window)
 
 
 def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
@@ -80,13 +78,17 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         n_eig = 0
         base_raw = serialize_config(cfg)
         for value in sweep.values:
-            raw = apply_override(base_raw, sweep.path, value)
+            # An integral value goes in as an int, so integer fields accept it
+            # and float fields parse it to the same float.
+            raw = apply_override(base_raw, sweep.path,
+                                 int(value) if float(value).is_integer() else value)
             raw["outputs"] = dict(raw["outputs"], sweep=None)
             sub = parse_config(raw)
             _, result = run_single(sub)
             row = {"value": value}
-            if result.trace:
-                row["hole_area"] = result.trace[-1][1]
+            trace = _trace(result, sub)
+            if trace:
+                row["hole_area"] = trace[-1][1]
             metrics = _last_metrics(result, sub)
             if metrics is not None:
                 row.update(asdict(metrics))
@@ -106,26 +108,24 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         stats = result.stats
 
         if cfg.outputs.spectra:
-            if result.baseline:
-                # One baseline per readout grid; index in key order of first use.
-                for i, base in enumerate(result.baseline.values()):
-                    name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"
-                    base.to_csv(out / name)
-                    artifacts.append(name)
-            else:
-                base = readout_scan(
-                    ens, float(ens.centers_MHz[0]), float(ens.centers_MHz[-1]),
-                    len(ens.centers_MHz),
-                )
-                base.to_csv(out / "baseline.csv")
-                artifacts.append("baseline.csv")
-            for i, (delay, spec) in enumerate(result.spectra):
+            # One baseline per readout grid, numbered in order of first use;
+            # without readouts, the unpumped spectrum on the class grid.
+            bases = list({id(r.baseline): r.baseline for r in result.readouts}.values()) or [
+                readout_scan(ens, float(ens.centers_MHz[0]), float(ens.centers_MHz[-1]),
+                             len(ens.centers_MHz))
+            ]
+            for i, base in enumerate(bases):
+                name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"
+                base.to_csv(out / name)
+                artifacts.append(name)
+            for i, r in enumerate(result.readouts):
                 name = f"spectrum_{i:03d}.csv"
-                spec.to_csv(out / name)
+                r.spectrum.to_csv(out / name)
                 artifacts.append(name)
 
-        if result.trace:
-            write_trace_csv(result.trace, out / "trace.csv")
+        trace = _trace(result, cfg)
+        if trace:
+            write_trace_csv(trace, out / "trace.csv")
             artifacts.append("trace.csv")
 
         metrics = _last_metrics(result, cfg)

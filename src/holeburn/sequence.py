@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .ensemble import EnsembleState, Spectrum, hole_area, readout_scan
+from .ensemble import EnsembleState, Spectrum, readout_scan
 from .errors import SequenceError
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "RepeatBlock",
     "CompiledSequence",
     "DriveCalibration",
+    "Readout",
     "RunResult",
     "compile_sequence",
     "run",
@@ -153,8 +154,8 @@ class ReadoutPulse:
             raise ValueError("f_stop_MHz must exceed f_start_MHz")
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
-        if not math.isfinite(self.at_delay_ms):
-            raise ValueError("at_delay_ms must be finite")
+        if not math.isfinite(self.at_delay_ms) or self.at_delay_ms < 0:
+            raise ValueError(f"at_delay_ms must be finite and >= 0, got {self.at_delay_ms}")
 
 
 Pulse = PumpPulse | StimulationPulse | RFPulse | WaitPulse | ReadoutPulse
@@ -207,6 +208,10 @@ class CompiledSequence:
     items: list  # DriveSegment | RepeatBlock, in time order
     readouts: list[ReadoutPulse]
     drives_end_ms: float
+
+    def __post_init__(self):
+        # run scans in this order, and the state only moves forward in time
+        self.readouts = sorted(self.readouts, key=lambda r: r.at_delay_ms)
 
     @property
     def n_segments(self) -> int:
@@ -322,9 +327,7 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
     stims = _channel_pulses(pulses, StimulationPulse)
     rfs = _channel_pulses(pulses, RFPulse)
     waits = [p for p in pulses if isinstance(p, WaitPulse)]
-    readouts = sorted(
-        (p for p in pulses if isinstance(p, ReadoutPulse)), key=lambda p: p.at_delay_ms
-    )
+    readouts = [p for p in pulses if isinstance(p, ReadoutPulse)]
 
     timed = pumps + stims + rfs + [w for w in waits if w.duration_ms > 0]
     drives_end = max((p.start_ms + p.duration_ms for p in timed), default=0.0)
@@ -376,11 +379,18 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
     return CompiledSequence(items=items, readouts=readouts, drives_end_ms=drives_end)
 
 
+@dataclass(frozen=True)
+class Readout:
+    """A scan delay_ms after the drives end, with the initial-state scan on its grid."""
+
+    delay_ms: float
+    spectrum: Spectrum
+    baseline: Spectrum
+
+
 @dataclass
 class RunResult:
-    baseline: dict  # (f_start, f_stop, n_points) -> Spectrum of the initial state
-    spectra: list[tuple[float, Spectrum]]  # (delay_ms, spectrum)
-    trace: list[tuple[float, float]] | None
+    readouts: list[Readout]  # by increasing delay
     stats: dict
 
 
@@ -469,56 +479,32 @@ class _Propagators:
 
 def run(ens: EnsembleState,
         compiled: CompiledSequence,
-        readouts: list[ReadoutPulse] | None = None,
-        calibration: DriveCalibration | None = None,
-        trace_window_MHz: tuple[float, float] | None = None,
-        horizon_ms: float | None = None) -> RunResult:
+        calibration: DriveCalibration | None = None) -> RunResult:
     """Execute a compiled sequence on an ensemble (mutated in place).
 
-    Readouts default to the ones found in the sequence.  Each produces a
-    snapshot spectrum at drives_end + at_delay_ms; when trace_window_MHz is
-    given, the hole area of every readout against the initial-state baseline
-    is collected into a (delay, area) trace.  horizon_ms optionally caps the
-    simulated time; a readout beyond it raises SequenceError.
+    Each readout of the sequence scans the spectrum at drives_end +
+    at_delay_ms.  Its baseline is the scan of the initial state on the same
+    grid, taken once per grid before any drive and shared by every readout
+    on that grid.
     """
     cal = calibration or DriveCalibration()
-    if readouts is None:
-        readouts = compiled.readouts
-    readouts = sorted(readouts, key=lambda r: r.at_delay_ms)
-    for r in readouts:
-        if r.at_delay_ms < 0:
-            raise SequenceError(f"readout delay {r.at_delay_ms} ms is negative")
-        if horizon_ms is not None and compiled.drives_end_ms + r.at_delay_ms > horizon_ms + 1e-12:
-            raise SequenceError(
-                f"readout at delay {r.at_delay_ms} ms lies beyond the "
-                f"{horizon_ms} ms horizon"
-            )
-
-    baselines: dict = {}
-    for r in readouts:
-        key = (r.f_start_MHz, r.f_stop_MHz, r.n_points)
-        if key not in baselines:
-            baselines[key] = readout_scan(ens, *key)
+    grids = [(r.f_start_MHz, r.f_stop_MHz, r.n_points) for r in compiled.readouts]
+    baselines = {grid: readout_scan(ens, *grid) for grid in dict.fromkeys(grids)}
 
     props = _Propagators(ens, cal)
     t = 0.0
-    spectra: list[tuple[float, Spectrum]] = []
-    trace: list[tuple[float, float]] = []
     for item in compiled.items:
         engine.apply_batch(props.propagator(item), ens.populations)
         t += item.dt_ms
 
-    for r in readouts:
+    readouts = []
+    for r, grid in zip(compiled.readouts, grids):
         target = compiled.drives_end_ms + r.at_delay_ms
         if target > t + 1e-12:
             gap = DriveSegment(t_start_ms=t, t_end_ms=target)
             engine.apply_batch(props.propagator(gap), ens.populations)
             t = target
-        spec = readout_scan(ens, r.f_start_MHz, r.f_stop_MHz, r.n_points)
-        spectra.append((r.at_delay_ms, spec))
-        if trace_window_MHz is not None:
-            ref = baselines[(r.f_start_MHz, r.f_stop_MHz, r.n_points)]
-            trace.append((r.at_delay_ms, hole_area(spec, ref, trace_window_MHz)))
+        readouts.append(Readout(r.at_delay_ms, readout_scan(ens, *grid), baselines[grid]))
 
     stats = {
         "n_items": len(compiled.items),
@@ -527,12 +513,7 @@ def run(ens: EnsembleState,
         "drives_end_ms": compiled.drives_end_ms,
         "n_eig_matrices": props.n_eig,
     }
-    return RunResult(
-        baseline=baselines,
-        spectra=spectra,
-        trace=trace if trace_window_MHz is not None else None,
-        stats=stats,
-    )
+    return RunResult(readouts=readouts, stats=stats)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -26,7 +26,7 @@ from holeburn.engine import (
     ratio_stimulated,
     steady_state,
 )
-from holeburn.ensemble import predicted_features
+from holeburn.ensemble import hole_area, predicted_features
 from holeburn.levels import RateParams, effective_lifetime
 from holeburn.presets import PIT_PUMP_RATE_PER_MS, preset
 from holeburn.runner import run_single
@@ -56,9 +56,8 @@ def _report(capsys, number, name, ok, detail=""):
 def _pit_metrics(raw):
     cfg = parse_config(raw)
     ens, res = run_single(cfg)
-    _, spec = res.spectra[-1]
-    key = (float(spec.freqs_MHz[0]), float(spec.freqs_MHz[-1]), len(spec.freqs_MHz))
-    return residual_metrics(spec, res.baseline[key],
+    last = res.readouts[-1]
+    return residual_metrics(last.spectrum, last.baseline,
                             tuple(cfg.outputs.metrics_window_MHz))
 
 
@@ -140,8 +139,7 @@ def test_criterion_04_hole_antihole_geometry(capsys):
     assert abs((dg - de) - 60.0) < 1e-9
     ens, res = run_single(cfg)
     assert ens.n_classes == 2001
-    _, spec = res.spectra[-1]
-    base = res.baseline[(-250.0, 250.0, 2001)]
+    spec, base = res.readouts[-1].spectrum, res.readouts[-1].baseline
     diff = spec.optical_depth - base.optical_depth
     f = spec.freqs_MHz
     step = f[1] - f[0]
@@ -212,9 +210,12 @@ def test_criterion_06_stimulation_rate_linearity(capsys):
             raw_v = dict(raw)
             raw_v["sequence"] = [dict(p) for p in raw["sequence"]]
             raw_v["sequence"][1]["duration_ms"] = v
-            _, res = run_single(parse_config(raw_v))
+            cfg = parse_config(raw_v)
+            _, res = run_single(cfg)
             taus.append(v - 100.0)
-            areas.append(res.trace[-1][1])
+            last = res.readouts[-1]
+            areas.append(hole_area(last.spectrum, last.baseline,
+                                   cfg.outputs.trace_window_MHz))
         areas = np.asarray(areas) / areas[0]
         fit = fit_exponential_offset(np.asarray(taus), areas)
         rates.append(fit.parameters["rate_per_ms"])
@@ -285,7 +286,7 @@ def test_criterion_09_spectral_tailoring(capsys):
     cfg = parse_config(preset("fig7_tailoring"))
     _, res = run_single(cfg)
     assert res.stats["n_sweep_periods"] == 2000
-    _, spec = res.spectra[-1]
+    spec = res.readouts[-1].spectrum
     f, od = spec.freqs_MHz, spec.optical_depth
 
     floor = od[(np.abs(f) > 5.0) & (np.abs(f) < 18.0)].mean()
@@ -346,8 +347,7 @@ def test_criterion_10_conservation_and_sum_rule(capsys):
         res = run(ens, compile_sequence(pulses))
         totals = ens.populations.sum(axis=1)
         worst_cons = max(worst_cons, float(np.abs(totals - 1.0).max()))
-        base = res.baseline[(-420.0, 420.0, 1681)]
-        _, spec = res.spectra[-1]
+        spec, base = res.readouts[-1].spectrum, res.readouts[-1].baseline
         before = np.trapezoid(base.optical_depth, base.freqs_MHz)
         after = np.trapezoid(spec.optical_depth, spec.freqs_MHz)
         worst_sum = max(worst_sum, abs(after / before - 1.0))

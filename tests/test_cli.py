@@ -128,6 +128,14 @@ def test_fit_rejects_single_column(tmp_path, capsys):
     assert "two columns" in capsys.readouterr().err
 
 
+def test_fit_rejects_header_only_csv(tmp_path, capsys, recwarn):
+    csv = tmp_path / "empty.csv"
+    csv.write_text("delay_ms,hole_area\n")
+    assert main(["fit", str(csv), "--model", "linear"]) == 1
+    assert capsys.readouterr().err.strip() == "fit: CSV has no data rows"
+    assert not recwarn.list
+
+
 def test_runs_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -100,6 +100,31 @@ def test_type_errors_name_field():
         parse_config(raw)
 
 
+def test_negative_readout_delay_is_a_config_error():
+    raw = _minimal()
+    raw["sequence"] = [
+        {"kind": "wait", "duration_ms": 1.0},
+        {"kind": "readout", "f_start_MHz": -1.0, "f_stop_MHz": 1.0,
+         "n_points": 11, "at_delay_ms": -5.0},
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "sequence[1]"
+    assert "at_delay_ms" in str(err.value)
+
+
+@pytest.mark.parametrize("target_od", [0.0, -1.0])
+def test_nonpositive_target_od_is_a_config_error(target_od):
+    raw = _minimal()
+    raw["target_od"] = target_od
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "target_od"
+    # None keeps the supplied cross-section scale and stays valid
+    raw["target_od"] = None
+    assert parse_config(raw).target_od is None
+
+
 def test_pulse_kind_validation():
     raw = _minimal()
     raw["sequence"] = [{"kind": "laser"}]

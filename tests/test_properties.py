@@ -1,4 +1,4 @@
-"""Property tests of the config schema and the sequence compiler.
+"""Property tests of the config schema, the sequence compiler and the executor.
 
 Examples are derandomized and few, so the file runs in a few seconds and
 every run draws the same cases.
@@ -36,6 +36,7 @@ from holeburn.sequence import (  # noqa: E402
     RFPulse,
     StimulationPulse,
     WaitPulse,
+    compile_sequence,
     run,
 )
 
@@ -206,3 +207,63 @@ def test_splitting_a_constant_segment_changes_nothing(seg, fractions):
     # the five-slot total, trap bucket included, is conserved
     assert np.abs(split.sum(axis=1) - 1.0).max() <= 1e-12
     assert split.min() >= 0.0
+
+
+@st.composite
+def _pump_on_grid(draw, start_ms, duration_ms):
+    """An unswept, swept or gated pump near the centre of the SMALL grid."""
+    span = draw(st.sampled_from([0.0, 4.0, 10.0]))
+    return PumpPulse(
+        start_ms=draw(start_ms), duration_ms=draw(duration_ms),
+        center_MHz=draw(_num(-5.0, 5.0)),
+        power_rate_per_ms=draw(_num(0.0, 5.0)),
+        sweep_span_MHz=span,
+        sweep_period_ms=draw(_num(0.05, 1.0)) if span else 0.0,
+        gate_gap_MHz=span * draw(st.sampled_from([0.0, 0.3])),
+    )
+
+
+# One pulse builder per drive channel, given strategies for the timing.
+_channels = (
+    _pump_on_grid,
+    lambda **t: st.builds(StimulationPulse, **t, power_mW=_num(0.0, 50.0)),
+    lambda **t: st.builds(
+        RFPulse, **t, center_MHz=st.sampled_from([FIELD.delta_e_MHz, 300.0]),
+        bandwidth_MHz=st.just(15.0), voltage_Vpp=_num(0.0, 10.0)),
+)
+
+
+@st.composite
+def _pulse_list(draw):
+    """Drive channels of back-to-back pulses, an optional wait and readouts."""
+    pulses = []
+    for build in _channels:
+        t = 0.0
+        for _ in range(draw(st.integers(0, 2))):
+            start = t + draw(_num(0.0, 5.0))
+            pulses.append(draw(build(start_ms=st.just(start), duration_ms=_num(0.0, 10.0))))
+            t = start + pulses[-1].duration_ms
+    if draw(st.booleans()):
+        pulses.append(WaitPulse(start_ms=draw(_num(0.0, 20.0)), duration_ms=draw(_num(0.0, 20.0))))
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.sampled_from([-10.0, -4.0]))
+        pulses.append(ReadoutPulse(f_start_MHz=lo, f_stop_MHz=-lo,
+                                   n_points=draw(st.sampled_from([11, 41])),
+                                   at_delay_ms=draw(_num(0.0, 20.0))))
+    return draw(st.permutations(pulses))
+
+
+@FEW
+@given(_pulse_list())
+def test_whole_sequences_conserve_population(pulses):
+    ens = build_ensemble(SMALL, FIELD, LEAKY)
+    res = run(ens, compile_sequence(pulses), calibration=DriveCalibration(pump_linewidth_MHz=0.5))
+    pops = ens.populations
+    # the five-slot total, trap bucket included, is conserved
+    assert np.abs(pops.sum(axis=1) - 1.0).max() <= 1e-12
+    assert pops.min() >= 0.0
+    # every readout, by increasing delay, is paired with a scan on its own grid
+    delays = [r.delay_ms for r in res.readouts]
+    assert delays == sorted(p.at_delay_ms for p in pulses if isinstance(p, ReadoutPulse))
+    for r in res.readouts:
+        assert np.array_equal(r.spectrum.freqs_MHz, r.baseline.freqs_MHz)

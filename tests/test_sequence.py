@@ -196,12 +196,11 @@ def test_run_without_drives_returns_baseline():
     ens = _ens()
     ro = ReadoutPulse(f_start_MHz=-20.0, f_stop_MHz=20.0, n_points=81, at_delay_ms=5.0)
     res = run(ens, compile_sequence([ro]))
-    assert len(res.spectra) == 1
-    delay, spec = res.spectra[0]
-    assert delay == 5.0
-    base = res.baseline[(-20.0, 20.0, 81)]
+    assert len(res.readouts) == 1
+    (r,) = res.readouts
+    assert r.delay_ms == 5.0
     # the thermal state is stationary without drives
-    assert np.allclose(spec.optical_depth, base.optical_depth, atol=1e-12)
+    assert np.allclose(r.spectrum.optical_depth, r.baseline.optical_depth, atol=1e-12)
 
 
 def test_run_is_deterministic():
@@ -212,7 +211,8 @@ def test_run_is_deterministic():
     comp = compile_sequence(seq)
     r1 = run(_ens(), comp)
     r2 = run(_ens(), comp)
-    assert np.array_equal(r1.spectra[0][1].optical_depth, r2.spectra[0][1].optical_depth)
+    assert np.array_equal(r1.readouts[0].spectrum.optical_depth,
+                          r2.readouts[0].spectrum.optical_depth)
 
 
 def _split(seg, cuts):
@@ -232,8 +232,8 @@ def test_run_constant_segments_refinement_invariant():
     (seg,) = coarse.items
     fine = replace(coarse, items=_split(seg, [0.5 * k for k in range(1, 20)]))
     assert len(fine.items) == 20
-    d = np.abs(run(_ens(), coarse).spectra[0][1].optical_depth
-               - run(_ens(), fine).spectra[0][1].optical_depth)
+    d = np.abs(run(_ens(), coarse).readouts[0].spectrum.optical_depth
+               - run(_ens(), fine).readouts[0].spectrum.optical_depth)
     assert d.max() < 1e-6
 
 
@@ -244,10 +244,10 @@ def test_run_swept_pump_refinement_converged():
         ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=2.0),
     ]
     window = (-8.0, 8.0)
-    res_a = run(_ens(), compile_sequence(seq), trace_window_MHz=window)
-    res_b = run(_ens(), compile_sequence(seq, dt_max_ms=0.001), trace_window_MHz=window)
-    a = res_a.trace[0][1]
-    b = res_b.trace[0][1]
+    (ra,) = run(_ens(), compile_sequence(seq)).readouts
+    (rb,) = run(_ens(), compile_sequence(seq, dt_max_ms=0.001)).readouts
+    a = hole_area(ra.spectrum, ra.baseline, window)
+    b = hole_area(rb.spectrum, rb.baseline, window)
     assert a == pytest.approx(b, rel=0.01)
 
 
@@ -278,8 +278,8 @@ def test_run_rf_out_of_band_is_inert():
     r_ref = run(_ens(), compile_sequence(seq))
     r_off = run(_ens(), compile_sequence(off_band))
     assert np.allclose(
-        r_ref.spectra[0][1].optical_depth,
-        r_off.spectra[0][1].optical_depth,
+        r_ref.readouts[0].spectrum.optical_depth,
+        r_off.readouts[0].spectrum.optical_depth,
         atol=1e-12,
     )
 
@@ -295,21 +295,18 @@ def test_run_rf_in_band_changes_result():
                              voltage_Vpp=10.0)]
     r_ref = run(_ens(), compile_sequence(seq))
     r_rf = run(_ens(), compile_sequence(in_band))
-    d = np.abs(r_ref.spectra[0][1].optical_depth - r_rf.spectra[0][1].optical_depth)
+    d = np.abs(r_ref.readouts[0].spectrum.optical_depth
+               - r_rf.readouts[0].spectrum.optical_depth)
     assert d.max() > 1e-4
 
 
-def test_run_rejects_negative_delay_and_horizon_overrun():
-    ens = _ens()
-    pump = PumpPulse(start_ms=0.0, duration_ms=5.0, center_MHz=0.0, power_rate_per_ms=1.0)
-    bad = ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=-1.0)
-    with pytest.raises(SequenceError):
-        run(ens, compile_sequence([pump]), readouts=[bad])
-    late = ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=100.0)
-    with pytest.raises(SequenceError):
-        run(ens, compile_sequence([pump]), readouts=[late], horizon_ms=50.0)
-    ok = ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=45.0)
-    run(ens, compile_sequence([pump]), readouts=[ok], horizon_ms=50.0)
+def test_readout_rejects_negative_delay():
+    with pytest.raises(ValueError, match="at_delay_ms"):
+        ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=-1.0)
+    with pytest.raises(ValueError, match="at_delay_ms"):
+        ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=float("inf"))
+    assert ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11,
+                        at_delay_ms=0.0).at_delay_ms == 0.0
 
 
 def test_run_conserves_population():
@@ -338,11 +335,12 @@ def test_run_trace_and_stats():
         ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=1.0),
         ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=5.0),
     ]
-    res = run(_ens(), compile_sequence(seq), trace_window_MHz=(-3.0, 3.0))
-    assert [d for d, _ in res.trace] == [1.0, 5.0]
-    assert all(a > 0 for _, a in res.trace)
+    res = run(_ens(), compile_sequence(seq))
+    assert [r.delay_ms for r in res.readouts] == [1.0, 5.0]
+    areas = [hole_area(r.spectrum, r.baseline, (-3.0, 3.0)) for r in res.readouts]
+    assert all(a > 0 for a in areas)
     # the hole relaxes between the two readouts
-    assert res.trace[1][1] < res.trace[0][1]
+    assert areas[1] < areas[0]
     assert res.stats["drives_end_ms"] == 10.0
     assert res.stats["n_items"] == len(compile_sequence(seq).items)
     # one matrix per distinct pump detuning, plus one per readout delay
@@ -357,7 +355,23 @@ def test_run_readouts_share_baseline_key():
         ReadoutPulse(f_start_MHz=-30.0, f_stop_MHz=30.0, n_points=241, at_delay_ms=5.0),
     ]
     res = run(_ens(), compile_sequence(seq))
-    assert set(res.baseline) == {(-15.0, 15.0, 121), (-30.0, 30.0, 241)}
+    narrow_1, narrow_5, wide = res.readouts
+    # one baseline object per grid, shared by every readout on it
+    assert narrow_1.baseline is narrow_5.baseline
+    assert wide.baseline is not narrow_1.baseline
+    assert len(wide.baseline.freqs_MHz) == 241
+    assert np.array_equal(narrow_1.baseline.freqs_MHz, narrow_1.spectrum.freqs_MHz)
+
+
+def test_hand_built_readouts_run_in_delay_order():
+    seg = DriveSegment(t_start_ms=0.0, t_end_ms=10.0, pump_freq_MHz=0.0, pump_rate_per_ms=2.0)
+    late, early = (ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=d)
+                   for d in (5.0, 1.0))
+    both = run(_ens(), CompiledSequence(items=[seg], readouts=[late, early], drives_end_ms=10.0))
+    alone = run(_ens(), CompiledSequence(items=[seg], readouts=[early], drives_end_ms=10.0))
+    assert [r.delay_ms for r in both.readouts] == [1.0, 5.0]
+    assert np.array_equal(both.readouts[0].spectrum.optical_depth,
+                          alone.readouts[0].spectrum.optical_depth)
 
 
 def test_write_trace_csv(tmp_path):
