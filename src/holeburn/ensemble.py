@@ -6,6 +6,12 @@ grid; their statistical weights follow a configurable inhomogeneous profile.
 The optical depth seen by a weak probe is the weighted sum, over classes and
 over the four transitions of each class, of the lower-minus-upper population
 difference times a Lorentzian line of the probe-limited width.
+
+That sum is linear in the populations: OD = sigma * K @ amp, where the
+kernel K depends only on the probe grid, the transition frequencies and the
+probe linewidth.  A scan therefore evaluates K once, in probe chunks of at
+most 4e6 entries, and contracts each chunk with every population snapshot
+it is given.
 """
 
 from __future__ import annotations
@@ -195,48 +201,60 @@ def build_ensemble(profile: InhomogeneousProfile,
     return ens
 
 
-def _optical_depth(ens: EnsembleState, freqs: np.ndarray) -> np.ndarray:
-    """Weak-probe optical depth at the given frequencies.
+def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarray:
+    """Weak-probe optical depth of each population snapshot, shape (k, n_freq).
 
     Computed as sigma * sum over classes and transitions of
     weight * (N_lower - N_upper) * unit-peak Lorentzian.  Inverted
-    transitions contribute negative depth (gain).
+    transitions contribute negative depth (gain).  Each kernel chunk is
+    contracted with one snapshot at a time, so a snapshot's depths do not
+    depend on how many others share the scan.
     """
-    trans = ens.transition_freqs()  # (n, 4)
-    pops = ens.populations
-    diff = pops[:, TransitionSet.LOWER] - pops[:, TransitionSet.UPPER]  # (n, 4)
-    amp = (ens.weights[:, None] * diff).ravel()
-    f0 = trans.ravel()
+    f0 = ens.transition_freqs().ravel()
+    amps = [(ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])).ravel()
+            for p in snapshots]
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
 
-    out = np.empty(len(freqs))
-    # Chunk the probe axis to bound the temporary (n_freq, n_classes*4) block.
+    out = np.empty((len(amps), len(freqs)))
+    # Chunk the probe axis to bound the (n_freq, n_classes*4) kernel block,
+    # which is built in place in one buffer.
     step = max(1, int(4e6 / max(len(f0), 1)))
+    buf = np.empty((min(step, len(freqs)), len(f0)))
     for i in range(0, len(freqs), step):
-        d = freqs[i:i + step, None] - f0[None, :]
-        out[i:i + step] = (amp * (hw2 / (d * d + hw2))).sum(axis=1)
+        probe = freqs[i:i + step]
+        k = buf[:len(probe)]
+        np.subtract(probe[:, None], f0, out=k)
+        np.square(k, out=k)
+        k += hw2
+        np.divide(hw2, k, out=k)
+        for row, amp in zip(out, amps):
+            row[i:i + step] = k @ amp
     return ens.params.sigma_scale * out
 
 
 def absorbance(ens: EnsembleState, probe_MHz: float) -> float:
     """Optical depth alpha-L at a single probe frequency."""
-    return float(_optical_depth(ens, np.array([float(probe_MHz)]))[0])
+    return float(_optical_depth(ens, np.array([float(probe_MHz)]), [ens.populations])[0, 0])
 
 
 def readout_scan(ens: EnsembleState, f_start_MHz: float, f_stop_MHz: float,
-                 n_points: int) -> Spectrum:
+                 n_points: int, snapshots=None):
     """Snapshot transmission spectrum over a frequency window.
 
     The probe is treated as non-perturbative: populations are read, not
-    driven, so the scan has no duration.
+    driven, so the scan has no duration.  Without snapshots the ensemble's
+    current populations are scanned and one Spectrum is returned; given a
+    sequence of (n_classes, 5) population snapshots, one kernel pass scans
+    them all and a list with one Spectrum per snapshot is returned.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     if not f_stop_MHz > f_start_MHz:
         raise ValueError("f_stop_MHz must exceed f_start_MHz")
     freqs = np.linspace(f_start_MHz, f_stop_MHz, n_points)
-    od = _optical_depth(ens, freqs)
-    return Spectrum(freqs, od)
+    if snapshots is None:
+        return Spectrum(freqs, _optical_depth(ens, freqs, [ens.populations])[0])
+    return [Spectrum(freqs, od) for od in _optical_depth(ens, freqs, snapshots)]
 
 
 def hole_area(spectrum: Spectrum, baseline: Spectrum,

@@ -66,16 +66,11 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     Returns the manifest, which is also written as manifest.json.  threads
     is accepted for compatibility and has no effect: runs are serial.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    artifacts: list[str] = []
-    stats: dict = {}
-
     sweep = cfg.outputs.sweep
+    points = []
     if sweep is not None:
-        rows = []
-        n_eig = 0
+        # Every point is parsed before any runs, so a bad value fails first.
         base_raw = serialize_config(cfg)
         for value in sweep.values:
             # An integral value goes in as an int, so integer fields accept it
@@ -83,7 +78,17 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             raw = apply_override(base_raw, sweep.path,
                                  int(value) if float(value).is_integer() else value)
             raw["outputs"] = dict(raw["outputs"], sweep=None)
-            sub = parse_config(raw)
+            points.append((value, parse_config(raw)))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts: list[str] = []
+    stats: dict = {}
+
+    if sweep is not None:
+        rows = []
+        totals = {"n_eig_matrices": 0, "n_kernel_evals": 0}
+        for value, sub in points:
             _, result = run_single(sub)
             row = {"value": value}
             trace = _trace(result, sub)
@@ -93,9 +98,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             if metrics is not None:
                 row.update(asdict(metrics))
             rows.append(row)
-            # The eig count covers the whole sweep; other stats are the last point's.
-            n_eig += result.stats["n_eig_matrices"]
-            stats = dict(result.stats, n_eig_matrices=n_eig)
+            # The work counts cover the whole sweep; other stats are the last point's.
+            totals = {k: n + result.stats[k] for k, n in totals.items()}
+            stats = dict(result.stats, **totals)
         if rows:
             cols = list(rows[0].keys())
             with open(out / "sweep.csv", "w") as fh:
@@ -110,10 +115,11 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         if cfg.outputs.spectra:
             # One baseline per readout grid, numbered in order of first use;
             # without readouts, the unpumped spectrum on the class grid.
-            bases = list({id(r.baseline): r.baseline for r in result.readouts}.values()) or [
-                readout_scan(ens, float(ens.centers_MHz[0]), float(ens.centers_MHz[-1]),
-                             len(ens.centers_MHz))
-            ]
+            bases = list({id(r.baseline): r.baseline for r in result.readouts}.values())
+            if not bases:
+                n = ens.n_classes
+                bases = [readout_scan(ens, float(ens.centers_MHz[0]), float(ens.centers_MHz[-1]), n)]
+                stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n)
             for i, base in enumerate(bases):
                 name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"
                 base.to_csv(out / name)

@@ -484,12 +484,13 @@ def run(ens: EnsembleState,
 
     Each readout of the sequence scans the spectrum at drives_end +
     at_delay_ms.  Its baseline is the scan of the initial state on the same
-    grid, taken once per grid before any drive and shared by every readout
-    on that grid.
+    grid, shared by every readout on that grid.  The populations are copied
+    before any drive and at each readout delay; once the last readout is
+    reached, each grid is scanned in one kernel pass over its baseline and
+    its readouts' snapshots.
     """
     cal = calibration or DriveCalibration()
-    grids = [(r.f_start_MHz, r.f_stop_MHz, r.n_points) for r in compiled.readouts]
-    baselines = {grid: readout_scan(ens, *grid) for grid in dict.fromkeys(grids)}
+    initial = ens.populations.copy()
 
     props = _Propagators(ens, cal)
     t = 0.0
@@ -497,14 +498,22 @@ def run(ens: EnsembleState,
         engine.apply_batch(props.propagator(item), ens.populations)
         t += item.dt_ms
 
-    readouts = []
-    for r, grid in zip(compiled.readouts, grids):
+    snapshots = []
+    by_grid: dict = {}
+    for i, r in enumerate(compiled.readouts):
         target = compiled.drives_end_ms + r.at_delay_ms
         if target > t + 1e-12:
             gap = DriveSegment(t_start_ms=t, t_end_ms=target)
             engine.apply_batch(props.propagator(gap), ens.populations)
             t = target
-        readouts.append(Readout(r.at_delay_ms, readout_scan(ens, *grid), baselines[grid]))
+        snapshots.append(ens.populations.copy())
+        by_grid.setdefault((r.f_start_MHz, r.f_stop_MHz, r.n_points), []).append(i)
+
+    readouts: list = [None] * len(snapshots)
+    for grid, members in by_grid.items():
+        base, *spectra = readout_scan(ens, *grid, [initial] + [snapshots[i] for i in members])
+        for i, spectrum in zip(members, spectra):
+            readouts[i] = Readout(compiled.readouts[i].at_delay_ms, spectrum, base)
 
     stats = {
         "n_items": len(compiled.items),
@@ -512,6 +521,7 @@ def run(ens: EnsembleState,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
         "n_eig_matrices": props.n_eig,
+        "n_kernel_evals": sum(n for *_, n in by_grid) * 4 * ens.n_classes,
     }
     return RunResult(readouts=readouts, stats=stats)
 

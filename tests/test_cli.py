@@ -23,6 +23,9 @@ def test_run_preset_writes_artifacts(tmp_path, capsys):
     assert (out / "baseline.csv").exists()
     assert manifest["config_hash"]
     assert manifest["stats"]["n_items"] == 0
+    # without readouts the baseline is one kernel pass on the class grid
+    n = len((out / "baseline.csv").read_text().splitlines()) - 1
+    assert manifest["stats"]["n_kernel_evals"] == n * 4 * n
     assert "wrote" in capsys.readouterr().out
 
 
@@ -137,18 +140,22 @@ def test_fit_rejects_header_only_csv(tmp_path, capsys, recwarn):
 
 
 def test_runs_are_byte_identical(tmp_path, capsys):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    for out in (a, b):
-        assert main(["run", "--preset", "fig3_standard_pumping",
-                     "--out", str(out)]) == 0
-    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
-    # manifests differ only in wall time
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    ma.pop("wall_time_s")
-    mb.pop("wall_time_s")
-    assert ma == mb
+    # fig3 writes a decay trace, the pit preset its baseline and spectrum
+    for preset in ("fig3_standard_pumping", "standard_pumping_pit"):
+        a = tmp_path / preset / "a"
+        b = tmp_path / preset / "b"
+        for out in (a, b):
+            assert main(["run", "--preset", preset, "--out", str(out)]) == 0
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        assert sorted(p.name for p in a.iterdir()) == sorted(ma["artifacts"] + ["manifest.json"])
+        for name in ma["artifacts"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (preset, name)
+        # manifests differ only in wall time
+        ma.pop("wall_time_s")
+        mb.pop("wall_time_s")
+        assert ma == mb
+    assert (tmp_path / "standard_pumping_pit" / "a" / "spectrum_000.csv").exists()
     capsys.readouterr()
 
 

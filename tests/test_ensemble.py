@@ -16,7 +16,7 @@ from holeburn.ensemble import (
     readout_scan,
 )
 from holeburn.errors import GridMismatchError
-from holeburn.levels import RateParams, ZeemanConfig
+from holeburn.levels import RateParams, TransitionSet, ZeemanConfig
 
 COLD = RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9)
 FIELD = ZeemanConfig(field_mT=1.2)
@@ -109,6 +109,39 @@ def test_readout_scan_is_snapshot():
     assert np.array_equal(ens.populations, before)
     assert len(spec.freqs_MHz) == 81
     assert spec.freqs_MHz[0] == -20.0 and spec.freqs_MHz[-1] == 20.0
+
+
+def test_scan_bytes_do_not_depend_on_the_snapshots_beside_it():
+    # 4001 probe points over 601 classes take three kernel chunks
+    ens = build_ensemble(_flat(), FIELD, COLD)
+    rng = np.random.default_rng(7)
+    states = [rng.dirichlet(np.ones(5), size=ens.n_classes) for _ in range(5)]
+    ens.populations[:] = states[2]
+    alone = readout_scan(ens, -200.0, 200.0, 4001)
+    for stack, pos in (([states[2]], 0), (states[1:3], 1), (states, 2)):
+        spectra = readout_scan(ens, -200.0, 200.0, 4001, stack)
+        assert len(spectra) == len(stack)
+        assert spectra[pos].optical_depth.tobytes() == alone.optical_depth.tobytes()
+        assert np.array_equal(spectra[pos].freqs_MHz, alone.freqs_MHz)
+    assert np.array_equal(ens.populations, states[2])
+
+
+def test_scan_matches_the_direct_lorentzian_sum():
+    ens = build_ensemble(_flat(span=60.0, step=0.5), FIELD, COLD)
+    rng = np.random.default_rng(3)
+    ens.populations[:] = rng.dirichlet(np.ones(5), size=ens.n_classes)
+    spec = readout_scan(ens, -80.0, 80.0, 641)
+    f0 = ens.transition_freqs()
+    pops = ens.populations
+    diff = pops[:, list(TransitionSet.LOWER)] - pops[:, list(TransitionSet.UPPER)]
+    hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
+    expected = [
+        ens.params.sigma_scale * sum(
+            ens.weights[c] * diff[c, t] * hw2 / ((f - f0[c, t]) ** 2 + hw2)
+            for c in range(ens.n_classes) for t in range(4))
+        for f in spec.freqs_MHz
+    ]
+    assert np.allclose(spec.optical_depth, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_transmission_follows_beer_lambert():

@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from holeburn import runner
 from holeburn.analysis import residual_metrics
 from holeburn.config import parse_config
 from holeburn.ensemble import Spectrum
@@ -54,7 +55,9 @@ def _point_sweep(values):
 
 
 def test_sweep_over_an_integer_field(tmp_path):
-    run_scenario(parse_config(_point_sweep([41, 81])), tmp_path)
+    manifest = run_scenario(parse_config(_point_sweep([41, 81])), tmp_path)
+    # one kernel pass per point over its 41 classes, summed over the sweep
+    assert manifest["stats"]["n_kernel_evals"] == (41 + 81) * 4 * 41
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0].split(",")[0] == "value"
     assert [line.split(",")[0] for line in lines[1:]] == ["41.0", "81.0"]
@@ -64,7 +67,38 @@ def test_sweep_over_an_integer_field(tmp_path):
     assert rho1[0] == pytest.approx(rho1[1], rel=0.05)
 
 
-def test_sweep_rejects_a_fractional_integer(tmp_path):
+def test_sweep_rejects_a_fractional_integer(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(runner, "run_single", lambda cfg: ran.append(cfg))
+    out = tmp_path / "out"
     with pytest.raises(ConfigError) as err:
-        run_scenario(parse_config(_point_sweep([41, 41.5])), tmp_path)
+        run_scenario(parse_config(_point_sweep([41, 41.5])), out)
     assert err.value.path == "sequence[1].n_points"
+    # the bad second value fails before the first point runs or anything is written
+    assert ran == []
+    assert not out.exists()
+
+
+def test_kernel_evals_count_one_pass_per_grid(tmp_path):
+    wide = {"f_start_MHz": -15.0, "f_stop_MHz": 15.0, "n_points": 61}
+    narrow = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21}
+    raw = _pumped({**wide, "at_delay_ms": 5.0}, {**narrow, "at_delay_ms": 1.0},
+                  {**narrow, "at_delay_ms": 2.0}, {**narrow, "at_delay_ms": 3.0})
+    cfg = parse_config(raw)
+    ens, result = runner.run_single(cfg)
+    assert len(result.readouts) == 4
+    expected = (61 + 21) * 4 * ens.n_classes
+    assert result.stats["n_kernel_evals"] == expected
+    assert run_scenario(cfg, tmp_path)["stats"]["n_kernel_evals"] == expected
+
+
+def test_readout_count_on_a_grid_leaves_its_files_unchanged(tmp_path):
+    # a grid this fine is where a stacked matrix product would change the bits
+    grid = {"f_start_MHz": -10.0, "f_stop_MHz": 10.0, "n_points": 401}
+    one = _pumped({**grid, "at_delay_ms": 1.0})
+    three = _pumped({**grid, "at_delay_ms": 7.0}, {**grid, "at_delay_ms": 1.0},
+                    {**grid, "at_delay_ms": 3.0})
+    for name, raw in (("one", one), ("three", three)):
+        run_scenario(parse_config(raw), tmp_path / name)
+    for name in ("baseline.csv", "spectrum_000.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
