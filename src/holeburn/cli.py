@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", nargs="?", help="path to a JSON or YAML config")
     run_p.add_argument("--preset", help="name of a bundled preset")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect, runs are serial")
 
     fit_p = sub.add_parser("fit", help="fit a two-column CSV trace")
     fit_p.add_argument("csv", help="input CSV with a header row")
@@ -83,7 +81,7 @@ def _cmd_run(args) -> int:
         cfg = parse_config_file(args.config)
         stem = Path(args.config).stem
     out = Path(args.out) if args.out else _default_outdir(stem)
-    manifest = run_scenario(cfg, out, threads=max(1, args.threads))
+    manifest = run_scenario(cfg, out)
     print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {out}")
     return 0
 

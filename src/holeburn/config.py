@@ -14,8 +14,6 @@ import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
-import yaml
-
 from .ensemble import InhomogeneousProfile
 from .errors import ConfigError
 from .levels import RateParams, ZeemanConfig
@@ -229,6 +227,7 @@ def parse_config_file(path) -> ExperimentConfig:
     """Load a JSON or YAML config file."""
     text = Path(path).read_text()
     if str(path).endswith((".yaml", ".yml")):
+        import yaml  # only YAML files need it; keep it off the import path
         raw = yaml.safe_load(text)
     else:
         raw = json.loads(text)

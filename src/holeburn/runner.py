@@ -8,13 +8,13 @@ records wall time, so it is reproducible up to that field.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import __version__
 from .analysis import residual_metrics
@@ -87,7 +87,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     if sweep is not None:
         rows = []
-        totals = {"n_eig_matrices": 0, "n_kernel_evals": 0}
+        totals = {"n_expm_matrices": 0, "n_kernel_evals": 0}
         for value, sub in points:
             _, result = run_single(sub)
             row = {"value": value}
@@ -146,7 +146,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         "versions": {
             "holeburn": __version__,
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
         "wall_time_s": time.perf_counter() - t0,
         "artifacts": artifacts,

@@ -395,21 +395,21 @@ class RunResult:
 
 
 class _Propagators:
-    """Propagators of drive items, one eigendecomposition per distinct generator.
+    """Propagators of drive items, one matrix exponential per distinct generator.
 
     Without the pump a segment's generator is the same for every class;
     with it, the generator varies only with the pump detuning from the
-    class centre.  n_eig counts the 4x4 matrices exponentiated so far.
+    class centre.  n_expm counts the 4x4 matrices exponentiated so far.
     """
 
     def __init__(self, ens: EnsembleState, cal: DriveCalibration):
         self.ens = ens
         self.cal = cal
         self.trans = ens.transition_freqs()
-        self.n_eig = 0
+        self.n_expm = 0
 
     def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
-        self.n_eig += len(matrices)
+        self.n_expm += len(matrices)
         return engine.propagator_batch(matrices, dt_ms)
 
     def _drive_matrix(self, seg: DriveSegment) -> np.ndarray:
@@ -520,7 +520,7 @@ def run(ens: EnsembleState,
         "n_segments": compiled.n_segments,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
-        "n_eig_matrices": props.n_eig,
+        "n_expm_matrices": props.n_expm,
         "n_kernel_evals": sum(n for *_, n in by_grid) * 4 * ens.n_classes,
     }
     return RunResult(readouts=readouts, stats=stats)

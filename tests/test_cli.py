@@ -157,15 +157,3 @@ def test_runs_are_byte_identical(tmp_path, capsys):
         assert ma == mb
     assert (tmp_path / "standard_pumping_pit" / "a" / "spectrum_000.csv").exists()
     capsys.readouterr()
-
-
-def test_threads_flag_preserves_output(tmp_path, capsys):
-    a = tmp_path / "t1"
-    b = tmp_path / "t2"
-    assert main(["run", "--preset", "fig3_standard_pumping", "--out", str(a)]) == 0
-    assert main(["run", "--preset", "fig3_standard_pumping", "--out", str(b),
-                 "--threads", "2"]) == 0
-    ta = np.loadtxt(a / "trace.csv", delimiter=",", skiprows=1)
-    tb = np.loadtxt(b / "trace.csv", delimiter=",", skiprows=1)
-    assert np.allclose(ta, tb, rtol=0.0, atol=1e-12)
-    capsys.readouterr()

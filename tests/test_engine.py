@@ -157,14 +157,15 @@ def test_evolve_credits_persistent_bleached():
 
 def test_propagator_matches_scipy():
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        m = build_rate_matrix(_random_params(rng), _random_drive(rng))
-        dt = rng.uniform(0.0, 30.0)
-        assert np.allclose(propagator(m, dt), scipy.linalg.expm(m * dt), atol=1e-11)
+    mats = [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(20)]
+    dts = [1e-4, 1.0, 100.0, *rng.uniform(0.0, 30.0, size=20)]
+    for m in mats + [np.zeros((4, 4))]:
+        for dt in dts:
+            assert np.allclose(propagator(m, dt), scipy.linalg.expm(m * dt), atol=1e-11)
 
 
-def test_propagator_defective_matrix_falls_back():
-    # Jordan-block generator: eigendecomposition cannot reconstruct it.
+def test_propagator_handles_a_jordan_block():
+    # Jordan-block generator: it has no eigenbasis to diagonalise in.
     m = np.array(
         [
             [-1.0, 0.0, 0.0, 0.0],
@@ -174,6 +175,25 @@ def test_propagator_defective_matrix_falls_back():
         ]
     )
     assert np.allclose(propagator(m, 2.5), scipy.linalg.expm(m * 2.5), atol=1e-11)
+
+
+def test_propagator_bytes_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    mats = np.stack(
+        [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(300)]
+    )
+    # the stack mixes real and complex spectra, which an eigensolver treats differently
+    w = np.linalg.eigvals(mats)
+    assert 0 < np.count_nonzero(np.abs(w.imag).max(axis=1)) < len(mats)
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    # 1e-4 ms needs no squaring for any matrix; 30 ms squares every one
+    assert norms.max() * 1e-4 < 5.37 < norms.min() * 30.0
+    for dt in (1e-4, 0.05, 1.0, 30.0):
+        full = propagator_batch(mats, dt)
+        reverse = propagator_batch(mats[::-1], dt)[::-1]
+        for i, m in enumerate(mats):
+            alone = propagator_batch(m[None], dt)[0]
+            assert alone.tobytes() == full[i].tobytes() == reverse[i].tobytes()
 
 
 def test_propagator_batch_matches_single():

@@ -1,6 +1,9 @@
-"""Checks on the project files: declared dependencies and the README."""
+"""Checks on the project files and environment: dependencies, imports and the README."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -15,6 +18,20 @@ def test_numpy_floor_covers_trapezoid():
     floor = re.search(r'"numpy>=([0-9.]+)"', text)
     assert floor is not None
     assert tuple(int(x) for x in floor.group(1).split(".")) >= (2, 0)
+
+
+def test_a_run_imports_neither_scipy_nor_yaml(tmp_path):
+    # only fits need SciPy and only YAML configs need PyYAML
+    code = (
+        "import sys, holeburn\n"
+        "cfg = holeburn.parse_config(holeburn.preset('standard_pumping_pit'))\n"
+        f"holeburn.run_scenario(cfg, {str(tmp_path)!r})\n"
+        "print(sorted(m for m in ('scipy', 'yaml') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_readme_python_api_example_runs(capsys):

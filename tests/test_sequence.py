@@ -344,7 +344,7 @@ def test_run_trace_and_stats():
     assert res.stats["drives_end_ms"] == 10.0
     assert res.stats["n_items"] == len(compile_sequence(seq).items)
     # one matrix per distinct pump detuning, plus one per readout delay
-    assert res.stats["n_eig_matrices"] == _ens().n_classes + 2
+    assert res.stats["n_expm_matrices"] == _ens().n_classes + 2
 
 
 def test_run_readouts_share_baseline_key():
@@ -494,7 +494,7 @@ def test_pump_off_item_costs_one_matrix(monkeypatch):
                                                       power_mW=20.0)]))
     assert ens.n_classes > 1
     assert counted == [1]
-    assert res.stats["n_eig_matrices"] == 1
+    assert res.stats["n_expm_matrices"] == 1
 
 
 def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
