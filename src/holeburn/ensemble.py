@@ -9,9 +9,9 @@ difference times a Lorentzian line of the probe-limited width.
 
 That sum is linear in the populations: OD = sigma * K @ amp, where the
 kernel K depends only on the probe grid, the transition frequencies and the
-probe linewidth.  A scan therefore evaluates K once, in probe chunks of at
-most 4e6 entries, and contracts each chunk with every population snapshot
-it is given.
+probe linewidth.  A scan therefore evaluates K once, in blocks of probe rows
+small enough to stay in cache, and contracts each block with every
+population snapshot it is given.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 PROFILE_SHAPES = ("gaussian", "lorentzian", "flat")
+
+# Kernel entries per block of probe rows: 512 KiB, which stays in a core's L2 cache.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class GridResolutionWarning(UserWarning):
@@ -101,10 +104,10 @@ class Spectrum:
                 raise ValueError("transmission is not exp(-optical_depth)")
 
     def to_csv(self, path) -> None:
+        rows = zip(self.freqs_MHz.tolist(), self.optical_depth.tolist(), self.transmission.tolist())
+        text = "".join(f"{f!r},{od!r},{tr!r}\n" for f, od, tr in rows)
         with open(path, "w") as fh:
-            fh.write("freq_MHz,optical_depth,transmission\n")
-            for f, od, tr in zip(self.freqs_MHz, self.optical_depth, self.transmission):
-                fh.write(f"{float(f)!r},{float(od)!r},{float(tr)!r}\n")
+            fh.write("freq_MHz,optical_depth,transmission\n" + text)
 
     @classmethod
     def from_csv(cls, path) -> "Spectrum":
@@ -206,7 +209,7 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarr
 
     Computed as sigma * sum over classes and transitions of
     weight * (N_lower - N_upper) * unit-peak Lorentzian.  Inverted
-    transitions contribute negative depth (gain).  Each kernel chunk is
+    transitions contribute negative depth (gain).  Each kernel block is
     contracted with one snapshot at a time, so a snapshot's depths do not
     depend on how many others share the scan.
     """
@@ -216,9 +219,7 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarr
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
 
     out = np.empty((len(amps), len(freqs)))
-    # Chunk the probe axis to bound the (n_freq, n_classes*4) kernel block,
-    # which is built in place in one buffer.
-    step = max(1, int(4e6 / max(len(f0), 1)))
+    step = max(1, _BLOCK_ENTRIES // max(len(f0), 1))
     buf = np.empty((min(step, len(freqs)), len(f0)))
     for i in range(0, len(freqs), step):
         probe = freqs[i:i + step]

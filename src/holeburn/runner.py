@@ -8,7 +8,6 @@ records wall time, so it is reproducible up to that field.
 from __future__ import annotations
 
 import hashlib
-import importlib.metadata
 import json
 import time
 from dataclasses import asdict
@@ -146,7 +145,6 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         "versions": {
             "holeburn": __version__,
             "numpy": numpy.__version__,
-            "scipy": importlib.metadata.version("scipy"),
         },
         "wall_time_s": time.perf_counter() - t0,
         "artifacts": artifacts,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_readout_scan_is_snapshot():
 
 
 def test_scan_bytes_do_not_depend_on_the_snapshots_beside_it():
-    # 4001 probe points over 601 classes take three kernel chunks
+    # 4001 probe points over 601 classes span about 150 kernel blocks
     ens = build_ensemble(_flat(), FIELD, COLD)
     rng = np.random.default_rng(7)
     states = [rng.dirichlet(np.ones(5), size=ens.n_classes) for _ in range(5)]
@@ -124,6 +125,18 @@ def test_scan_bytes_do_not_depend_on_the_snapshots_beside_it():
         assert spectra[pos].optical_depth.tobytes() == alone.optical_depth.tobytes()
         assert np.array_equal(spectra[pos].freqs_MHz, alone.freqs_MHz)
     assert np.array_equal(ens.populations, states[2])
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # the kernel is built block by block, never whole: 4001 x 2404 entries is 73 MiB
+    ens = build_ensemble(_flat(), FIELD, COLD)
+    tracemalloc.start()
+    try:
+        readout_scan(ens, -200.0, 200.0, 4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_scan_matches_the_direct_lorentzian_sum():
@@ -170,6 +183,17 @@ def test_spectrum_csv_roundtrip(tmp_path):
     back = Spectrum.from_csv(path)
     assert np.array_equal(back.freqs_MHz, spec.freqs_MHz)
     assert np.array_equal(back.optical_depth, spec.optical_depth)
+
+
+def test_spectrum_csv_writes_each_float_as_its_repr(tmp_path):
+    awkward = [5e-324, 1.7976931348623157e308, 0.1 + 0.2, -0.0, 1 / 3, 1e-7]
+    spec = Spectrum(freqs_MHz=awkward, optical_depth=awkward[::-1])
+    path = tmp_path / "spec.csv"
+    spec.to_csv(path)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "freq_MHz,optical_depth,transmission"
+    assert lines[1:] == [f"{float(f)!r},{float(od)!r},{float(tr)!r}" for f, od, tr in zip(
+        spec.freqs_MHz, spec.optical_depth, spec.transmission)] + [""]
 
 
 def test_hole_area_identical_spectra():

@@ -1,5 +1,6 @@
 """Checks on the project files and environment: dependencies, imports and the README."""
 
+import json
 import os
 import re
 import subprocess
@@ -27,11 +28,17 @@ def test_a_run_imports_neither_scipy_nor_yaml(tmp_path):
         "cfg = holeburn.parse_config(holeburn.preset('standard_pumping_pit'))\n"
         f"holeburn.run_scenario(cfg, {str(tmp_path)!r})\n"
         "print(sorted(m for m in ('scipy', 'yaml') if m in sys.modules))\n"
+        "print('importlib.metadata' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
-    assert done.stdout.strip() == "[]"
+    modules, metadata = done.stdout.splitlines()
+    assert modules == "[]"
+    # the manifest names only the packages a run uses, so it needs no metadata lookup
+    assert metadata == "False"
     assert (tmp_path / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["versions"]) == ["holeburn", "numpy"]
 
 
 def test_readme_python_api_example_runs(capsys):
