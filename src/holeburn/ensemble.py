@@ -33,6 +33,7 @@ __all__ = [
     "build_ensemble",
     "absorbance",
     "readout_scan",
+    "kernel_key",
     "hole_area",
     "predicted_features",
 ]
@@ -202,6 +203,17 @@ def build_ensemble(profile: InhomogeneousProfile,
             raise ValueError("thermal ensemble has no absorption at the profile center")
         ens.params = replace(params, sigma_scale=params.sigma_scale * target_od / base)
     return ens
+
+
+def kernel_key(ens: EnsembleState) -> bytes:
+    """The bytes of every ensemble field _optical_depth reads.
+
+    Scans of two ensembles with equal keys on one grid evaluate the same
+    kernel, so they can share a pass; a field read there belongs here.
+    """
+    fields = (ens.transition_freqs().ravel(), ens.weights,
+              [ens.probe_linewidth_MHz, ens.params.sigma_scale])
+    return np.concatenate(fields, dtype=float).tobytes()
 
 
 def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarray:

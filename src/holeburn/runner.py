@@ -18,8 +18,8 @@ import numpy
 from . import __version__
 from .analysis import residual_metrics
 from .config import ExperimentConfig, apply_override, parse_config, serialize_config
-from .ensemble import build_ensemble, hole_area, readout_scan
-from .sequence import ReadoutPulse, compile_sequence, run, write_trace_csv
+from .ensemble import build_ensemble, hole_area, kernel_key, readout_scan
+from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
 
@@ -29,8 +29,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_single(cfg: ExperimentConfig):
-    """Execute one configured sequence; returns (ensemble, RunResult)."""
+# Snapshot entries that evolved sweep points may hold before a scan: 8 MiB.
+SCAN_BUDGET_ENTRIES = 1 << 20
+
+
+def _prepare(cfg: ExperimentConfig):
+    """The configured ensemble and compiled sequence."""
     ens = build_ensemble(
         cfg.profile,
         cfg.zeeman,
@@ -38,7 +42,12 @@ def run_single(cfg: ExperimentConfig):
         target_od=cfg.target_od,
         probe_linewidth_MHz=cfg.probe_linewidth_MHz,
     )
-    compiled = compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
+    return ens, compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
+
+
+def run_single(cfg: ExperimentConfig):
+    """Execute one configured sequence; returns (ensemble, RunResult)."""
+    ens, compiled = _prepare(cfg)
     return ens, run(ens, compiled, calibration=cfg.drive)
 
 
@@ -87,8 +96,20 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     if sweep is not None:
         rows = []
         totals = {"n_expm_matrices": 0, "n_kernel_evals": 0}
-        for value, sub in points:
-            _, result = run_single(sub)
+        # Points are evolved before they are scanned, so points sharing a
+        # readout kernel share its pass; the snapshots wait, with one
+        # ensemble per kernel key, until they pass the budget.
+        results, pending, kernels, held = [], [], {}, 0
+        for _, sub in points:
+            ens, compiled = _prepare(sub)
+            evolution = advance(ens, compiled, sub.drive)
+            pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
+            held += sum(s.size for s in evolution.snapshots)
+            if held > SCAN_BUDGET_ENTRIES:
+                results += scan(pending)
+                pending, kernels, held = [], {}, 0
+        results += scan(pending)
+        for (value, sub), result in zip(points, results):
             row = {"value": value}
             trace = _trace(result, sub)
             if trace:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .ensemble import EnsembleState, Spectrum, readout_scan
+from .ensemble import EnsembleState, Spectrum, kernel_key, readout_scan
 from .errors import SequenceError
 
 __all__ = [
@@ -36,7 +36,10 @@ __all__ = [
     "DriveCalibration",
     "Readout",
     "RunResult",
+    "Evolution",
     "compile_sequence",
+    "advance",
+    "scan",
     "run",
     "write_trace_csv",
 ]
@@ -477,20 +480,21 @@ class _Propagators:
         return acc if count is None else engine.matrix_power_batch(acc, count)
 
 
-def run(ens: EnsembleState,
-        compiled: CompiledSequence,
-        calibration: DriveCalibration | None = None) -> RunResult:
-    """Execute a compiled sequence on an ensemble (mutated in place).
+@dataclass
+class Evolution:
+    """A run's readouts with its populations before any drive and at each readout."""
 
-    Each readout of the sequence scans the spectrum at drives_end +
-    at_delay_ms.  Its baseline is the scan of the initial state on the same
-    grid, shared by every readout on that grid.  The populations are copied
-    before any drive and at each readout delay; once the last readout is
-    reached, each grid is scanned in one kernel pass over its baseline and
-    its readouts' snapshots.
-    """
+    readouts: list[ReadoutPulse]  # by increasing delay
+    snapshots: list[np.ndarray]  # the initial state, then one per readout
+    stats: dict
+
+
+def advance(ens: EnsembleState,
+            compiled: CompiledSequence,
+            calibration: DriveCalibration | None = None) -> Evolution:
+    """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms."""
     cal = calibration or DriveCalibration()
-    initial = ens.populations.copy()
+    snapshots = [ens.populations.copy()]
 
     props = _Propagators(ens, cal)
     t = 0.0
@@ -498,22 +502,13 @@ def run(ens: EnsembleState,
         engine.apply_batch(props.propagator(item), ens.populations)
         t += item.dt_ms
 
-    snapshots = []
-    by_grid: dict = {}
-    for i, r in enumerate(compiled.readouts):
+    for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
         if target > t + 1e-12:
             gap = DriveSegment(t_start_ms=t, t_end_ms=target)
             engine.apply_batch(props.propagator(gap), ens.populations)
             t = target
         snapshots.append(ens.populations.copy())
-        by_grid.setdefault((r.f_start_MHz, r.f_stop_MHz, r.n_points), []).append(i)
-
-    readouts: list = [None] * len(snapshots)
-    for grid, members in by_grid.items():
-        base, *spectra = readout_scan(ens, *grid, [initial] + [snapshots[i] for i in members])
-        for i, spectrum in zip(members, spectra):
-            readouts[i] = Readout(compiled.readouts[i].at_delay_ms, spectrum, base)
 
     stats = {
         "n_items": len(compiled.items),
@@ -521,9 +516,47 @@ def run(ens: EnsembleState,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
         "n_expm_matrices": props.n_expm,
-        "n_kernel_evals": sum(n for *_, n in by_grid) * 4 * ens.n_classes,
     }
-    return RunResult(readouts=readouts, stats=stats)
+    return Evolution(compiled.readouts, snapshots, stats)
+
+
+def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
+    """Read out evolved runs, given as (ensemble, Evolution) pairs.
+
+    A readout's baseline is the scan of its run's initial state on its grid.
+    Readouts on one grid whose ensembles have equal kernel keys share one
+    kernel pass, a readout_scan over their distinct snapshots; a spectrum's
+    bytes do not depend on the others in its pass.  A pass's kernel
+    evaluations are counted in the stats of the first run that uses it.
+    """
+    passes: dict = {}  # (kernel key, grid) -> (ensemble, first run, {bytes: (row, snapshot)})
+    refs = []  # per run and readout: (pass key, baseline row, spectrum row)
+    for r, (ens, evo) in enumerate(runs):
+        kernel = kernel_key(ens)
+        initial, *snapshots = evo.snapshots
+        refs.append([])
+        for ro, snapshot in zip(evo.readouts, snapshots):
+            key = (kernel, (ro.f_start_MHz, ro.f_stop_MHz, ro.n_points))
+            distinct = passes.setdefault(key, (ens, r, {}))[2]
+            rows = [distinct.setdefault(s.tobytes(), (len(distinct), s))[0]
+                    for s in (initial, snapshot)]
+            refs[-1].append((key, *rows))
+
+    spectra, evals = {}, [0] * len(runs)
+    for key, (ens, r, distinct) in passes.items():
+        spectra[key] = readout_scan(ens, *key[1], [s for _, s in distinct.values()])
+        evals[r] += key[1][2] * 4 * ens.n_classes
+    return [RunResult([Readout(ro.at_delay_ms, spectra[key][i], spectra[key][b])
+                       for ro, (key, b, i) in zip(evo.readouts, ref)],
+                      dict(evo.stats, n_kernel_evals=n))
+            for (_, evo), ref, n in zip(runs, refs, evals)]
+
+
+def run(ens: EnsembleState,
+        compiled: CompiledSequence,
+        calibration: DriveCalibration | None = None) -> RunResult:
+    """Execute a compiled sequence on an ensemble (mutated in place): scan its advance."""
+    return scan([(ens, advance(ens, compiled, calibration))])[0]
 
 
 def write_trace_csv(trace, path) -> None:

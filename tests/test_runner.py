@@ -3,10 +3,10 @@ from dataclasses import asdict
 
 import pytest
 
-from holeburn import runner
+from holeburn import runner, sequence
 from holeburn.analysis import residual_metrics
-from holeburn.config import parse_config
-from holeburn.ensemble import Spectrum
+from holeburn.config import apply_override, parse_config
+from holeburn.ensemble import Spectrum, hole_area
 from holeburn.errors import ConfigError
 from holeburn.runner import run_scenario
 
@@ -69,7 +69,9 @@ def test_sweep_over_an_integer_field(tmp_path):
 
 def test_sweep_rejects_a_fractional_integer(tmp_path, monkeypatch):
     ran = []
-    monkeypatch.setattr(runner, "run_single", lambda cfg: ran.append(cfg))
+    # advance is what evolves each sweep point
+    real_advance = runner.advance
+    monkeypatch.setattr(runner, "advance", lambda *args: ran.append(args) or real_advance(*args))
     out = tmp_path / "out"
     with pytest.raises(ConfigError) as err:
         run_scenario(parse_config(_point_sweep([41, 41.5])), out)
@@ -77,6 +79,71 @@ def test_sweep_rejects_a_fractional_integer(tmp_path, monkeypatch):
     # the bad second value fails before the first point runs or anything is written
     assert ran == []
     assert not out.exists()
+
+
+_WINDOWS = {"trace_window_MHz": [-3.0, 3.0], "metrics_window_MHz": [-2.0, 2.0]}
+
+
+def _drive_sweep(path, values):
+    ro = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21, "at_delay_ms": 1.0}
+    return _pumped(ro, outputs={**_WINDOWS, "sweep": {"path": path, "values": values}})
+
+
+def _single_rows(raw, path, values):
+    """sweep.csv lines rebuilt from running each point alone."""
+    lines = []
+    for value in values:
+        point = apply_override(raw, path, value)
+        point["outputs"] = dict(point["outputs"], sweep=None)
+        _, result = runner.run_single(parse_config(point))
+        last = result.readouts[-1]
+        area = hole_area(last.spectrum, last.baseline, tuple(_WINDOWS["trace_window_MHz"]))
+        metrics = residual_metrics(last.spectrum, last.baseline,
+                                   tuple(_WINDOWS["metrics_window_MHz"]))
+        lines.append(",".join(map(repr, [float(value), area, *asdict(metrics).values()])))
+    return [",".join(["value", "hole_area", *asdict(metrics)])] + lines
+
+
+def test_sweep_points_share_one_kernel_pass(tmp_path, monkeypatch):
+    scanned = []
+    real_scan = sequence.readout_scan
+
+    def spy(ens, f_start, f_stop, n_points, snapshots):
+        scanned.append(len(snapshots))
+        return real_scan(ens, f_start, f_stop, n_points, snapshots)
+
+    monkeypatch.setattr(sequence, "readout_scan", spy)
+    path, values = "sequence[0].power_rate_per_ms", [1.0, 2.0, 3.0]
+    raw = _drive_sweep(path, values)
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    # one pass over the 41 classes, counted once for the whole sweep
+    assert manifest["stats"]["n_kernel_evals"] == 21 * 4 * 41
+    # the three thermal initial states are byte-equal: one baseline row
+    assert scanned == [1 + len(values)]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, path, values)
+
+
+def test_sweep_points_with_different_kernels_get_their_own_passes(tmp_path):
+    # target_od rescales sigma, so no two points share a kernel
+    path, values = "target_od", [0.5, 1.0, 2.0]
+    raw = dict(_drive_sweep(path, values), target_od=1.0)
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    assert manifest["stats"]["n_kernel_evals"] == len(values) * 21 * 4 * 41
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, path, values)
+
+
+def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
+    raw = _drive_sweep("sequence[0].power_rate_per_ms", [1.0, 2.0, 3.0, 4.0, 5.0])
+    run_scenario(parse_config(raw), tmp_path / "whole")
+    # each point holds its initial state and one snapshot: 2 x 41 x 5 entries
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
+    manifest = run_scenario(parse_config(raw), tmp_path / "flushed")
+    # passes over points 1-2, 3-4 and 5
+    assert manifest["stats"]["n_kernel_evals"] == 3 * 21 * 4 * 41
+    assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
+            == (tmp_path / "whole" / "sweep.csv").read_bytes())
 
 
 def test_kernel_evals_count_one_pass_per_grid(tmp_path):
