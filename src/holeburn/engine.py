@@ -85,8 +85,7 @@ class DriveRates:
     """
 
     pump_rate: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    stim_rate_e1: float = 0.0
-    stim_rate_e2: float = 0.0
+    stim_rate: float = 0.0
     rf_mix_rate: float = 0.0
 
     def __post_init__(self):
@@ -94,7 +93,7 @@ class DriveRates:
             raise ValueError("pump_rate must have one entry per transition")
         if any(r < 0 for r in self.pump_rate):
             raise ValueError("pump rates must be >= 0")
-        if self.stim_rate_e1 < 0 or self.stim_rate_e2 < 0 or self.rf_mix_rate < 0:
+        if self.stim_rate < 0 or self.rf_mix_rate < 0:
             raise ValueError("drive rates must be >= 0")
 
 
@@ -141,17 +140,14 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     if any(drive.pump_rate):
         add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
 
-    # Stimulated emission through the eliminated intermediate level.
-    bz = params.beta_z2
-    for rate, up, g_same, g_other in (
-        (drive.stim_rate_e1, 2, 0, 1),
-        (drive.stim_rate_e2, 3, 1, 0),
-    ):
-        if rate == 0.0:
-            continue
-        m[g_same, up] += rate * bz
-        m[g_other, up] += rate * (1.0 - bz)
-        m[up, up] -= rate
+    # Stimulated emission from e1, then e2, through the eliminated
+    # intermediate level; e1 pairs with g1, e2 with g2.
+    if drive.stim_rate:
+        rate, bz = drive.stim_rate, params.beta_z2
+        for up, g_same, g_other in ((2, 0, 1), (3, 1, 0)):
+            m[g_same, up] += rate * bz
+            m[g_other, up] += rate * (1.0 - bz)
+            m[up, up] -= rate
 
     # Excited-state mixing.
     if drive.rf_mix_rate > 0.0:

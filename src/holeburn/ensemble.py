@@ -17,7 +17,7 @@ population snapshot it is given.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,20 +89,16 @@ class Spectrum:
 
     freqs_MHz: np.ndarray
     optical_depth: np.ndarray
-    transmission: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.freqs_MHz = np.asarray(self.freqs_MHz, dtype=float)
         self.optical_depth = np.asarray(self.optical_depth, dtype=float)
         if self.freqs_MHz.shape != self.optical_depth.shape:
             raise ValueError("frequency and optical-depth grids differ in shape")
-        expected = np.exp(-self.optical_depth)
-        if self.transmission is None:
-            self.transmission = expected
-        else:
-            self.transmission = np.asarray(self.transmission, dtype=float)
-            if np.max(np.abs(self.transmission - expected)) > 1e-12:
-                raise ValueError("transmission is not exp(-optical_depth)")
+
+    @property
+    def transmission(self) -> np.ndarray:
+        return np.exp(-self.optical_depth)
 
     def to_csv(self, path) -> None:
         rows = zip(self.freqs_MHz.tolist(), self.optical_depth.tolist(), self.transmission.tolist())
@@ -115,7 +111,10 @@ class Spectrum:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 3:
             raise ValueError("spectrum CSV must have 3 columns")
-        return cls(data[:, 0], data[:, 1], data[:, 2])
+        spec = cls(data[:, 0], data[:, 1])
+        if np.max(np.abs(data[:, 2] - spec.transmission)) > 1e-12:
+            raise ValueError("transmission is not exp(-optical_depth)")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,12 @@ class EnsembleState:
 
     populations has shape (n_classes, 5) with columns (g1, g2, e1, e2,
     persistent_bleached); rows sum to one.  probe_linewidth_MHz is the
-    Lorentzian FWHM used both for readout and, by default, for the pump
-    response.
+    Lorentzian FWHM of the readout; the pump response has its own width,
+    DriveCalibration.pump_linewidth_MHz.
     """
 
     config: ZeemanConfig
     params: RateParams
-    profile: InhomogeneousProfile
     centers_MHz: np.ndarray
     weights: np.ndarray
     populations: np.ndarray
@@ -189,7 +187,6 @@ def build_ensemble(profile: InhomogeneousProfile,
     ens = EnsembleState(
         config=config,
         params=params,
-        profile=profile,
         centers_MHz=centers,
         weights=weights,
         populations=pops,

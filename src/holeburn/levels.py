@@ -8,7 +8,7 @@ expressed directly in MHz; all times are in ms and fields in mT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoDecayChannelError
 
@@ -25,24 +25,19 @@ PERSISTENT_LEAK_SCALE = 0.0262
 class ZeemanConfig:
     """Magnetic configuration defining the level splittings.
 
-    ``theta_deg`` records the field orientation in the crystal plane used to
-    obtain the effective g factors; it is carried as metadata and does not
-    enter any rate.  ``bohr_MHz_per_mT`` may be overridden for unit studies.
+    The g factors are the effective ones at the field orientation used, so
+    the orientation itself enters no rate.
     """
 
     field_mT: float
-    theta_deg: float = 135.0
     g_ground: float = 12.0
     g_excited: float = 8.0
-    bohr_MHz_per_mT: float = BOHR_MHZ_PER_MT
 
     def __post_init__(self):
         if self.field_mT < 0:
             raise ValueError(f"field_mT must be >= 0, got {self.field_mT}")
         if self.g_ground <= 0 or self.g_excited <= 0:
             raise ValueError("g factors must be > 0")
-        if self.bohr_MHz_per_mT <= 0:
-            raise ValueError("bohr_MHz_per_mT must be > 0")
 
     @property
     def delta_g_MHz(self) -> float:
@@ -136,7 +131,7 @@ def zeeman_splitting(g: float, config: ZeemanConfig) -> float:
     """Linear Zeeman splitting in MHz for effective g factor ``g``."""
     if g <= 0:
         raise ValueError(f"g must be > 0, got {g}")
-    return config.bohr_MHz_per_mT * g * config.field_mT
+    return BOHR_MHZ_PER_MT * g * config.field_mT
 
 
 def transition_set(class_center_MHz: float, config: ZeemanConfig) -> TransitionSet:

@@ -121,15 +121,16 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             # The work counts cover the whole sweep; other stats are the last point's.
             totals = {k: n + result.stats[k] for k, n in totals.items()}
             stats = dict(result.stats, **totals)
-        if rows:
-            cols = list(rows[0].keys())
-            with open(out / "sweep.csv", "w") as fh:
-                fh.write(",".join(cols) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(row[c]) for c in cols) + "\n")
-            artifacts.append("sweep.csv")
+        cols = list(rows[0].keys())
+        with open(out / "sweep.csv", "w") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+        artifacts.append("sweep.csv")
     else:
-        ens, result = run_single(cfg)
+        ens, compiled = _prepare(cfg)
+        thermal = ens.populations.copy()
+        result = run(ens, compiled, calibration=cfg.drive)
         stats = result.stats
 
         if cfg.outputs.spectra:
@@ -138,7 +139,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             bases = list({id(r.baseline): r.baseline for r in result.readouts}.values())
             if not bases:
                 n = ens.n_classes
-                bases = [readout_scan(ens, float(ens.centers_MHz[0]), float(ens.centers_MHz[-1]), n)]
+                lo, hi = float(ens.centers_MHz[0]), float(ens.centers_MHz[-1])
+                bases = readout_scan(ens, lo, hi, n, [thermal])
                 stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n)
             for i, base in enumerate(bases):
                 name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"

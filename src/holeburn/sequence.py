@@ -111,8 +111,7 @@ class RFPulse:
 
     The sweep is much faster than every population timescale, so the drive
     is modelled as a constant mixing rate applied to any class whose excited
-    splitting lies inside center +- bandwidth/2; sweep_period_ms is carried
-    for documentation.
+    splitting lies inside center +- bandwidth/2.
     """
 
     start_ms: float = 0.0
@@ -120,7 +119,6 @@ class RFPulse:
     center_MHz: float
     bandwidth_MHz: float
     voltage_Vpp: float
-    sweep_period_ms: float = 0.001
 
     def __post_init__(self):
         _check_timing(self)
@@ -128,8 +126,6 @@ class RFPulse:
             raise ValueError("bandwidth_MHz must be > 0")
         if self.voltage_Vpp < 0:
             raise ValueError("voltage_Vpp must be >= 0")
-        if self.sweep_period_ms <= 0:
-            raise ValueError("sweep_period_ms must be > 0")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -420,7 +416,7 @@ class _Propagators:
         stim = self.cal.stim_rate(seg.stim_power_mW)
         in_band = abs(self.ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
         rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, self.cal.rf_coupling_per_V2_ms) if in_band else 0.0
-        drive = engine.DriveRates(stim_rate_e1=stim, stim_rate_e2=stim, rf_mix_rate=rf)
+        drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
         return engine.build_rate_matrix(self.ens.params, drive)
 
     def factors(self, item) -> tuple[list, int | None]:

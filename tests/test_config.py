@@ -28,7 +28,6 @@ def _minimal():
 def test_minimal_config_defaults():
     cfg = parse_config(_minimal())
     assert cfg.zeeman.field_mT == 1.2
-    assert cfg.zeeman.theta_deg == 135.0
     assert cfg.zeeman.g_ground == 12.0
     assert cfg.zeeman.g_excited == 8.0
     assert cfg.rates.beta_z2 == 0.9  # defaults to beta
@@ -64,6 +63,24 @@ def test_unknown_keys_are_rejected_with_path():
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.path == "zeeman.tilt"
+
+
+@pytest.mark.parametrize("path", [
+    "zeeman.theta_deg", "zeeman.bohr_MHz_per_mT", "sequence[0].sweep_period_ms",
+])
+def test_keys_no_rate_depends_on_are_unknown(path):
+    # The g factors are the effective ones at the field orientation, the Bohr
+    # magneton is a constant, and an RF sweep is faster than every rate.
+    raw = _minimal()
+    raw["sequence"] = [{"kind": "rf", "duration_ms": 1.0, "center_MHz": 110.0,
+                        "bandwidth_MHz": 10.0, "voltage_Vpp": 1.0}]
+    parse_config(raw)
+    section, key = path.split(".")
+    (raw["zeeman"] if section == "zeeman" else raw["sequence"][0])[key] = 1.0
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == path
+    assert err.value.message == "unknown key"
 
 
 def test_missing_required_key_path():

@@ -40,8 +40,7 @@ def _random_params(rng):
 def _random_drive(rng):
     return DriveRates(
         pump_rate=tuple(rng.uniform(0.0, 5.0, size=4)),
-        stim_rate_e1=rng.uniform(0.0, 20.0),
-        stim_rate_e2=rng.uniform(0.0, 20.0),
+        stim_rate=rng.uniform(0.0, 20.0),
         rf_mix_rate=rng.uniform(0.0, 50.0),
     )
 

@@ -165,11 +165,11 @@ def test_transmission_follows_beer_lambert():
     assert np.allclose(spec.transmission, np.exp(-spec.optical_depth), atol=1e-12)
 
 
-def test_spectrum_invariant_enforced():
-    f = np.array([0.0, 1.0, 2.0])
-    od = np.array([1.0, 0.5, 0.2])
+def test_spectrum_invariant_enforced(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("freq_MHz,optical_depth,transmission\n0.0,1.0,0.3\n1.0,0.5,0.6\n2.0,0.2,0.9\n")
     with pytest.raises(ValueError):
-        Spectrum(freqs_MHz=f, optical_depth=od, transmission=np.array([0.3, 0.6, 0.9]))
+        Spectrum.from_csv(path)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):
@@ -245,7 +245,7 @@ def test_antihole_from_pumped_class():
     # Pump one class on its lowest transition; its spare population must show
     # up at center - (dg - de).
     ens = build_ensemble(_flat(span=600.0), FIELD, COLD)
-    drive = DriveRates(pump_rate=(5.0, 0.0, 0.0, 0.0), stim_rate_e1=20.0, stim_rate_e2=20.0)
+    drive = DriveRates(pump_rate=(5.0, 0.0, 0.0, 0.0), stim_rate=20.0)
     m = build_rate_matrix(COLD, drive)
     idx = ens.n_classes // 2
     st = IonClassState.thermal()

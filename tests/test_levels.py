@@ -132,10 +132,3 @@ def test_zeeman_config_validation():
         ZeemanConfig(field_mT=1.0, g_ground=0.0)
     with pytest.raises(ValueError):
         ZeemanConfig(field_mT=1.0, g_excited=-3.0)
-
-
-def test_theta_is_metadata_only():
-    a = ZeemanConfig(field_mT=1.2, theta_deg=135.0)
-    b = ZeemanConfig(field_mT=1.2, theta_deg=0.0)
-    assert a.delta_g_MHz == b.delta_g_MHz
-    assert a.delta_e_MHz == b.delta_e_MHz

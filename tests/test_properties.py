@@ -96,15 +96,15 @@ _pulses = st.one_of(
     _pump(),
     st.builds(StimulationPulse, **_timing, power_mW=_num(0.0, 100.0)),
     st.builds(RFPulse, **_timing, center_MHz=_num(0.0, 300.0), bandwidth_MHz=_pos(),
-              voltage_Vpp=_num(0.0, 10.0), sweep_period_ms=_pos(1.0)),
+              voltage_Vpp=_num(0.0, 10.0)),
     st.builds(WaitPulse, **_timing),
     _readout(),
 )
 
 _configs = st.builds(
     ExperimentConfig,
-    zeeman=st.builds(ZeemanConfig, field_mT=_num(0.0, 10.0), theta_deg=_num(0.0, 360.0),
-                     g_ground=_pos(20.0), g_excited=_pos(20.0), bohr_MHz_per_mT=_pos(20.0)),
+    zeeman=st.builds(ZeemanConfig, field_mT=_num(0.0, 10.0), g_ground=_pos(20.0),
+                     g_excited=_pos(20.0)),
     rates=st.builds(RateParams, t1_ms=_pos(), tz_ms=_pos(), beta=_num(0.0, 1.0),
                     beta_z2=st.none() | _num(0.0, 1.0), sigma_scale=_pos(10.0),
                     persistent_fraction=_num(0.0, 0.99), persistent_leak_scale=_num(0.0, 1.0)),

@@ -159,6 +159,17 @@ def test_kernel_evals_count_one_pass_per_grid(tmp_path):
     assert run_scenario(cfg, tmp_path)["stats"]["n_kernel_evals"] == expected
 
 
+def test_baseline_without_readouts_is_the_unpumped_spectrum(tmp_path):
+    # The pump must not show in baseline.csv: it scans the state the run started from.
+    pumped = _pumped()
+    unpumped = dict(pumped, sequence=[])
+    stats = [run_scenario(parse_config(raw), tmp_path / name)["stats"]
+             for name, raw in (("pumped", pumped), ("unpumped", unpumped))]
+    assert ((tmp_path / "pumped" / "baseline.csv").read_bytes()
+            == (tmp_path / "unpumped" / "baseline.csv").read_bytes())
+    assert stats[0]["n_kernel_evals"] == stats[1]["n_kernel_evals"] == 41 * 4 * 41
+
+
 def test_readout_count_on_a_grid_leaves_its_files_unchanged(tmp_path):
     # a grid this fine is where a stacked matrix product would change the bits
     grid = {"f_start_MHz": -10.0, "f_stop_MHz": 10.0, "n_points": 401}

@@ -420,7 +420,7 @@ def _reference_propagators(ens, cal, item):
             stim = cal.stim_rate(seg.stim_power_mW)
             in_band = abs(FIELD.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
             rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, cal.rf_coupling_per_V2_ms)
-            drive = DriveRates(pump_rate=pump, stim_rate_e1=stim, stim_rate_e2=stim,
+            drive = DriveRates(pump_rate=pump, stim_rate=stim,
                                rf_mix_rate=rf if in_band else 0.0)
             acc = engine.propagator(engine.build_rate_matrix(ens.params, drive), seg.dt_ms) @ acc
         out.append(np.linalg.matrix_power(acc, count))
