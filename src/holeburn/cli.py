@@ -121,7 +121,9 @@ def main(argv=None) -> int:
             return _cmd_fit(args)
         return _cmd_list_presets()
     except (HoleburnError, KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -219,7 +219,10 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     out = np.linalg.solve(v - u, v + u)
     for k in range(s.max(initial=0)):  # square each matrix its own s times
         sq = s > k
-        out[sq] = out[sq] @ out[sq]
+        if sq.all():
+            out = out @ out
+        else:
+            out[sq] = out[sq] @ out[sq]
     return out
 
 

@@ -108,7 +108,12 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, path) -> "Spectrum":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below, not as loadtxt's warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if not len(data):
+            raise ValueError("spectrum CSV has no data rows")
         if data.shape[1] != 3:
             raise ValueError("spectrum CSV must have 3 columns")
         spec = cls(data[:, 0], data[:, 1])

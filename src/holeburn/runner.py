@@ -98,16 +98,18 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         totals = {"n_expm_matrices": 0, "n_kernel_evals": 0}
         # Points are evolved before they are scanned, so points sharing a
         # readout kernel share its pass; the snapshots wait, with one
-        # ensemble per kernel key, until they pass the budget.
-        results, pending, kernels, held = [], [], {}, 0
+        # ensemble per kernel key, until they pass the budget.  A point with
+        # byte-equal initial state and generators reuses a pending point's
+        # evolution through the memo, which is emptied with the pending list.
+        results, pending, kernels, held, memo = [], [], {}, 0, {}
         for _, sub in points:
             ens, compiled = _prepare(sub)
-            evolution = advance(ens, compiled, sub.drive)
+            evolution = advance(ens, compiled, sub.drive, memo)
             pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
             held += sum(s.size for s in evolution.snapshots)
             if held > SCAN_BUDGET_ENTRIES:
                 results += scan(pending)
-                pending, kernels, held = [], {}, 0
+                pending, kernels, held, memo = [], {}, 0, {}
         results += scan(pending)
         for (value, sub), result in zip(points, results):
             row = {"value": value}

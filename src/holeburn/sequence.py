@@ -15,6 +15,7 @@ gets the one propagator computed for that detuning.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -419,37 +420,51 @@ class _Propagators:
         drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
         return engine.build_rate_matrix(self.ens.params, drive)
 
-    def factors(self, item) -> tuple[list, int | None]:
-        """Shared propagator factors of an item and its repeat count.
+    def groups(self, item) -> tuple[list, int | None]:
+        """An item's segments grouped for shared exponentials, and its repeat count.
 
-        The factors are one (propagators, index) pair per segment, in time
-        order: class i evolves under propagators[index[i]], and an index of
-        None means one propagator, shape (1, 4, 4), serves every class.
-        Segments whose drive settings are equal and whose durations agree
-        to DT_KEY_MS are exponentiated in one batch, one matrix per
-        distinct pump detuning.  The count is None for a single segment.
+        Segments whose drive settings are equal and whose durations agree to
+        DT_KEY_MS form one group (drive, rate, dt_ms, members, pump): the
+        calibrated drive matrix, the pump rate (0 with the pump off), the
+        first member's duration, the member indices in time order and their
+        pump frequencies (None with the pump off).  With the class grid and
+        pump linewidth these fix the group's generators.  The count is None
+        for a single segment.
         """
         if isinstance(item, RepeatBlock):
             segments, count = item.segments, item.count
         else:
             segments, count = (item,), None
-        groups: dict = {}
+        keyed: dict = {}
         for i, seg in enumerate(segments):
             rate = seg.pump_rate_per_ms if seg.pump_freq_MHz is not None else 0.0
             key = (rate, seg.stim_power_mW, seg.rf_voltage_Vpp, seg.rf_center_MHz,
                    seg.rf_bandwidth_MHz, round(seg.dt_ms / DT_KEY_MS))
-            groups.setdefault(key, []).append(i)
-
-        out: list = [None] * len(segments)
-        for (rate, *_), members in groups.items():
+            keyed.setdefault(key, []).append(i)
+        groups = []
+        for (rate, *_), members in keyed.items():
             first = segments[members[0]]
-            drive = self._drive_matrix(first)
-            if rate <= 0.0:
-                props = self._expm(drive[None], first.dt_ms)
+            pump = np.array([segments[i].pump_freq_MHz for i in members]) if rate > 0.0 else None
+            groups.append((self._drive_matrix(first), rate, first.dt_ms, tuple(members), pump))
+        return groups, count
+
+    def factors(self, grouped) -> list:
+        """Shared propagator factors of a grouped item, one matrix exponential per group.
+
+        The factors are one (propagators, index) pair per segment, in time
+        order: class i evolves under propagators[index[i]], and an index of
+        None means one propagator, shape (1, 4, 4), serves every class.  A
+        pumped group is exponentiated in one batch, one matrix per distinct
+        pump detuning.
+        """
+        groups, _ = grouped
+        out: list = [None] * sum(len(group[3]) for group in groups)
+        for drive, rate, dt_ms, members, pump in groups:
+            if pump is None:
+                props = self._expm(drive[None], dt_ms)
                 for i in members:
                     out[i] = (props, None)
                 continue
-            pump = np.array([segments[i].pump_freq_MHz for i in members])
             keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
             _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
             seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
@@ -458,22 +473,30 @@ class _Propagators:
             engine.add_pump_rates(
                 g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
             )
-            props = self._expm(g, first.dt_ms)
+            props = self._expm(g, dt_ms)
             for i, index in zip(members, inverse.reshape(keys.shape)):
                 out[i] = (props, index)
-        return out, count
+        return out
 
     def propagator(self, item) -> np.ndarray:
         """Per-class propagator of one item, shape (n_classes, 4, 4).
 
         The shape is (1, 4, 4) when every factor is shared by all classes.
         """
-        factors, count = self.factors(item)
+        grouped = self.groups(item)
         acc = None
-        for props, index in factors:
+        for props, index in self.factors(grouped):
             p = props if index is None else props[index]
             acc = p if acc is None else p @ acc
+        count = grouped[1]
         return acc if count is None else engine.matrix_power_batch(acc, count)
+
+    def key(self, item) -> tuple:
+        """An item's groups as bytes and numbers; equal keys build equal generators."""
+        groups, count = self.groups(item)
+        return (count, *((drive.tobytes(), rate, dt_ms, members,
+                          None if pump is None else pump.tobytes())
+                         for drive, rate, dt_ms, members, pump in groups))
 
 
 @dataclass
@@ -487,24 +510,54 @@ class Evolution:
 
 def advance(ens: EnsembleState,
             compiled: CompiledSequence,
-            calibration: DriveCalibration | None = None) -> Evolution:
-    """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms."""
+            calibration: DriveCalibration | None = None,
+            memo: dict | None = None) -> Evolution:
+    """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
+
+    With a memo dict, every item and readout gap is grouped first, and a
+    run whose initial populations and transition frequencies (by their
+    SHA-256 digest), pump linewidth, groups and readout gaps equal those of
+    a run already in the memo takes that run's snapshots and final
+    populations, and exponentiates and applies nothing.
+    """
     cal = calibration or DriveCalibration()
-    snapshots = [ens.populations.copy()]
-
     props = _Propagators(ens, cal)
-    t = 0.0
-    for item in compiled.items:
-        engine.apply_batch(props.propagator(item), ens.populations)
-        t += item.dt_ms
-
+    t = sum(item.dt_ms for item in compiled.items)
+    gaps = []  # per readout, the drive-free segment before its snapshot, or None
     for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
+        gap = None
         if target > t + 1e-12:
             gap = DriveSegment(t_start_ms=t, t_end_ms=target)
-            engine.apply_batch(props.propagator(gap), ens.populations)
             t = target
-        snapshots.append(ens.populations.copy())
+        gaps.append(gap)
+
+    key = hit = None
+    if memo is not None:
+        # A digest stands in for the two arrays the size of the class grid,
+        # so a key holds no copy of them; the first transition column is the
+        # class centre itself.  The evolution below groups each item again,
+        # so a run evolves the same way with or without a memo.
+        arrays = hashlib.sha256(ens.populations)
+        arrays.update(props.trans)
+        key = (arrays.digest(), cal.pump_linewidth_MHz,
+               tuple(map(props.key, compiled.items)),
+               tuple(None if gap is None else props.key(gap) for gap in gaps))
+        hit = memo.get(key)
+    if hit is None:
+        snapshots = [ens.populations.copy()]
+        for item in compiled.items:
+            engine.apply_batch(props.propagator(item), ens.populations)
+        for gap in gaps:
+            if gap is not None:
+                engine.apply_batch(props.propagator(gap), ens.populations)
+            snapshots.append(ens.populations.copy())
+        if key is not None:
+            # with a readout, the last snapshot is the final state
+            memo[key] = snapshots, snapshots[-1] if gaps else ens.populations.copy()
+    else:
+        snapshots, final = hit
+        ens.populations[:] = final
 
     stats = {
         "n_items": len(compiled.items),

@@ -83,7 +83,10 @@ def test_manifest_lists_delays_in_spectrum_order(tmp_path):
 def test_run_unknown_preset_fails(tmp_path, capsys):
     assert main(["run", "--preset", "fig99_nope",
                  "--out", str(tmp_path / "x")]) == 1
-    assert "error" in capsys.readouterr().err
+    # the message itself, not the repr a KeyError gives it
+    assert capsys.readouterr().err.strip() == (
+        f"error: unknown preset 'fig99_nope'; available: {', '.join(preset_names())}"
+    )
 
 
 def test_run_requires_exactly_one_source(tmp_path, capsys):

@@ -172,6 +172,14 @@ def test_spectrum_invariant_enforced(tmp_path):
         Spectrum.from_csv(path)
 
 
+def test_spectrum_csv_without_rows_is_rejected(tmp_path, recwarn):
+    path = tmp_path / "spec.csv"
+    path.write_text("freq_MHz,optical_depth,transmission\n")
+    with pytest.raises(ValueError, match="^spectrum CSV has no data rows$"):
+        Spectrum.from_csv(path)
+    assert not recwarn.list
+
+
 def test_spectrum_csv_roundtrip(tmp_path):
     f = np.linspace(-10.0, 10.0, 41)
     od = 1.0 / (1.0 + f**2)

@@ -146,6 +146,48 @@ def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
 
 
+_DETUNING = "drive.stim_detuning_MHz"
+
+
+def _stim_detuning_sweep(values):
+    raw = dict(_drive_sweep(_DETUNING, values), drive={"stim_detuning_MHz": 0.0})
+    raw["sequence"].insert(1, {"kind": "stimulation", "duration_ms": 10.0, "power_mW": 20.0})
+    return raw
+
+
+def _single_expm(raw, value):
+    point = apply_override(raw, _DETUNING, value)
+    point["outputs"] = dict(point["outputs"], sweep=None)
+    return runner.run_single(parse_config(point))[1].stats["n_expm_matrices"]
+
+
+def test_sweep_points_with_equal_generators_share_one_evolution(tmp_path):
+    # the stimulation rate sees the detuning only through its square, so -d
+    # and d build byte-equal generators at one power, and e does not
+    values = [-3000.0, 3000.0, 7000.0]
+    raw = _stim_detuning_sweep(values)
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    assert manifest["stats"]["n_expm_matrices"] == 2 * _single_expm(raw, values[0])
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, _DETUNING, values)
+    rows = [line.split(",")[1:] for line in lines[1:]]
+    assert rows[0] == rows[1] != rows[2]
+
+
+def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
+    raw = _stim_detuning_sweep([-3000.0, 3000.0, 3000.0, -3000.0, 3000.0])
+    single = _single_expm(raw, 3000.0)
+    whole = run_scenario(parse_config(raw), tmp_path / "whole")
+    assert whole["stats"]["n_expm_matrices"] == single
+    # each point holds 2 x 41 x 5 entries: scans after points 2 and 4
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
+    flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
+    # each scan empties the memo, so points 1, 3 and 5 are evolved
+    assert flushed["stats"]["n_expm_matrices"] == 3 * single
+    assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
+            == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
+
 def test_kernel_evals_count_one_pass_per_grid(tmp_path):
     wide = {"f_start_MHz": -15.0, "f_stop_MHz": 15.0, "n_points": 61}
     narrow = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21}

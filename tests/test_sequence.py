@@ -502,10 +502,75 @@ def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
     block = next(it for it in comp.items if isinstance(it, RepeatBlock))
     ens = _ens(span=20.0, step=1.0)
     counted = _count_matrices(monkeypatch)
-    sequence._Propagators(ens, NARROW).factors(block)
+    props = sequence._Propagators(ens, NARROW)
+    props.factors(props.groups(block))
     lit = [s.pump_freq_MHz for s in block.segments if s.pump_freq_MHz is not None]
     assert len(lit) < len(block.segments)
     detunings = {round(f - c, 6) for f in lit for c in ens.centers_MHz}
     # one batch for the lit steps, one shared matrix for the gated ones
     assert sorted(counted) == [1, len(detunings)]
     assert len(detunings) < len(lit) * ens.n_classes
+
+
+# ---------------------------------------------------------------- point memo
+
+def _memo_sequence(delays=(2.0, 0.0)):
+    return compile_sequence([
+        PumpPulse(duration_ms=0.5, center_MHz=0.0, power_rate_per_ms=2.0,
+                  sweep_span_MHz=10.0, sweep_period_ms=0.1),
+        StimulationPulse(duration_ms=0.6, power_mW=20.0),
+        *(ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=d)
+          for d in delays),
+    ])
+
+
+def _memo_ens(center=0.0, field=1.2):
+    prof = InhomogeneousProfile(
+        center_MHz=center, shape="flat", grid_span_MHz=20.0, grid_step_MHz=1.0
+    )
+    return build_ensemble(prof, ZeemanConfig(field_mT=field), COLD)
+
+
+def _bytes(evolution):
+    return [s.tobytes() for s in evolution.snapshots]
+
+
+@pytest.mark.parametrize("delays", [(2.0, 0.0), ()])
+def test_memo_hit_matches_a_fresh_advance(delays):
+    comp = _memo_sequence(delays)
+    memo = {}
+    first = sequence.advance(_memo_ens(), comp, NARROW, memo)
+    ens, fresh_ens = _memo_ens(), _memo_ens()
+    hit = sequence.advance(ens, comp, NARROW, memo)
+    fresh = sequence.advance(fresh_ens, comp, NARROW)
+    assert first.stats["n_expm_matrices"] > 0
+    assert hit.stats == dict(fresh.stats, n_expm_matrices=0)
+    assert _bytes(hit) == _bytes(fresh)
+    # the final state is copied in, also when no readout snapshot holds it
+    assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
+    assert ens.populations.tobytes() != _memo_ens().populations.tobytes()
+
+
+def _thermal_off_balance():
+    ens = _memo_ens()
+    ens.populations[:, :2] = [0.6, 0.4]
+    return ens
+
+
+@pytest.mark.parametrize("ens, comp, cal", [
+    (_thermal_off_balance(), _memo_sequence(), NARROW),
+    (_memo_ens(center=0.3), _memo_sequence(), NARROW),
+    (_memo_ens(field=1.5), _memo_sequence(), NARROW),
+    (_memo_ens(), _memo_sequence(), DriveCalibration(pump_linewidth_MHz=0.5)),
+    (_memo_ens(), _memo_sequence((2.0, 0.5)), NARROW),
+], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay"])
+def test_memo_misses_when_the_run_differs(ens, comp, cal):
+    memo = {}
+    sequence.advance(_memo_ens(), _memo_sequence(), NARROW, memo)
+    fresh_ens = replace(ens, populations=ens.populations.copy())
+    fresh = sequence.advance(fresh_ens, comp, cal)
+    evolved = sequence.advance(ens, comp, cal, memo)
+    assert evolved.stats == fresh.stats
+    assert evolved.stats["n_expm_matrices"] > 0
+    assert _bytes(evolved) == _bytes(fresh)
+    assert len(memo) == 2
