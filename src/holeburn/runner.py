@@ -69,17 +69,19 @@ def _last_metrics(result, cfg):
 
 
 def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
-    """Run a scenario (with its sweep, if any) and write artifacts.
+    """Run a scenario, evolved as the sweep of its points, and write artifacts.
 
     Returns the manifest, which is also written as manifest.json.  threads
     is accepted for compatibility and has no effect: runs are serial.
     """
     t0 = time.perf_counter()
     sweep = cfg.outputs.sweep
-    points = []
+    # A run without a sweep is the one point of its own sweep.
+    points = [(None, cfg)]
     if sweep is not None:
         # Every point is parsed before any runs, so a bad value fails first.
         base_raw = serialize_config(cfg)
+        points = []
         for value in sweep.values:
             # An integral value goes in as an int, so integer fields accept it
             # and float fields parse it to the same float.
@@ -91,26 +93,30 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
-    stats: dict = {}
+    # Points are evolved before they are scanned, so points sharing a readout
+    # kernel share its pass; the snapshots wait, with one ensemble per kernel
+    # key, until they pass the budget.  A point with byte-equal initial state
+    # and generators reuses a pending point's evolution through the memo; its
+    # snapshots are that point's arrays, so only a new memo entry counts
+    # against the budget, and the memo is emptied with the pending list.
+    results, pending, kernels, held, memo = [], [], {}, 0, {}
+    for _, sub in points:
+        ens, compiled = _prepare(sub)
+        entries = len(memo)
+        evolution = advance(ens, compiled, sub.drive, memo)
+        pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
+        if len(memo) > entries:
+            held += sum(s.size for s in evolution.snapshots)
+        if held > SCAN_BUDGET_ENTRIES:
+            results += scan(pending)
+            pending, kernels, held, memo = [], {}, 0, {}
+    results += scan(pending)
+    # The work counts cover every point; other stats are the last point's.
+    stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)
+                                       for k in ("n_expm_matrices", "n_kernel_evals")})
 
     if sweep is not None:
         rows = []
-        totals = {"n_expm_matrices": 0, "n_kernel_evals": 0}
-        # Points are evolved before they are scanned, so points sharing a
-        # readout kernel share its pass; the snapshots wait, with one
-        # ensemble per kernel key, until they pass the budget.  A point with
-        # byte-equal initial state and generators reuses a pending point's
-        # evolution through the memo, which is emptied with the pending list.
-        results, pending, kernels, held, memo = [], [], {}, 0, {}
-        for _, sub in points:
-            ens, compiled = _prepare(sub)
-            evolution = advance(ens, compiled, sub.drive, memo)
-            pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
-            held += sum(s.size for s in evolution.snapshots)
-            if held > SCAN_BUDGET_ENTRIES:
-                results += scan(pending)
-                pending, kernels, held, memo = [], {}, 0, {}
-        results += scan(pending)
         for (value, sub), result in zip(points, results):
             row = {"value": value}
             trace = _trace(result, sub)
@@ -120,9 +126,6 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             if metrics is not None:
                 row.update(asdict(metrics))
             rows.append(row)
-            # The work counts cover the whole sweep; other stats are the last point's.
-            totals = {k: n + result.stats[k] for k, n in totals.items()}
-            stats = dict(result.stats, **totals)
         cols = list(rows[0].keys())
         with open(out / "sweep.csv", "w") as fh:
             fh.write(",".join(cols) + "\n")
@@ -130,19 +133,16 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 fh.write(",".join(repr(row[c]) for c in cols) + "\n")
         artifacts.append("sweep.csv")
     else:
-        ens, compiled = _prepare(cfg)
-        thermal = ens.populations.copy()
-        result = run(ens, compiled, calibration=cfg.drive)
-        stats = result.stats
-
+        (result,) = results
         if cfg.outputs.spectra:
             # One baseline per readout grid, numbered in order of first use;
-            # without readouts, the unpumped spectrum on the class grid.
+            # without readouts, the unpumped spectrum on the class grid, read
+            # from the initial state the one point's evolution kept.
             bases = list({id(r.baseline): r.baseline for r in result.readouts}.values())
             if not bases:
                 n = ens.n_classes
                 lo, hi = float(ens.centers_MHz[0]), float(ens.centers_MHz[-1])
-                bases = readout_scan(ens, lo, hi, n, [thermal])
+                bases = readout_scan(ens, lo, hi, n, evolution.snapshots[:1])
                 stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n)
             for i, base in enumerate(bases):
                 name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"

@@ -258,7 +258,7 @@ class DriveCalibration:
 
 def _channel_pulses(pulses, kind):
     active = [p for p in pulses if isinstance(p, kind) and p.duration_ms > 0]
-    active.sort(key=lambda p: p.start_ms)
+    active.sort(key=lambda p: (p.start_ms, p.duration_ms))
     for prev, nxt in zip(active, active[1:]):
         if nxt.start_ms < prev.start_ms + prev.duration_ms - 1e-12:
             raise SequenceError(
@@ -478,12 +478,11 @@ class _Propagators:
                 out[i] = (props, index)
         return out
 
-    def propagator(self, item) -> np.ndarray:
-        """Per-class propagator of one item, shape (n_classes, 4, 4).
+    def propagator(self, grouped) -> np.ndarray:
+        """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
 
         The shape is (1, 4, 4) when every factor is shared by all classes.
         """
-        grouped = self.groups(item)
         acc = None
         for props, index in self.factors(grouped):
             p = props if index is None else props[index]
@@ -491,9 +490,10 @@ class _Propagators:
         count = grouped[1]
         return acc if count is None else engine.matrix_power_batch(acc, count)
 
-    def key(self, item) -> tuple:
-        """An item's groups as bytes and numbers; equal keys build equal generators."""
-        groups, count = self.groups(item)
+    @staticmethod
+    def key(grouped) -> tuple:
+        """A grouped item as bytes and numbers; equal keys build equal generators."""
+        groups, count = grouped
         return (count, *((drive.tobytes(), rate, dt_ms, members,
                           None if pump is None else pump.tobytes())
                          for drive, rate, dt_ms, members, pump in groups))
@@ -514,50 +514,47 @@ def advance(ens: EnsembleState,
             memo: dict | None = None) -> Evolution:
     """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
 
-    With a memo dict, every item and readout gap is grouped first, and a
-    run whose initial populations and transition frequencies (by their
-    SHA-256 digest), pump linewidth, groups and readout gaps equal those of
-    a run already in the memo takes that run's snapshots and final
-    populations, and exponentiates and applies nothing.
+    Every item and readout gap is grouped once; the groups key the run in
+    memo and build its propagators.  A run whose initial populations and
+    transition frequencies (by their SHA-256 digest), pump linewidth, groups
+    and readout gaps equal those of a run already in memo takes that run's
+    snapshots and final populations, and exponentiates and applies nothing.
+    Without a memo the run is keyed against an empty one.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal)
+    items = [props.groups(item) for item in compiled.items]
     t = sum(item.dt_ms for item in compiled.items)
-    gaps = []  # per readout, the drive-free segment before its snapshot, or None
+    gaps = []  # per readout, the grouped drive-free segment before its snapshot, or None
     for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
         gap = None
         if target > t + 1e-12:
-            gap = DriveSegment(t_start_ms=t, t_end_ms=target)
+            gap = props.groups(DriveSegment(t_start_ms=t, t_end_ms=target))
             t = target
         gaps.append(gap)
 
-    key = hit = None
-    if memo is not None:
-        # A digest stands in for the two arrays the size of the class grid,
-        # so a key holds no copy of them; the first transition column is the
-        # class centre itself.  The evolution below groups each item again,
-        # so a run evolves the same way with or without a memo.
-        arrays = hashlib.sha256(ens.populations)
-        arrays.update(props.trans)
-        key = (arrays.digest(), cal.pump_linewidth_MHz,
-               tuple(map(props.key, compiled.items)),
-               tuple(None if gap is None else props.key(gap) for gap in gaps))
-        hit = memo.get(key)
-    if hit is None:
+    # A digest stands in for the two arrays the size of the class grid, so a
+    # key holds no copy of them; the first transition column is the class
+    # centre itself.
+    arrays = hashlib.sha256(ens.populations)
+    arrays.update(props.trans)
+    key = (arrays.digest(), cal.pump_linewidth_MHz, tuple(map(_Propagators.key, items)),
+           tuple(None if gap is None else _Propagators.key(gap) for gap in gaps))
+    memo = {} if memo is None else memo
+    if key in memo:
+        snapshots, final = memo[key]
+        ens.populations[:] = final
+    else:
         snapshots = [ens.populations.copy()]
-        for item in compiled.items:
-            engine.apply_batch(props.propagator(item), ens.populations)
+        for grouped in items:
+            engine.apply_batch(props.propagator(grouped), ens.populations)
         for gap in gaps:
             if gap is not None:
                 engine.apply_batch(props.propagator(gap), ens.populations)
             snapshots.append(ens.populations.copy())
-        if key is not None:
-            # with a readout, the last snapshot is the final state
-            memo[key] = snapshots, snapshots[-1] if gaps else ens.populations.copy()
-    else:
-        snapshots, final = hit
-        ens.populations[:] = final
+        # with a readout, the last snapshot is the final state
+        memo[key] = snapshots, snapshots[-1] if gaps else ens.populations.copy()
 
     stats = {
         "n_items": len(compiled.items),

@@ -1,5 +1,7 @@
 """Checks on the project files and environment: dependencies, imports and the README."""
 
+import ast
+import importlib
 import json
 import os
 import re
@@ -79,3 +81,16 @@ def test_readme_configuration_lists_every_key():
         else:
             assert f"`{f.name}`" in top, f"{f.name} missing from README"
     assert_lists(bullet("outputs"), config.SweepSpec, "outputs.sweep")
+
+
+def test_perfbench_tracer_patches_resolve():
+    # The tracer swaps these module attributes from outside the package, so a
+    # renamed or dropped name would otherwise show only in a traced benchmark.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    patches = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["PATCHES"])
+    pairs = [(module, attr) for module, attr, _ in patches if module.split(".")[0] == "holeburn"]
+    assert pairs
+    for module, attr in pairs:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

@@ -6,7 +6,10 @@ every run draws the same cases.
 
 import copy
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from holeburn import runner  # noqa: E402
+from holeburn.analysis import residual_metrics  # noqa: E402
 from holeburn.config import (  # noqa: E402
     ExperimentConfig,
     OutputSpec,
@@ -23,7 +28,12 @@ from holeburn.config import (  # noqa: E402
     parse_config,
     serialize_config,
 )
-from holeburn.ensemble import PROFILE_SHAPES, InhomogeneousProfile, build_ensemble  # noqa: E402
+from holeburn.ensemble import (  # noqa: E402
+    PROFILE_SHAPES,
+    InhomogeneousProfile,
+    build_ensemble,
+    hole_area,
+)
 from holeburn.errors import ConfigError  # noqa: E402
 from holeburn.levels import RateParams, ZeemanConfig  # noqa: E402
 from holeburn.presets import preset, preset_names  # noqa: E402
@@ -101,13 +111,19 @@ _pulses = st.one_of(
     _readout(),
 )
 
+_rates = st.builds(RateParams, t1_ms=_pos(), tz_ms=_pos(), beta=_num(0.0, 1.0),
+                   beta_z2=st.none() | _num(0.0, 1.0), sigma_scale=_pos(10.0),
+                   persistent_fraction=_num(0.0, 0.99), persistent_leak_scale=_num(0.0, 1.0))
+
+_drives = st.builds(DriveCalibration, pump_linewidth_MHz=_pos(10.0),
+                    stim_slope_per_mW_ms=_num(0.0, 1.0), stim_detuning_MHz=_num(-1e4, 1e4),
+                    stim_response_fwhm_MHz=_pos(1e5), rf_coupling_per_V2_ms=_num(0.0, 1.0))
+
 _configs = st.builds(
     ExperimentConfig,
     zeeman=st.builds(ZeemanConfig, field_mT=_num(0.0, 10.0), g_ground=_pos(20.0),
                      g_excited=_pos(20.0)),
-    rates=st.builds(RateParams, t1_ms=_pos(), tz_ms=_pos(), beta=_num(0.0, 1.0),
-                    beta_z2=st.none() | _num(0.0, 1.0), sigma_scale=_pos(10.0),
-                    persistent_fraction=_num(0.0, 0.99), persistent_leak_scale=_num(0.0, 1.0)),
+    rates=_rates,
     profile=_profile(),
     sequence=st.lists(_pulses, max_size=5).map(tuple),
     outputs=st.builds(
@@ -117,9 +133,7 @@ _configs = st.builds(
             SweepSpec, path=st.sampled_from(["rates.beta", "sequence[0].duration_ms"]),
             values=st.lists(_num(-1e3, 1e3), min_size=1, max_size=4).map(tuple)),
     ),
-    drive=st.builds(DriveCalibration, pump_linewidth_MHz=_pos(10.0),
-                    stim_slope_per_mW_ms=_num(0.0, 1.0), stim_detuning_MHz=_num(-1e4, 1e4),
-                    stim_response_fwhm_MHz=_pos(1e5), rf_coupling_per_V2_ms=_num(0.0, 1.0)),
+    drive=_drives,
     target_od=st.none() | _pos(10.0),
     probe_linewidth_MHz=_pos(10.0),
     dt_max_ms=st.none() | _pos(1.0),
@@ -267,3 +281,61 @@ def test_whole_sequences_conserve_population(pulses):
     assert delays == sorted(p.at_delay_ms for p in pulses if isinstance(p, ReadoutPulse))
     for r in res.readouts:
         assert np.array_equal(r.spectrum.freqs_MHz, r.baseline.freqs_MHz)
+
+
+# Numeric paths every drawn scenario has, each with its values and whether
+# it also takes their negatives: the stimulation rate sees its detuning only
+# through the square, so a +-pair there builds byte-equal generators.
+_SWEPT_PATHS = (
+    ("drive.stim_detuning_MHz", _num(-1e4, 1e4), True),
+    ("profile.center_MHz", _num(-5.0, 5.0), True),
+    ("rates.beta", _num(0.0, 1.0), False),
+)
+_TRACE, _METRICS = (-3.0, 3.0), (-2.0, 2.0)
+
+
+@st.composite
+def _swept_scenario(draw):
+    """A raw config on the SMALL grid swept over values that repeat and pair up."""
+    path, values, signed = draw(st.sampled_from(_SWEPT_PATHS))
+    drawn = draw(st.lists(values, min_size=1, max_size=3))
+    pool = drawn + [-v for v in drawn] if signed else drawn
+    # one readout at least, so every row has its trace and metrics columns
+    last = ReadoutPulse(f_start_MHz=-4.0, f_stop_MHz=4.0, n_points=41,
+                        at_delay_ms=draw(_num(0.0, 20.0)))
+    sweep = SweepSpec(path, tuple(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))))
+    cfg = ExperimentConfig(
+        zeeman=FIELD, rates=draw(_rates), profile=SMALL,
+        sequence=(*draw(_pulse_list()), last),
+        outputs=OutputSpec(trace_window_MHz=_TRACE, metrics_window_MHz=_METRICS, sweep=sweep),
+        drive=draw(_drives),
+    )
+    return serialize_config(cfg), path
+
+
+def _alone(raw, path, value):
+    """The sweep.csv row of one point run alone through run_single."""
+    point = apply_override(raw, path, value)
+    point["outputs"] = dict(point["outputs"], sweep=None)
+    _, result = runner.run_single(parse_config(point))
+    last = result.readouts[-1]
+    area = hole_area(last.spectrum, last.baseline, _TRACE)
+    metrics = residual_metrics(last.spectrum, last.baseline, _METRICS)
+    return ",".join(map(repr, [float(value), area, *asdict(metrics).values()]))
+
+
+@FEW
+@given(_swept_scenario())
+def test_every_sweep_row_equals_its_point_run_alone(scenario):
+    raw, path = scenario
+    cfg = parse_config(raw)
+    alone = [_alone(raw, path, value) for value in cfg.outputs.sweep.values]
+    # a small budget holds three populations arrays of the 21 SMALL classes, so
+    # evolved points flush every one to three points and memo hits fall on
+    # both sides of a flush
+    for budget in (runner.SCAN_BUDGET_ENTRIES, 3 * 5 * 21):
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(runner, "SCAN_BUDGET_ENTRIES", budget):
+            runner.run_scenario(cfg, out)
+            rows = (Path(out) / "sweep.csv").read_text().splitlines()[1:]
+        assert rows == alone

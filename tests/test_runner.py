@@ -175,17 +175,33 @@ def test_sweep_points_with_equal_generators_share_one_evolution(tmp_path):
 
 
 def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
-    raw = _stim_detuning_sweep([-3000.0, 3000.0, 3000.0, -3000.0, 3000.0])
-    single = _single_expm(raw, 3000.0)
+    raw = _stim_detuning_sweep([-3000.0, 3000.0, 7000.0, -3000.0, 3000.0])
+    near, far = _single_expm(raw, 3000.0), _single_expm(raw, 7000.0)
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
-    assert whole["stats"]["n_expm_matrices"] == single
-    # each point holds 2 x 41 x 5 entries: scans after points 2 and 4
+    assert whole["stats"]["n_expm_matrices"] == near + far
+    # each evolved point holds 2 x 41 x 5 entries and a memo hit holds none,
+    # so the budget is passed at point 3, not at point 2
     monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
-    # each scan empties the memo, so points 1, 3 and 5 are evolved
-    assert flushed["stats"]["n_expm_matrices"] == 3 * single
+    # the scan empties the memo, so point 4 is evolved again and point 5 reuses it
+    assert flushed["stats"]["n_expm_matrices"] == 2 * near + far
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
+
+def test_a_run_equals_the_one_value_sweep_of_itself(tmp_path):
+    ro = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21}
+    raw = _pumped({**ro, "at_delay_ms": 3.0}, {**ro, "at_delay_ms": 1.0}, outputs=_WINDOWS)
+    swept = dict(raw, outputs={**_WINDOWS, "sweep": {"path": "sequence[0].power_rate_per_ms",
+                                                     "values": [2.0]}})
+    manifests = [run_scenario(parse_config(r), tmp_path / name)
+                 for name, r in (("run", raw), ("sweep", swept))]
+    assert manifests[0]["stats"] == manifests[1]["stats"]
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    *_, last = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+    assert (dict(zip(header.split(","), map(float, row.split(","))))
+            == {"value": 2.0, "hole_area": float(last.split(",")[1]), **metrics})
 
 
 def test_kernel_evals_count_one_pass_per_grid(tmp_path):
