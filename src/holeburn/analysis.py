@@ -311,8 +311,7 @@ class ResidualMetrics:
 def residual_metrics(spectrum: Spectrum, baseline: Spectrum,
                      window_MHz: tuple[float, float]) -> ResidualMetrics:
     """Compare mean optical depth in a window before and after pumping."""
-    if not np.array_equal(spectrum.freqs_MHz, baseline.freqs_MHz):
-        raise ValueError("spectrum and baseline are on different frequency grids")
+    spectrum.check_grid(baseline)
     lo, hi = window_MHz
     mask = (spectrum.freqs_MHz >= lo) & (spectrum.freqs_MHz <= hi)
     if mask.sum() < 1:

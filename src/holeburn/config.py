@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -109,8 +110,10 @@ def _check_keys(d, allowed, path):
 
 
 def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    # the comparison is exact, so NaN, +-inf and an int too large for a float fail it
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -43,8 +43,8 @@ POPULATION_TOL = 1e-9
 DEFAULT_STIM_SLOPE_PER_MW_MS = 0.35
 
 # Excited-doublet mixing rate per squared volt of RF drive.  Calibrated so
-# the bundled mixing presets reach their residual-absorption targets at the
-# full 10 Vpp drive.
+# the full 10 Vpp drive brings the remaining total fraction of the
+# stimulated pit to 8 % (the rf_pumping preset's target).
 DEFAULT_RF_COUPLING_PER_V2_MS = 0.4
 
 

@@ -100,6 +100,11 @@ class Spectrum:
     def transmission(self) -> np.ndarray:
         return np.exp(-self.optical_depth)
 
+    def check_grid(self, baseline: Spectrum) -> None:
+        """Raise GridMismatchError unless baseline is on this spectrum's frequency grid."""
+        if not np.array_equal(self.freqs_MHz, baseline.freqs_MHz):
+            raise GridMismatchError("spectrum and baseline are on different frequency grids")
+
     def to_csv(self, path) -> None:
         rows = zip(self.freqs_MHz.tolist(), self.optical_depth.tolist(), self.transmission.tolist())
         text = "".join(f"{f!r},{od!r},{tr!r}\n" for f, od, tr in rows)
@@ -279,9 +284,7 @@ def hole_area(spectrum: Spectrum, baseline: Spectrum,
     Positive for a hole, negative over an antihole.  Both spectra must share
     the same frequency grid.
     """
-    if spectrum.freqs_MHz.shape != baseline.freqs_MHz.shape or not np.array_equal(
-            spectrum.freqs_MHz, baseline.freqs_MHz):
-        raise GridMismatchError("spectrum and baseline are on different frequency grids")
+    spectrum.check_grid(baseline)
     lo, hi = window_MHz
     if not hi > lo:
         raise ValueError("window must satisfy hi > lo")

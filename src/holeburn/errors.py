@@ -15,7 +15,7 @@ class DegenerateSteadyStateError(HoleburnError):
     """Raised when a rate matrix has no unique stationary distribution."""
 
 
-class GridMismatchError(HoleburnError):
+class GridMismatchError(HoleburnError, ValueError):
     """Raised when two spectra that must share a frequency grid do not."""
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "preset_names",
     "PIT_PUMP_RATE_PER_MS",
     "TAILORING_PUMP_RATE_PER_MS",
-    "RF_COUPLING_PER_V2_MS",
     "STANDARD_PUMP_RATE_PER_MS",
 ]
 
@@ -35,10 +34,6 @@ STANDARD_PUMP_RATE_PER_MS = 2.0
 # rate: the sweep dilutes the peak rate by the span-to-linewidth ratio, and
 # the pit floor scales inversely with the time-averaged rate.
 TAILORING_PUMP_RATE_PER_MS = 60.0
-
-# Mixing rate per squared volt; tuned so the full 10 Vpp drive brings the
-# remaining total fraction of the stimulated pit to 8 %.
-RF_COUPLING_PER_V2_MS = 0.4
 
 _ZEEMAN = {"field_mT": 1.2}
 _RATES_COLD = {"t1_ms": 11.0, "tz_ms": 100.0, "beta": 0.9}
@@ -99,7 +94,6 @@ def _base(rates, sequence, outputs):
         "zeeman": dict(_ZEEMAN),
         "rates": dict(rates),
         "profile": dict(_PROFILE),
-        "drive": {"rf_coupling_per_V2_ms": RF_COUPLING_PER_V2_MS},
         "sequence": sequence,
         "outputs": outputs,
     }
@@ -270,7 +264,7 @@ def _build_presets() -> dict:
     # The tailoring sweep needs a tight laser line and a fine probe: the
     # preserved peak is only a few sweep steps wide, and pump tails plus the
     # probe kernel both erode its contrast against the pit floor.
-    fig7["drive"]["pump_linewidth_MHz"] = 0.25
+    fig7["drive"] = {"pump_linewidth_MHz": 0.25}
     fig7["probe_linewidth_MHz"] = 0.5
     fig7["dt_max_ms"] = 0.001
     p["fig7_tailoring"] = (

@@ -174,7 +174,7 @@ class DriveSegment:
 
     pump_freq_MHz is None when the pump is off (including gated sweep
     steps).  RF settings are kept on the segment so the executor can decide
-    band membership per class.
+    band membership, once per ensemble, from its excited splitting.
     """
 
     t_start_ms: float
@@ -274,41 +274,29 @@ def _active(pulses, t):
     return None
 
 
-def _sweep_step(pump: PumpPulse, n_steps: int, i: int, seg: DriveSegment) -> DriveSegment:
-    """seg driven by step i of n_steps of the pump's sweep period.
+def _sweep_steps(pump: PumpPulse, n_steps: int, base: DriveSegment,
+                 t0: float, t1: float) -> list[DriveSegment]:
+    """base driven by the pump's sweep over [t0, t1), one segment per step.
 
-    Step i sits at span * ((i + 0.5) / n_steps - 0.5) from the sweep centre;
-    a step within gate_gap_MHz / 2 of the centre is gated off and leaves
-    seg's pump off.
+    Steps lie on the pump's own grid of n_steps per sweep period, so a
+    segment cut by t0 or t1 covers only part of its step.  Step k sits at
+    span * ((k mod n_steps + 0.5) / n_steps - 0.5) from the sweep centre; a
+    step within gate_gap_MHz / 2 of the centre is gated off and leaves the
+    pump off.
     """
-    offset = pump.sweep_span_MHz * ((i + 0.5) / n_steps - 0.5)
-    if abs(offset) < pump.gate_gap_MHz / 2.0:
-        return seg
-    return replace(seg, pump_freq_MHz=pump.center_MHz + offset,
-                   pump_rate_per_ms=pump.power_rate_per_ms)
-
-
-def _sweep_cycle(pump: PumpPulse, n_steps: int, base: DriveSegment,
-                 t0: float) -> tuple[DriveSegment, ...]:
-    """Segments of one full sweep period starting at t0."""
     dt = pump.sweep_period_ms / n_steps
-    return tuple(
-        _sweep_step(pump, n_steps, i, replace(base, t_start_ms=t0 + i * dt,
-                                              t_end_ms=t0 + (i + 1) * dt))
-        for i in range(n_steps)
-    )
-
-
-def _emit_partial_sweep(items, pump, base, t0, t1, n_steps):
-    """Segments for the part of a sweep lying in [t0, t1), stepping the phase grid."""
-    dt = pump.sweep_period_ms / n_steps
+    steps = []
     t = t0
     while t < t1 - 1e-12:
-        step = math.floor((t - pump.start_ms) / pump.sweep_period_ms * n_steps + 1e-9)
-        end = min(pump.start_ms + (step + 1) * dt, t1)
-        items.append(_sweep_step(pump, n_steps, step % n_steps,
-                                 replace(base, t_start_ms=t, t_end_ms=end)))
-        t = end
+        k = math.floor((t - pump.start_ms) / pump.sweep_period_ms * n_steps + 1e-9)
+        seg = replace(base, t_start_ms=t, t_end_ms=min(pump.start_ms + (k + 1) * dt, t1))
+        offset = pump.sweep_span_MHz * ((k % n_steps + 0.5) / n_steps - 0.5)
+        if abs(offset) >= pump.gate_gap_MHz / 2.0:
+            seg = replace(seg, pump_freq_MHz=pump.center_MHz + offset,
+                          pump_rate_per_ms=pump.power_rate_per_ms)
+        steps.append(seg)
+        t = seg.t_end_ms
+    return steps
 
 
 def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence:
@@ -367,14 +355,12 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
             # Align on the pump's own period boundaries inside [a, b).
             k0 = math.ceil((a - pump.start_ms) / period - 1e-9)
             head_end = min(pump.start_ms + k0 * period, b)
-            _emit_partial_sweep(items, pump, base, a, head_end, n_steps)
-            if head_end < b - 1e-12:
-                n_full = int(math.floor((b - head_end) / period + 1e-9))
-                if n_full > 0:
-                    cycle = _sweep_cycle(pump, n_steps, base, head_end)
-                    items.append(RepeatBlock(segments=cycle, count=n_full))
-                tail_start = head_end + n_full * period
-                _emit_partial_sweep(items, pump, base, tail_start, b, n_steps)
+            n_full = int(math.floor((b - head_end) / period + 1e-9))
+            items += _sweep_steps(pump, n_steps, base, a, head_end)
+            if n_full > 0:
+                cycle = _sweep_steps(pump, n_steps, base, head_end, head_end + period)
+                items.append(RepeatBlock(segments=tuple(cycle), count=n_full))
+            items += _sweep_steps(pump, n_steps, base, head_end + n_full * period, b)
 
     return CompiledSequence(items=items, readouts=readouts, drives_end_ms=drives_end)
 

@@ -13,7 +13,8 @@ from holeburn.analysis import (
     lorentzian,
     residual_metrics,
 )
-from holeburn.ensemble import Spectrum
+from holeburn.ensemble import Spectrum, hole_area
+from holeburn.errors import GridMismatchError
 
 
 # ---------------------------------------------------------- double exponential
@@ -173,6 +174,15 @@ def test_residual_metrics_errors():
         residual_metrics(_flat_spec(0.1), _flat_spec(0.5, n=31), (-3.0, 3.0))
     with pytest.raises(ValueError):
         residual_metrics(_flat_spec(0.1), _flat_spec(0.5), (100.0, 200.0))
+
+
+@pytest.mark.parametrize("metric", [residual_metrics, hole_area])
+@pytest.mark.parametrize("n", [21, 31])
+def test_window_metrics_raise_grid_mismatch(metric, n):
+    # same length on a shifted grid, and a different length
+    shifted = Spectrum(np.linspace(-5.0, 5.0, n) + 0.1, np.full(n, 0.5))
+    with pytest.raises(GridMismatchError):
+        metric(_flat_spec(0.1), shifted, (-3.0, 3.0))
 
 
 # -------------------------------------------------------------- FitResult I/O

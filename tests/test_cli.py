@@ -89,6 +89,15 @@ def test_run_unknown_preset_fails(tmp_path, capsys):
     )
 
 
+def test_run_rejects_infinite_number_with_its_path(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"zeeman": {"field_mT": 1.2}, "profile": {"grid_span_MHz": Infinity},'
+                   ' "rates": {"t1_ms": 11.0, "tz_ms": 100.0, "beta": 0.9}, "sequence": []}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "profile.grid_span_MHz" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_requires_exactly_one_source(tmp_path, capsys):
     assert main(["run"]) == 2
     assert main(["run", "cfg.json", "--preset", "baseline"]) == 2

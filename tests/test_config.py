@@ -117,6 +117,25 @@ def test_type_errors_name_field():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("path, value", [
+    ("profile.grid_span_MHz", float("inf")),
+    pytest.param("rates.tz_ms", 10 ** 400, id="rates.tz_ms-too-large-for-a-float"),
+    ("rates.tz_ms", float("inf")),
+    ("rates.tz_ms", float("-inf")),
+    ("drive.stim_detuning_MHz", float("nan")),
+    ("zeeman.field_mT", float("nan")),
+    ("outputs.sweep.values[1]", float("nan")),
+])
+def test_non_finite_numbers_name_their_field(path, value):
+    raw = dict(_minimal(), profile={"grid_span_MHz": 60.0}, drive={"stim_detuning_MHz": 0.0},
+               outputs={"sweep": {"path": "rates.beta", "values": [0.5, 0.7]}})
+    parse_config(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(apply_override(raw, path, value))
+    assert err.value.path == path
+    assert "expected a finite number" in str(err.value)
+
+
 def test_negative_readout_delay_is_a_config_error():
     raw = _minimal()
     raw["sequence"] = [

@@ -11,6 +11,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from holeburn import config
+from holeburn.ensemble import PROFILE_SHAPES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +82,22 @@ def test_readme_configuration_lists_every_key():
         else:
             assert f"`{f.name}`" in top, f"{f.name} missing from README"
     assert_lists(bullet("outputs"), config.SweepSpec, "outputs.sweep")
+
+
+def test_readme_configuration_names_exactly_the_config_keys():
+    # Every field the parser reads is named in backticks, and every backticked
+    # name is such a field, a pulse kind, a profile shape or a file a run
+    # writes, so a deleted key cannot linger in the README.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", section, flags=re.S)))
+    types = [config.ExperimentConfig, config.SweepSpec, *config._PULSE_KINDS.values()]
+    types += [getattr(config, f.type) for f in fields(config.ExperimentConfig)
+              if is_dataclass(getattr(config, f.type, None))]
+    keys = {f.name for cls in types for f in fields(cls)}
+    assert keys - named == set()
+    words = {"kind", "null", *config._PULSE_KINDS, *PROFILE_SHAPES}
+    assert {n for n in named if "." not in n} - keys - words == set()
 
 
 def test_perfbench_tracer_patches_resolve():

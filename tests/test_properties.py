@@ -6,6 +6,7 @@ every run draws the same cases.
 
 import copy
 import json
+import math
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -38,11 +39,13 @@ from holeburn.errors import ConfigError  # noqa: E402
 from holeburn.levels import RateParams, ZeemanConfig  # noqa: E402
 from holeburn.presets import preset, preset_names  # noqa: E402
 from holeburn.sequence import (  # noqa: E402
+    SWEEP_STEPS_PER_PERIOD,
     CompiledSequence,
     DriveCalibration,
     DriveSegment,
     PumpPulse,
     ReadoutPulse,
+    RepeatBlock,
     RFPulse,
     StimulationPulse,
     WaitPulse,
@@ -281,6 +284,55 @@ def test_whole_sequences_conserve_population(pulses):
     assert delays == sorted(p.at_delay_ms for p in pulses if isinstance(p, ReadoutPulse))
     for r in res.readouts:
         assert np.array_equal(r.spectrum.freqs_MHz, r.baseline.freqs_MHz)
+
+
+def _expected_pump(pumps, seg):
+    """A segment's pump (frequency, rate, longest step) from the pulse holding its midpoint.
+
+    Pulse edges hold to 1e-12 ms, as in the compiler, so a pulse shorter
+    than that holds no midpoint.  A swept step takes the sawtooth value of
+    the pump-grid step that holds the midpoint, is off inside the gate, and
+    lasts at most one grid step.
+    """
+    mid = 0.5 * (seg.t_start_ms + seg.t_end_ms)
+    pump = next((p for p in pumps
+                 if p.start_ms - 1e-12 <= mid < p.start_ms + p.duration_ms - 1e-12), None)
+    if pump is None or pump.power_rate_per_ms == 0.0:
+        return None, 0.0, math.inf
+    if pump.sweep_span_MHz == 0.0:
+        return pump.center_MHz, pump.power_rate_per_ms, math.inf
+    n = SWEEP_STEPS_PER_PERIOD
+    k = int((mid - pump.start_ms) / pump.sweep_period_ms * n) % n
+    offset = pump.sweep_span_MHz * ((k + 0.5) / n - 0.5)
+    gated = abs(offset) < pump.gate_gap_MHz / 2.0
+    return (None if gated else pump.center_MHz + offset, 0.0 if gated else pump.power_rate_per_ms,
+            pump.sweep_period_ms / n)
+
+
+@FEW
+@given(_pulse_list())
+def test_compiled_steps_tile_the_drives_on_the_pump_grid(pulses):
+    pumps = [p for p in pulses if isinstance(p, PumpPulse) and p.duration_ms > 0]
+    comp = compile_sequence(pulses)
+    t, segments = 0.0, []
+    for item in comp.items:
+        cycle = item.segments if isinstance(item, RepeatBlock) else (item,)
+        for seg in cycle:
+            assert seg.t_start_ms == pytest.approx(t, rel=0, abs=1e-12)
+            t = seg.t_end_ms
+        if isinstance(item, RepeatBlock):
+            period = _expected_pump(pumps, cycle[0])[2] * SWEEP_STEPS_PER_PERIOD
+            assert t - cycle[0].t_start_ms == pytest.approx(period, rel=1e-9)
+            assert item.count >= 1
+            t = cycle[0].t_start_ms + item.count * period
+        segments += cycle
+    assert t == pytest.approx(comp.drives_end_ms, rel=0, abs=1e-12)
+
+    for seg in segments:
+        freq, rate, longest = _expected_pump(pumps, seg)
+        assert 1e-12 <= seg.dt_ms <= longest * (1 + 1e-9)
+        assert seg.pump_freq_MHz == pytest.approx(freq, rel=0, abs=1e-12)
+        assert seg.pump_rate_per_ms == rate
 
 
 # Numeric paths every drawn scenario has, each with its values and whether
