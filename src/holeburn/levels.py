@@ -8,6 +8,7 @@ expressed directly in MHz; all times are in ms and fields in mT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NoDecayChannelError
@@ -85,10 +86,13 @@ class RateParams:
     persistent_leak_scale: float = PERSISTENT_LEAK_SCALE
 
     def __post_init__(self):
-        if self.t1_ms <= 0:
-            raise ValueError(f"t1_ms must be > 0, got {self.t1_ms}")
-        if self.tz_ms <= 0:
-            raise ValueError(f"tz_ms must be > 0, got {self.tz_ms}")
+        for name in ("t1_ms", "tz_ms"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            # the generator holds 1 / t1 and 1 / (2 tz); a subnormal lifetime overflows them
+            if not math.isfinite(1.0 / value):
+                raise ValueError(f"{name} must have a finite inverse, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.beta_z2 is None:

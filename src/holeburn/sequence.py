@@ -166,6 +166,11 @@ def _check_timing(pulse) -> None:
         raise ValueError(f"start_ms must be finite and >= 0, got {pulse.start_ms}")
     if not math.isfinite(pulse.duration_ms) or pulse.duration_ms < 0:
         raise ValueError(f"duration_ms must be finite and >= 0, got {pulse.duration_ms}")
+    # compile_sequence drops cuts of 1e-12 ms and _active shifts both pulse edges by
+    # -1e-12 ms, so a drive this short would be active at no segment's midpoint
+    if not isinstance(pulse, WaitPulse) and 0 < pulse.duration_ms <= 2e-12:
+        raise ValueError(f"duration_ms must be 0 or more than 2e-12 ms for a drive pulse, "
+                         f"got {pulse.duration_ms}")
 
 
 @dataclass(frozen=True)

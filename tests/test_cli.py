@@ -98,6 +98,15 @@ def test_run_rejects_infinite_number_with_its_path(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_run_rejects_a_subnormal_lifetime_with_its_path(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"zeeman": {"field_mT": 1.2}, "profile": {"grid_span_MHz": 60.0},'
+                   ' "rates": {"t1_ms": 11.0, "tz_ms": 1e-320, "beta": 0.9}, "sequence": []}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "error: rates: tz_ms" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_requires_exactly_one_source(tmp_path, capsys):
     assert main(["run"]) == 2
     assert main(["run", "cfg.json", "--preset", "baseline"]) == 2

@@ -136,6 +136,17 @@ def test_non_finite_numbers_name_their_field(path, value):
     assert "expected a finite number" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["t1_ms", "tz_ms"])
+def test_subnormal_lifetime_is_a_config_error(key):
+    # 1e-320 is finite, but its inverse, a rate in the generator, is not
+    raw = _minimal()
+    raw["rates"][key] = 1e-320
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "rates"
+    assert key in str(err.value)
+
+
 def test_negative_readout_delay_is_a_config_error():
     raw = _minimal()
     raw["sequence"] = [

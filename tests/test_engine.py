@@ -2,11 +2,13 @@
 and the closed-form population ratios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from holeburn import engine
 from holeburn.engine import (
     DEFAULT_STIM_SLOPE_PER_MW_MS,
     NO_DRIVE,
@@ -193,6 +195,41 @@ def test_propagator_bytes_do_not_depend_on_the_batch():
         for i, m in enumerate(mats):
             alone = propagator_batch(m[None], dt)[0]
             assert alone.tobytes() == full[i].tobytes() == reverse[i].tobytes()
+
+
+def test_propagator_bytes_do_not_depend_on_the_blocks():
+    rng = np.random.default_rng(29)
+    mats = np.stack(
+        [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(1100)]
+    )
+    # two full blocks and a partial one
+    assert 2 * engine._BLOCK_MATRICES < len(mats) < 3 * engine._BLOCK_MATRICES
+    # at 1 ms the matrices take different numbers of squarings
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA13)[1].clip(0))) > 1
+    for dt in (1e-4, 1.0, 30.0):
+        full = propagator_batch(mats, dt)
+        for i, m in enumerate(mats):
+            assert propagator_batch(m[None], dt)[0].tobytes() == full[i].tobytes()
+    assert propagator_batch(np.empty((0, 4, 4)), 1.0).shape == (0, 4, 4)
+    assert np.array_equal(propagator_batch(mats, 0.0), np.broadcast_to(np.eye(4), mats.shape))
+
+
+def test_propagator_memory_does_not_grow_with_the_stack():
+    # temporaries are per block: 5,095 matrices at once took about 5 MiB of them
+    rng = np.random.default_rng(31)
+    mats = np.stack(
+        [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(5)]
+    )
+    mats = np.tile(mats, (1019, 1, 1))
+    tracemalloc.start()
+    try:
+        out = propagator_batch(mats, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 5095
+    assert peak - out.nbytes < 2**20
 
 
 def test_propagator_batch_matches_single():

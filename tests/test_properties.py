@@ -64,7 +64,12 @@ def _pos(hi=1e3):
     return _num(1e-3, hi)
 
 
-_timing = {"start_ms": _num(0.0, 1e3), "duration_ms": _num(0.0, 1e3)}
+def _duration(hi):
+    # a drive pulse of 2e-12 ms or less would hold no segment midpoint, and is rejected
+    return _num(0.0, hi).filter(lambda d: d == 0.0 or d > 2e-12)
+
+
+_timing = {"start_ms": _num(0.0, 1e3), "duration_ms": _duration(1e3)}
 
 
 @st.composite
@@ -258,7 +263,7 @@ def _pulse_list(draw):
         t = 0.0
         for _ in range(draw(st.integers(0, 2))):
             start = t + draw(_num(0.0, 5.0))
-            pulses.append(draw(build(start_ms=st.just(start), duration_ms=_num(0.0, 10.0))))
+            pulses.append(draw(build(start_ms=st.just(start), duration_ms=_duration(10.0))))
             t = start + pulses[-1].duration_ms
     if draw(st.booleans()):
         pulses.append(WaitPulse(start_ms=draw(_num(0.0, 20.0)), duration_ms=draw(_num(0.0, 20.0))))

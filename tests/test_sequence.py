@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from holeburn import engine, sequence
+from holeburn.config import parse_config
 from holeburn.engine import DriveRates, IonClassState
 from holeburn.ensemble import InhomogeneousProfile, build_ensemble, hole_area
-from holeburn.errors import SequenceError
+from holeburn.errors import ConfigError, SequenceError
 from holeburn.levels import RateParams, ZeemanConfig
 from holeburn.sequence import (
     CompiledSequence,
@@ -89,10 +90,38 @@ def test_back_to_back_pulses_allowed():
 
 
 def test_overlap_check_does_not_depend_on_pulse_order():
-    # a pulse shorter than the 1e-12 ms tolerance ends where its neighbour starts
-    short = StimulationPulse(start_ms=1.0, duration_ms=1e-13, power_mW=5.0)
-    long = StimulationPulse(start_ms=1.0, duration_ms=1.0, power_mW=5.0)
+    # the shortest pulse a drive may have ends within the 1e-12 ms tolerance of
+    # its neighbour's start
+    short = StimulationPulse(start_ms=1.0, duration_ms=2.5e-12, power_mW=5.0)
+    long = StimulationPulse(start_ms=1.0 + 2e-12, duration_ms=1.0, power_mW=5.0)
     assert compile_sequence([long, short]).items == compile_sequence([short, long]).items
+
+
+_DRIVES = {
+    "pump": ({"center_MHz": 0.0, "power_rate_per_ms": 1.0}, lambda seg: seg.pump_freq_MHz == 0.0),
+    "stimulation": ({"power_mW": 5.0}, lambda seg: seg.stim_power_mW == 5.0),
+    "rf": ({"center_MHz": 110.0, "bandwidth_MHz": 10.0, "voltage_Vpp": 1.0},
+           lambda seg: seg.rf_voltage_Vpp == 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DRIVES))
+@pytest.mark.parametrize("duration", [1e-12, 2e-12, 2.5e-12])
+def test_a_drive_too_short_to_hold_a_segment_is_a_config_error(kind, duration):
+    fields, driven = _DRIVES[kind]
+    raw = {"zeeman": {"field_mT": 1.2}, "rates": {"t1_ms": 11.0, "tz_ms": 100.0, "beta": 0.9},
+           "profile": {}, "sequence": [{"kind": "wait", "duration_ms": 1.0},
+                                       {"kind": kind, "start_ms": 1.0, "duration_ms": duration,
+                                        **fields}]}
+    if duration <= 2e-12:
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.path == "sequence[1]"
+        assert repr(duration) in str(err.value)
+    else:
+        items = compile_sequence(parse_config(raw).sequence).items
+        assert items[-1].t_start_ms == 1.0
+        assert driven(items[-1])
 
 
 # ------------------------------------------------------------------- compile
