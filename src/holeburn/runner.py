@@ -95,21 +95,18 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     artifacts: list[str] = []
     # Points are evolved before they are scanned, so points sharing a readout
     # kernel share its pass; the snapshots wait, with one ensemble per kernel
-    # key, until they pass the budget.  A point with byte-equal initial state
-    # and generators reuses a pending point's evolution through the memo; its
-    # snapshots are that point's arrays, so only a new memo entry counts
-    # against the budget, and the memo is emptied with the pending list.
-    results, pending, kernels, held, memo = [], [], {}, 0, {}
+    # key, until those the memo holds pass the budget.  The memo holds each
+    # pending point's evolution once: a point with byte-equal initial state
+    # and generators reuses an earlier one's, and the memo is emptied with
+    # the pending list.
+    results, pending, kernels, memo = [], [], {}, {}
     for _, sub in points:
         ens, compiled = _prepare(sub)
-        entries = len(memo)
         evolution = advance(ens, compiled, sub.drive, memo)
         pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
-        if len(memo) > entries:
-            held += sum(s.size for s in evolution.snapshots)
-        if held > SCAN_BUDGET_ENTRIES:
+        if sum(s.size for snapshots, _ in memo.values() for s in snapshots) > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
-            pending, kernels, held, memo = [], {}, 0, {}
+            pending, kernels, memo = [], {}, {}
     results += scan(pending)
     # The work counts cover every point; other stats are the last point's.
     stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)

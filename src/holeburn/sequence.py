@@ -439,46 +439,35 @@ class _Propagators:
             groups.append((self._drive_matrix(first), rate, first.dt_ms, tuple(members), pump))
         return groups, count
 
-    def factors(self, grouped) -> list:
-        """Shared propagator factors of a grouped item, one matrix exponential per group.
-
-        The factors are one (propagators, index) pair per segment, in time
-        order: class i evolves under propagators[index[i]], and an index of
-        None means one propagator, shape (1, 4, 4), serves every class.  A
-        pumped group is exponentiated in one batch, one matrix per distinct
-        pump detuning.
-        """
-        groups, _ = grouped
-        out: list = [None] * sum(len(group[3]) for group in groups)
-        for drive, rate, dt_ms, members, pump in groups:
-            if pump is None:
-                props = self._expm(drive[None], dt_ms)
-                for i in members:
-                    out[i] = (props, None)
-                continue
-            keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
-            _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-            seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
-            det = pump[seg_idx, None] - self.trans[cls_idx]
-            g = np.repeat(drive[None], len(det), axis=0)
-            engine.add_pump_rates(
-                g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
-            )
-            props = self._expm(g, dt_ms)
-            for i, index in zip(members, inverse.reshape(keys.shape)):
-                out[i] = (props, index)
-        return out
-
     def propagator(self, grouped) -> np.ndarray:
         """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
 
-        The shape is (1, 4, 4) when every factor is shared by all classes.
+        Each group is exponentiated in one batch: one matrix for every class
+        with the pump off, one per distinct pump detuning with it.  The
+        segments' factors are then multiplied in time order, class i of a
+        pumped segment gathering the matrix of its detuning.  The shape is
+        (1, 4, 4) when every factor is shared by all classes.
         """
+        groups, count = grouped
+        factors: list = [None] * sum(len(group[3]) for group in groups)
+        for drive, rate, dt_ms, members, pump in groups:
+            if pump is None:
+                props, indices = self._expm(drive[None], dt_ms), [None] * len(members)
+            else:
+                keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
+                _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+                seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
+                det = pump[seg_idx, None] - self.trans[cls_idx]
+                g = np.repeat(drive[None], len(det), axis=0)
+                engine.add_pump_rates(g, engine.pump_rate_profile(
+                    rate, self.cal.pump_linewidth_MHz, det))
+                props, indices = self._expm(g, dt_ms), inverse.reshape(keys.shape)
+            for i, index in zip(members, indices):
+                factors[i] = props, index
         acc = None
-        for props, index in self.factors(grouped):
+        for props, index in factors:
             p = props if index is None else props[index]
             acc = p if acc is None else p @ acc
-        count = grouped[1]
         return acc if count is None else engine.matrix_power_batch(acc, count)
 
     @staticmethod

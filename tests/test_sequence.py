@@ -539,7 +539,7 @@ def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
     ens = _ens(span=20.0, step=1.0)
     counted = _count_matrices(monkeypatch)
     props = sequence._Propagators(ens, NARROW)
-    props.factors(props.groups(block))
+    props.propagator(props.groups(block))
     lit = [s.pump_freq_MHz for s in block.segments if s.pump_freq_MHz is not None]
     assert len(lit) < len(block.segments)
     detunings = {round(f - c, 6) for f in lit for c in ens.centers_MHz}
