@@ -53,9 +53,10 @@ SWEEP_STEPS_PER_PERIOD = 50
 # grids; the narrowest pump line is 0.25 MHz wide.
 DETUNING_KEY_MHZ = 1e-11
 
-# Segment durations closer than this share a propagator: the steps of one
-# sweep cycle differ only by the rounding of their start and end times.
-DT_KEY_MS = 1e-12
+# Times closer than this are one time: pulse edges and cuts this close
+# coincide, and segment durations this close share a propagator, since the
+# steps of one sweep cycle differ only by the rounding of their ends.
+TIME_TOL_MS = 1e-12
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -166,11 +167,11 @@ def _check_timing(pulse) -> None:
         raise ValueError(f"start_ms must be finite and >= 0, got {pulse.start_ms}")
     if not math.isfinite(pulse.duration_ms) or pulse.duration_ms < 0:
         raise ValueError(f"duration_ms must be finite and >= 0, got {pulse.duration_ms}")
-    # compile_sequence drops cuts of 1e-12 ms and _active shifts both pulse edges by
-    # -1e-12 ms, so a drive this short would be active at no segment's midpoint
-    if not isinstance(pulse, WaitPulse) and 0 < pulse.duration_ms <= 2e-12:
-        raise ValueError(f"duration_ms must be 0 or more than 2e-12 ms for a drive pulse, "
-                         f"got {pulse.duration_ms}")
+    # compile_sequence drops cuts of TIME_TOL_MS and _active shifts both pulse edges
+    # by -TIME_TOL_MS, so a drive this short would be active at no segment's midpoint
+    if not isinstance(pulse, WaitPulse) and 0 < pulse.duration_ms <= 2 * TIME_TOL_MS:
+        raise ValueError(f"duration_ms must be 0 or more than {2 * TIME_TOL_MS} ms for a "
+                         f"drive pulse, got {pulse.duration_ms}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def _channel_pulses(pulses, kind):
     active = [p for p in pulses if isinstance(p, kind) and p.duration_ms > 0]
     active.sort(key=lambda p: (p.start_ms, p.duration_ms))
     for prev, nxt in zip(active, active[1:]):
-        if nxt.start_ms < prev.start_ms + prev.duration_ms - 1e-12:
+        if nxt.start_ms < prev.start_ms + prev.duration_ms - TIME_TOL_MS:
             raise SequenceError(
                 f"overlapping {kind.__name__} pulses at t = {nxt.start_ms} ms"
             )
@@ -274,7 +275,7 @@ def _channel_pulses(pulses, kind):
 
 def _active(pulses, t):
     for p in pulses:
-        if p.start_ms - 1e-12 <= t < p.start_ms + p.duration_ms - 1e-12:
+        if p.start_ms - TIME_TOL_MS <= t < p.start_ms + p.duration_ms - TIME_TOL_MS:
             return p
     return None
 
@@ -287,20 +288,23 @@ def _sweep_steps(pump: PumpPulse, n_steps: int, base: DriveSegment,
     segment cut by t0 or t1 covers only part of its step.  Step k sits at
     span * ((k mod n_steps + 0.5) / n_steps - 0.5) from the sweep centre; a
     step within gate_gap_MHz / 2 of the centre is gated off and leaves the
-    pump off.
+    pump off.  The step index counts up from t0's step, so the loop ends
+    however the step edges round.
     """
     dt = pump.sweep_period_ms / n_steps
     steps = []
+    k = math.floor((t0 - pump.start_ms) / dt)
+    if pump.start_ms + (k + 1) * dt <= t0 + TIME_TOL_MS:  # t0 at its step's end starts the next
+        k += 1
     t = t0
-    while t < t1 - 1e-12:
-        k = math.floor((t - pump.start_ms) / pump.sweep_period_ms * n_steps + 1e-9)
+    while t < t1 - TIME_TOL_MS:
         seg = replace(base, t_start_ms=t, t_end_ms=min(pump.start_ms + (k + 1) * dt, t1))
         offset = pump.sweep_span_MHz * ((k % n_steps + 0.5) / n_steps - 0.5)
         if abs(offset) >= pump.gate_gap_MHz / 2.0:
             seg = replace(seg, pump_freq_MHz=pump.center_MHz + offset,
                           pump_rate_per_ms=pump.power_rate_per_ms)
         steps.append(seg)
-        t = seg.t_end_ms
+        t, k = seg.t_end_ms, k + 1
     return steps
 
 
@@ -333,7 +337,7 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
 
     items: list = []
     for a, b in zip(cuts, cuts[1:]):
-        if b - a <= 1e-12:
+        if b - a <= TIME_TOL_MS:
             continue
         mid = 0.5 * (a + b)
         pump = _active(pumps, mid)
@@ -357,6 +361,10 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
             period = pump.sweep_period_ms
             dt_eff = dt_max_ms if dt_max_ms is not None else period / SWEEP_STEPS_PER_PERIOD
             n_steps = max(1, int(math.ceil(period / dt_eff - 1e-9)))
+            # the bound _check_timing puts on a drive pulse, for the same reason
+            if period / n_steps <= 2 * TIME_TOL_MS:
+                raise SequenceError(f"swept pump at t = {pump.start_ms} ms: sweep step "
+                                    f"{period / n_steps} ms must be more than {2 * TIME_TOL_MS} ms")
             # Align on the pump's own period boundaries inside [a, b).
             k0 = math.ceil((a - pump.start_ms) / period - 1e-9)
             head_end = min(pump.start_ms + k0 * period, b)
@@ -415,7 +423,7 @@ class _Propagators:
         """An item's segments grouped for shared exponentials, and its repeat count.
 
         Segments whose drive settings are equal and whose durations agree to
-        DT_KEY_MS form one group (drive, rate, dt_ms, members, pump): the
+        TIME_TOL_MS form one group (drive, rate, dt_ms, members, pump): the
         calibrated drive matrix, the pump rate (0 with the pump off), the
         first member's duration, the member indices in time order and their
         pump frequencies (None with the pump off).  With the class grid and
@@ -430,7 +438,7 @@ class _Propagators:
         for i, seg in enumerate(segments):
             rate = seg.pump_rate_per_ms if seg.pump_freq_MHz is not None else 0.0
             key = (rate, seg.stim_power_mW, seg.rf_voltage_Vpp, seg.rf_center_MHz,
-                   seg.rf_bandwidth_MHz, round(seg.dt_ms / DT_KEY_MS))
+                   seg.rf_bandwidth_MHz, round(seg.dt_ms / TIME_TOL_MS))
             keyed.setdefault(key, []).append(i)
         groups = []
         for (rate, *_), members in keyed.items():
@@ -509,7 +517,7 @@ def advance(ens: EnsembleState,
     for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
         gap = None
-        if target > t + 1e-12:
+        if target > t + TIME_TOL_MS:
             gap = props.groups(DriveSegment(t_start_ms=t, t_end_ms=target))
             t = target
         gaps.append(gap)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from holeburn import runner
 from holeburn.analysis import exponential_offset
 from holeburn.cli import main
-from holeburn.presets import preset_names
+from holeburn.presets import preset, preset_names
 
 
 def test_list_presets(capsys):
@@ -105,6 +106,25 @@ def test_run_rejects_a_subnormal_lifetime_with_its_path(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "error: rates: tz_ms" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("period", [1e-12, 1e-11])
+def test_run_rejects_a_sweep_step_too_short_to_hold_a_segment(tmp_path, capsys, period):
+    raw = preset("stimulated_pumping")
+    raw["sequence"][0]["sweep_period_ms"] = period
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: swept pump at t = 0.0 ms: sweep step ")
+
+
+def test_run_reports_an_arithmetic_error(tmp_path, capsys, monkeypatch):
+    def advance(*args):
+        raise ArithmeticError("propagation created population")
+
+    monkeypatch.setattr(runner, "advance", advance)
+    assert main(["run", "--preset", "stimulated_pumping", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: propagation created population\n"
 
 
 def test_run_requires_exactly_one_source(tmp_path, capsys):

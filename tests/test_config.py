@@ -203,6 +203,18 @@ def test_sweep_validation():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("path", ["outputs.sweep", "outputs.sweep.values[0]",
+                                  "outputs.sweep.path"])
+def test_a_sweep_of_the_sweep_itself_is_a_config_error(path):
+    # every point runs with outputs.sweep removed, so its values would all be the base run
+    raw = _minimal()
+    raw["outputs"] = {"sweep": {"path": path, "values": [1.0, 2.0]}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "outputs.sweep"
+    assert path in err.value.message
+
+
 # -------------------------------------------------------------------- presets
 
 def test_all_presets_parse():

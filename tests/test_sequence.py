@@ -124,6 +124,53 @@ def test_a_drive_too_short_to_hold_a_segment_is_a_config_error(kind, duration):
         assert driven(items[-1])
 
 
+def _cap_segments(monkeypatch):
+    """Fail a compile that makes 10,000 segments instead of letting it fill memory."""
+    made = []
+
+    def capped(*args, **kwargs):
+        made.append(None)
+        assert len(made) < 10_000, "compile_sequence repeats a step"
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(sequence, "replace", capped)
+
+
+@pytest.mark.parametrize("period, dt_max, n_steps", [
+    (1e-12, None, None), (1e-11, None, None), (1e-10, 2e-12, None),  # steps of 2e-12 or less
+    (1.25e-10, None, 50), (1e-10, 2.5e-12, 40),  # the shortest steps that hold a segment
+])
+def test_a_sweep_step_too_short_to_hold_a_segment_is_rejected(monkeypatch, period, dt_max,
+                                                              n_steps):
+    _cap_segments(monkeypatch)
+    pump = PumpPulse(start_ms=3.0, duration_ms=8 * period, center_MHz=0.0,
+                     power_rate_per_ms=1.0, sweep_span_MHz=10.0, sweep_period_ms=period)
+    if n_steps is None:
+        with pytest.raises(SequenceError, match=r"swept pump at t = 3\.0 ms: sweep step"):
+            compile_sequence([WaitPulse(duration_ms=3.0), pump], dt_max_ms=dt_max)
+        return
+    (block,) = compile_sequence([replace(pump, start_ms=0.0)], dt_max_ms=dt_max).items
+    assert block.count == 8
+    assert len(block.segments) == n_steps
+    assert len({seg.pump_freq_MHz for seg in block.segments}) == n_steps
+
+
+@pytest.mark.parametrize("start, period", [(3.0, 1e-8), (300.0, 1e-3), (1000.0, 1e-6)])
+def test_a_late_swept_pump_compiles_every_step_once(monkeypatch, start, period):
+    # this late, a step edge rounds by more than 1e-9 of a step; the step index
+    # read back from such an edge came out one low, and compiling never ended
+    _cap_segments(monkeypatch)
+    pump = PumpPulse(start_ms=start, duration_ms=8 * period, center_MHz=0.0,
+                     power_rate_per_ms=1.0, sweep_span_MHz=10.0, sweep_period_ms=period)
+    comp = compile_sequence([WaitPulse(duration_ms=start), pump])
+    wait, *swept = comp.items
+    assert wait.t_end_ms == start
+    assert comp.n_segments - 1 == 8 * 50
+    segments = [s for it in swept for s in (it.segments if isinstance(it, RepeatBlock) else [it])]
+    assert all(s.dt_ms > sequence.TIME_TOL_MS for s in segments)
+    assert comp.drives_end_ms == start + 8 * period
+
+
 # ------------------------------------------------------------------- compile
 
 def test_compile_single_constant_pump():
