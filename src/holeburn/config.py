@@ -53,7 +53,6 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise ValueError("sweep values must be non-empty")
-        # every point runs with the sweep removed, so a value there would be dropped
         if re.match(r"outputs\.sweep\b", self.path):
             raise ValueError(f"cannot sweep {self.path}: each point runs without a sweep")
 

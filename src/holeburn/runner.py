@@ -29,7 +29,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Snapshot entries that evolved sweep points may hold before a scan: 8 MiB.
+# Snapshot entries the sweep memo may hold before a scan: 8 MiB.
 SCAN_BUDGET_ENTRIES = 1 << 20
 
 

@@ -53,9 +53,8 @@ SWEEP_STEPS_PER_PERIOD = 50
 # grids; the narrowest pump line is 0.25 MHz wide.
 DETUNING_KEY_MHZ = 1e-11
 
-# Times closer than this are one time: pulse edges and cuts this close
-# coincide, and segment durations this close share a propagator, since the
-# steps of one sweep cycle differ only by the rounding of their ends.
+# Times closer than this are one time: edges and cuts this close coincide, and
+# durations this close share a propagator (sweep steps differ only by rounding).
 TIME_TOL_MS = 1e-12
 
 
@@ -467,8 +466,9 @@ class _Propagators:
                 seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
                 det = pump[seg_idx, None] - self.trans[cls_idx]
                 g = np.repeat(drive[None], len(det), axis=0)
-                engine.add_pump_rates(g, engine.pump_rate_profile(
-                    rate, self.cal.pump_linewidth_MHz, det))
+                engine.add_pump_rates(
+                    g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
+                )
                 props, indices = self._expm(g, dt_ms), inverse.reshape(keys.shape)
             for i, index in zip(members, indices):
                 factors[i] = props, index
