@@ -10,7 +10,7 @@ going and inspect the flags afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,29 +44,12 @@ class FitResult:
     flags: list = field(default_factory=list)
 
     def to_json(self, indent: int = 2) -> str:
-        payload = {
-            "model": self.model,
-            "parameters": self.parameters,
-            "stderr": self.stderr,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "flags": self.flags,
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FitResult":
-        d = json.loads(text)
-        return cls(
-            model=d["model"],
-            parameters=d["parameters"],
-            stderr=d["stderr"],
-            residual_norm=d["residual_norm"],
-            converged=d["converged"],
-            iterations=d["iterations"],
-            flags=list(d.get("flags", [])),
-        )
+        """Read back to_json output; an unknown key raises TypeError."""
+        return cls(**json.loads(text))
 
 
 def _solve(model: str, func, x0, names, x, y, bounds) -> FitResult:

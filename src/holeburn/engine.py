@@ -267,11 +267,11 @@ def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
     new = np.matmul(props, v[:, :, None])[:, :, 0]
     tiny = (new < 0.0) & (new > -1e-10)
     new[tiny] = 0.0
-    if np.any(new < 0.0):
-        raise ArithmeticError("propagation produced a negative population")
+    if not np.all(new >= 0.0):
+        raise ArithmeticError("propagation produced a NaN or negative population")
     leaked = old - new.sum(axis=1)
     leaked[(leaked < 0.0) & (leaked > -1e-10)] = 0.0
-    if np.any(leaked < 0.0):
+    if not np.all(leaked >= 0.0):
         raise ArithmeticError("propagation created population")
     pops[:, :4] = new
     pops[:, 4] += leaked

@@ -38,12 +38,6 @@ TAILORING_PUMP_RATE_PER_MS = 60.0
 _ZEEMAN = {"field_mT": 1.2}
 _RATES_COLD = {"t1_ms": 11.0, "tz_ms": 100.0, "beta": 0.9}
 _RATES_HOT = {"t1_ms": 11.0, "tz_ms": 0.5, "beta": 0.9}
-_PROFILE = {
-    "center_MHz": 0.0,
-    "shape": "flat",
-    "grid_span_MHz": 500.0,
-    "grid_step_MHz": 0.5,
-}
 
 _FIG3_DELAYS = [1, 2, 3, 5, 7, 10, 14, 20, 28, 40, 55, 75, 100, 140, 190, 250, 300]
 
@@ -62,7 +56,6 @@ def _pit_sequence(stim=True, rf_voltage=None, readout_delay=2.8):
     seq = [
         {
             "kind": "pump",
-            "start_ms": 0.0,
             "duration_ms": 200.0,
             "center_MHz": 0.0,
             "power_rate_per_ms": PIT_PUMP_RATE_PER_MS,
@@ -71,14 +64,11 @@ def _pit_sequence(stim=True, rf_voltage=None, readout_delay=2.8):
         }
     ]
     if stim:
-        seq.append(
-            {"kind": "stimulation", "start_ms": 0.0, "duration_ms": 201.0, "power_mW": 50.0}
-        )
+        seq.append({"kind": "stimulation", "duration_ms": 201.0, "power_mW": 50.0})
     if rf_voltage is not None:
         seq.append(
             {
                 "kind": "rf",
-                "start_ms": 0.0,
                 "duration_ms": 200.0,
                 "center_MHz": 135.0,
                 "bandwidth_MHz": 15.0,
@@ -93,7 +83,7 @@ def _base(rates, sequence, outputs):
     return {
         "zeeman": dict(_ZEEMAN),
         "rates": dict(rates),
-        "profile": dict(_PROFILE),
+        "profile": {},
         "sequence": sequence,
         "outputs": outputs,
     }
@@ -104,7 +94,7 @@ def _build_presets() -> dict:
 
     p["baseline"] = (
         "Thermal ensemble, no drive; writes the unpumped spectrum only.",
-        _base(_RATES_COLD, [], {"spectra": True}),
+        _base(_RATES_COLD, [], {}),
     )
 
     p["fig3_standard_pumping"] = (
@@ -114,7 +104,6 @@ def _build_presets() -> dict:
             [
                 {
                     "kind": "pump",
-                    "start_ms": 0.0,
                     "duration_ms": 200.0,
                     "center_MHz": 0.0,
                     "power_rate_per_ms": STANDARD_PUMP_RATE_PER_MS,
@@ -127,37 +116,33 @@ def _build_presets() -> dict:
 
     p["fig4_stimulation_spectrum"] = (
         "Hole area versus stimulation-laser detuning across the gain line.",
-        {
-            **_base(
-                _RATES_HOT,
-                [
-                    {
-                        "kind": "pump",
-                        "start_ms": 0.0,
-                        "duration_ms": 100.0,
-                        "center_MHz": 0.0,
-                        "power_rate_per_ms": STANDARD_PUMP_RATE_PER_MS,
-                    },
-                    # Weak probe power: the dip in hole area must stay linear
-                    # in the stimulation rate for the scan to trace the bare
-                    # Lorentzian response.
-                    {"kind": "stimulation", "start_ms": 0.0, "duration_ms": 101.0,
-                     "power_mW": 0.01},
-                    _readout(-8.0, 8.0, 161, 2.5),
-                ],
+        _base(
+            _RATES_HOT,
+            [
                 {
-                    "spectra": False,
-                    "trace_window_MHz": [-5.0, 5.0],
-                    "sweep": {
-                        "path": "drive.stim_detuning_MHz",
-                        "values": [
-                            -28000, -21000, -14000, -10000, -7000, -4500, -2000,
-                            0, 2000, 4500, 7000, 10000, 14000, 21000, 28000,
-                        ],
-                    },
+                    "kind": "pump",
+                    "duration_ms": 100.0,
+                    "center_MHz": 0.0,
+                    "power_rate_per_ms": STANDARD_PUMP_RATE_PER_MS,
                 },
-            ),
-        },
+                # Weak probe power: the dip in hole area must stay linear
+                # in the stimulation rate for the scan to trace the bare
+                # Lorentzian response.
+                {"kind": "stimulation", "duration_ms": 101.0, "power_mW": 0.01},
+                _readout(-8.0, 8.0, 161, 2.5),
+            ],
+            {
+                "spectra": False,
+                "trace_window_MHz": [-5.0, 5.0],
+                "sweep": {
+                    "path": "drive.stim_detuning_MHz",
+                    "values": [
+                        -28000, -21000, -14000, -10000, -7000, -4500, -2000,
+                        0, 2000, 4500, 7000, 10000, 14000, 21000, 28000,
+                    ],
+                },
+            },
+        ),
     )
 
     p["fig5_stimulation_rates"] = (
@@ -168,13 +153,11 @@ def _build_presets() -> dict:
             [
                 {
                     "kind": "pump",
-                    "start_ms": 0.0,
                     "duration_ms": 100.0,
                     "center_MHz": 0.0,
                     "power_rate_per_ms": STANDARD_PUMP_RATE_PER_MS,
                 },
-                {"kind": "stimulation", "start_ms": 0.0, "duration_ms": 100.0,
-                 "power_mW": 10.0},
+                {"kind": "stimulation", "duration_ms": 100.0, "power_mW": 10.0},
                 _readout(-8.0, 8.0, 161, 2.5),
             ],
             {
@@ -194,7 +177,7 @@ def _build_presets() -> dict:
         _base(
             _RATES_COLD,
             _pit_sequence(stim=True),
-            {"spectra": True, "metrics_window_MHz": [-3.5, 3.5]},
+            {"metrics_window_MHz": [-3.5, 3.5]},
         ),
     )
 
@@ -204,7 +187,7 @@ def _build_presets() -> dict:
         _base(
             _RATES_COLD,
             _pit_sequence(stim=False, readout_delay=30.0),
-            {"spectra": True, "metrics_window_MHz": [-3.5, 3.5]},
+            {"metrics_window_MHz": [-3.5, 3.5]},
         ),
     )
 
@@ -214,7 +197,7 @@ def _build_presets() -> dict:
         _base(
             _RATES_COLD,
             _pit_sequence(stim=True, rf_voltage=10.0),
-            {"spectra": True, "metrics_window_MHz": [-3.5, 3.5]},
+            {"metrics_window_MHz": [-3.5, 3.5]},
         ),
     )
 
@@ -239,7 +222,6 @@ def _build_presets() -> dict:
         [
             {
                 "kind": "pump",
-                "start_ms": 0.0,
                 "duration_ms": 200.0,
                 "center_MHz": 0.0,
                 "power_rate_per_ms": TAILORING_PUMP_RATE_PER_MS,
@@ -247,11 +229,9 @@ def _build_presets() -> dict:
                 "sweep_period_ms": 0.1,
                 "gate_gap_MHz": 3.0,
             },
-            {"kind": "stimulation", "start_ms": 0.0, "duration_ms": 201.0,
-             "power_mW": 50.0},
+            {"kind": "stimulation", "duration_ms": 201.0, "power_mW": 50.0},
             {
                 "kind": "rf",
-                "start_ms": 0.0,
                 "duration_ms": 200.0,
                 "center_MHz": 135.0,
                 "bandwidth_MHz": 15.0,
@@ -259,7 +239,7 @@ def _build_presets() -> dict:
             },
             _readout(-45.0, 45.0, 1801, 2.8),
         ],
-        {"spectra": True, "metrics_window_MHz": [-20.0, -5.0]},
+        {"metrics_window_MHz": [-20.0, -5.0]},
     )
     # The tailoring sweep needs a tight laser line and a fine probe: the
     # preserved peak is only a few sweep steps wide, and pump tails plus the

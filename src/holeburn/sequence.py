@@ -154,18 +154,22 @@ class ReadoutPulse:
             raise ValueError("f_stop_MHz must exceed f_start_MHz")
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
-        if not math.isfinite(self.at_delay_ms) or self.at_delay_ms < 0:
-            raise ValueError(f"at_delay_ms must be finite and >= 0, got {self.at_delay_ms}")
+        _check_time(self, "at_delay_ms")
 
 
 Pulse = PumpPulse | StimulationPulse | RFPulse | WaitPulse | ReadoutPulse
 
 
+def _check_time(pulse, name) -> None:
+    # times are compared and counted in TIME_TOL_MS, so that count must be finite too
+    value = getattr(pulse, name)
+    if not math.isfinite(value / TIME_TOL_MS) or value < 0:
+        raise ValueError(f"{name} must be >= 0 and finite in {TIME_TOL_MS} ms steps, got {value}")
+
+
 def _check_timing(pulse) -> None:
-    if not math.isfinite(pulse.start_ms) or pulse.start_ms < 0:
-        raise ValueError(f"start_ms must be finite and >= 0, got {pulse.start_ms}")
-    if not math.isfinite(pulse.duration_ms) or pulse.duration_ms < 0:
-        raise ValueError(f"duration_ms must be finite and >= 0, got {pulse.duration_ms}")
+    _check_time(pulse, "start_ms")
+    _check_time(pulse, "duration_ms")
     # compile_sequence drops cuts of TIME_TOL_MS and _active shifts both pulse edges
     # by -TIME_TOL_MS, so a drive this short would be active at no segment's midpoint
     if not isinstance(pulse, WaitPulse) and 0 < pulse.duration_ms <= 2 * TIME_TOL_MS:
@@ -365,9 +369,9 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
                 raise SequenceError(f"swept pump at t = {pump.start_ms} ms: sweep step "
                                     f"{period / n_steps} ms must be more than {2 * TIME_TOL_MS} ms")
             # Align on the pump's own period boundaries inside [a, b).
-            k0 = math.ceil((a - pump.start_ms) / period - 1e-9)
+            k0 = math.ceil((a - pump.start_ms - TIME_TOL_MS) / period)
             head_end = min(pump.start_ms + k0 * period, b)
-            n_full = int(math.floor((b - head_end) / period + 1e-9))
+            n_full = math.floor((b - head_end + TIME_TOL_MS) / period)
             items += _sweep_steps(pump, n_steps, base, a, head_end)
             if n_full > 0:
                 cycle = _sweep_steps(pump, n_steps, base, head_end, head_end + period)
@@ -418,16 +422,18 @@ class _Propagators:
         drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
         return engine.build_rate_matrix(self.ens.params, drive)
 
-    def groups(self, item) -> tuple[list, int | None]:
+    def groups(self, item) -> tuple[tuple, int | None]:
         """An item's segments grouped for shared exponentials, and its repeat count.
 
         Segments whose drive settings are equal and whose durations agree to
         TIME_TOL_MS form one group (drive, rate, dt_ms, members, pump): the
-        calibrated drive matrix, the pump rate (0 with the pump off), the
-        first member's duration, the member indices in time order and their
-        pump frequencies (None with the pump off).  With the class grid and
-        pump linewidth these fix the group's generators.  The count is None
-        for a single segment.
+        calibrated drive matrix's bytes, the pump rate (0 with the pump off),
+        the first member's duration, the member indices in time order and
+        their pump frequencies (None with the pump off).  The count is None
+        for a single segment.  The result is its own key: with the class grid
+        and pump linewidth, equal keys build equal generators, also when a
+        pump frequency is -0.0 in one and 0.0 in the other, as a detuning
+        enters only squared and np.unique takes the two zeros as one.
         """
         if isinstance(item, RepeatBlock):
             segments, count = item.segments, item.count
@@ -442,9 +448,10 @@ class _Propagators:
         groups = []
         for (rate, *_), members in keyed.items():
             first = segments[members[0]]
-            pump = np.array([segments[i].pump_freq_MHz for i in members]) if rate > 0.0 else None
-            groups.append((self._drive_matrix(first), rate, first.dt_ms, tuple(members), pump))
-        return groups, count
+            pump = tuple(segments[i].pump_freq_MHz for i in members) if rate > 0.0 else None
+            groups.append((self._drive_matrix(first).tobytes(), rate, first.dt_ms,
+                           tuple(members), pump))
+        return tuple(groups), count
 
     def propagator(self, grouped) -> np.ndarray:
         """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
@@ -458,9 +465,11 @@ class _Propagators:
         groups, count = grouped
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
+            drive = np.frombuffer(drive).reshape(4, 4)
             if pump is None:
                 props, indices = self._expm(drive[None], dt_ms), [None] * len(members)
             else:
+                pump = np.array(pump)
                 keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
                 _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
                 seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
@@ -477,14 +486,6 @@ class _Propagators:
             p = props if index is None else props[index]
             acc = p if acc is None else p @ acc
         return acc if count is None else engine.matrix_power_batch(acc, count)
-
-    @staticmethod
-    def key(grouped) -> tuple:
-        """A grouped item as bytes and numbers; equal keys build equal generators."""
-        groups, count = grouped
-        return (count, *((drive.tobytes(), rate, dt_ms, members,
-                          None if pump is None else pump.tobytes())
-                         for drive, rate, dt_ms, members, pump in groups))
 
 
 @dataclass
@@ -527,8 +528,7 @@ def advance(ens: EnsembleState,
     # centre itself.
     arrays = hashlib.sha256(ens.populations)
     arrays.update(props.trans)
-    key = (arrays.digest(), cal.pump_linewidth_MHz, tuple(map(_Propagators.key, items)),
-           tuple(None if gap is None else _Propagators.key(gap) for gap in gaps))
+    key = (arrays.digest(), cal.pump_linewidth_MHz, tuple(items), tuple(gaps))
     memo = {} if memo is None else memo
     if key in memo:
         snapshots, final = memo[key]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,15 @@ def test_fit_result_json_roundtrip():
     assert back.stderr == out.stderr
     assert back.converged == out.converged
     assert back.flags == out.flags
+
+
+def test_fit_result_from_json_reads_only_to_json_output():
+    out = fit_linear(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0]))
+    payload = json.loads(out.to_json())
+    del payload["flags"]
+    assert FitResult.from_json(json.dumps(payload)).flags == []
+    with pytest.raises(TypeError):
+        FitResult.from_json(json.dumps(dict(payload, unknown=1)))
 
 
 # ------------------------------------------------------------------- add_noise

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 import yaml
@@ -160,6 +161,22 @@ def test_negative_readout_delay_is_a_config_error():
     assert "at_delay_ms" in str(err.value)
 
 
+@pytest.mark.parametrize("pulse, key", [
+    ({"kind": "readout", "f_start_MHz": -1.0, "f_stop_MHz": 1.0, "n_points": 11,
+      "at_delay_ms": 1e300}, "at_delay_ms"),
+    ({"kind": "wait", "duration_ms": 1e300}, "duration_ms"),
+    ({"kind": "wait", "start_ms": 1e300, "duration_ms": 1.0}, "start_ms"),
+])
+def test_a_time_too_large_to_count_is_a_config_error(pulse, key):
+    # 1e300 ms is finite, but compiling counts times in 1e-12 ms steps
+    raw = _minimal()
+    raw["sequence"] = [{"kind": "wait", "duration_ms": 1.0}, pulse]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "sequence[1]"
+    assert key in str(err.value)
+
+
 @pytest.mark.parametrize("target_od", [0.0, -1.0])
 def test_nonpositive_target_od_is_a_config_error(target_od):
     raw = _minimal()
@@ -222,6 +239,27 @@ def test_all_presets_parse():
     for name in preset_names():
         cfg = parse_config(preset(name))
         assert cfg.zeeman.field_mT > 0
+
+
+def _restated_defaults(raw, parsed, path=""):
+    """Paths of the raw leaves whose parsed value equals their field's default."""
+    for f in fields(parsed):
+        if f.name not in raw:
+            continue
+        key, value = f"{path}.{f.name}" if path else f.name, getattr(parsed, f.name)
+        if is_dataclass(value):
+            yield from _restated_defaults(raw[f.name], value, key)
+        elif f.name == "sequence":
+            for i, (r, pulse) in enumerate(zip(raw[f.name], value)):
+                yield from _restated_defaults(r, pulse, f"{key}[{i}]")
+        elif value == f.default:
+            yield key
+
+
+def test_presets_state_only_what_differs_from_the_defaults():
+    restated = {name: list(_restated_defaults(preset(name), parse_config(preset(name))))
+                for name in preset_names()}
+    assert restated == {name: [] for name in preset_names()}
 
 
 def test_preset_returns_a_copy():

@@ -256,6 +256,29 @@ def test_matrix_power_batch():
             )
 
 
+def _apply_column(column):
+    """Populations after a propagator with this first column acts on level 0 alone."""
+    prop = np.eye(4)
+    prop[:, 0] = column
+    pops = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+    engine.apply_batch(prop[None], pops)
+    return pops[0]
+
+
+def test_apply_batch_clamps_round_off_below_zero():
+    assert _apply_column([0.5, -1e-11, 0.5, 0.0]).tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("column, message", [
+    ([0.5, -1e-9, 0.5, 0.0], "negative population"),
+    ([0.5, 0.5 + 1e-9, 0.0, 0.0], "created population"),
+    ([0.5, np.nan, 0.5, 0.0], "NaN"),
+])
+def test_apply_batch_rejects_a_propagator_that_breaks_the_populations(column, message):
+    with pytest.raises(ArithmeticError, match=message):
+        _apply_column(column)
+
+
 # ------------------------------------------------------------- steady state
 
 

@@ -169,6 +169,9 @@ def test_a_late_swept_pump_compiles_every_step_once(monkeypatch, start, period):
     segments = [s for it in swept for s in (it.segments if isinstance(it, RepeatBlock) else [it])]
     assert all(s.dt_ms > sequence.TIME_TOL_MS for s in segments)
     assert comp.drives_end_ms == start + 8 * period
+    # whole periods counted to TIME_TOL_MS, not to 1e-9 of a period, make one block
+    (block,) = swept
+    assert isinstance(block, RepeatBlock) and block.count == 8
 
 
 # ------------------------------------------------------------------- compile
@@ -597,11 +600,11 @@ def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
 
 # ---------------------------------------------------------------- point memo
 
-def _memo_sequence(delays=(2.0, 0.0)):
+def _memo_sequence(delays=(2.0, 0.0), center=0.0, power=20.0, duration=0.5):
     return compile_sequence([
-        PumpPulse(duration_ms=0.5, center_MHz=0.0, power_rate_per_ms=2.0,
+        PumpPulse(duration_ms=duration, center_MHz=center, power_rate_per_ms=2.0,
                   sweep_span_MHz=10.0, sweep_period_ms=0.1),
-        StimulationPulse(duration_ms=0.6, power_mW=20.0),
+        StimulationPulse(duration_ms=0.6, power_mW=power),
         *(ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=d)
           for d in delays),
     ])
@@ -646,7 +649,11 @@ def _thermal_off_balance():
     (_memo_ens(field=1.5), _memo_sequence(), NARROW),
     (_memo_ens(), _memo_sequence(), DriveCalibration(pump_linewidth_MHz=0.5)),
     (_memo_ens(), _memo_sequence((2.0, 0.5)), NARROW),
-], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay"])
+    (_memo_ens(), _memo_sequence(center=0.25), NARROW),
+    (_memo_ens(), _memo_sequence(power=10.0), NARROW),
+    (_memo_ens(), _memo_sequence(duration=0.4), NARROW),
+], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay",
+        "pump centre", "stimulation power", "pump duration"])
 def test_memo_misses_when_the_run_differs(ens, comp, cal):
     memo = {}
     sequence.advance(_memo_ens(), _memo_sequence(), NARROW, memo)
