@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_list_presets()
-    except (ArithmeticError, HoleburnError, KeyError, OSError, ValueError) as exc:
+    except (ArithmeticError, HoleburnError, KeyError, MemoryError, OSError, ValueError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

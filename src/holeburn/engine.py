@@ -120,49 +120,32 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     w = 0.5 / params.tz_ms
     a_same = params.beta / params.t1_ms
     a_flip = (1.0 - params.beta) / params.t1_ms
+    s_same = drive.stim_rate * params.beta_z2
+    s_flip = drive.stim_rate * (1.0 - params.beta_z2)
+    r = drive.rf_mix_rate
 
     m = np.zeros((4, 4))
 
-    # Ground spin flips.
-    m[0, 1] += w
-    m[1, 0] += w
-    m[0, 0] -= w
-    m[1, 1] -= w
+    def flow(*rows):
+        # each (from, to, rate) is gained at (to, from) and lost at (from, from);
+        # a zero rate would change no entry, so it is skipped
+        for src, dst, rate in rows:
+            if rate:
+                m[dst, src] += rate
+                m[src, src] -= rate
 
-    # Spontaneous decay; e1 pairs with g1, e2 with g2.
-    m[0, 2] += a_same
-    m[1, 2] += a_flip
-    m[1, 3] += a_same
-    m[0, 3] += a_flip
-    m[2, 2] -= a_same + a_flip
-    m[3, 3] -= a_same + a_flip
-
+    # Ground spin flips, then spontaneous decay; e1 pairs with g1, e2 with g2.
+    flow((0, 1, w), (1, 0, w), (2, 0, a_same), (2, 1, a_flip), (3, 1, a_same), (3, 0, a_flip))
     if any(drive.pump_rate):
         add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
-
-    # Stimulated emission from e1, then e2, through the eliminated
-    # intermediate level; e1 pairs with g1, e2 with g2.
-    if drive.stim_rate:
-        rate, bz = drive.stim_rate, params.beta_z2
-        for up, g_same, g_other in ((2, 0, 1), (3, 1, 0)):
-            m[g_same, up] += rate * bz
-            m[g_other, up] += rate * (1.0 - bz)
-            m[up, up] -= rate
-
-    # Excited-state mixing.
-    if drive.rf_mix_rate > 0.0:
-        r = drive.rf_mix_rate
-        m[2, 3] += r
-        m[3, 2] += r
-        m[2, 2] -= r
-        m[3, 3] -= r
-
+    # Stimulated return through the eliminated intermediate level, then
+    # excited-state mixing.
+    flow((2, 0, s_same), (2, 1, s_flip), (3, 1, s_same), (3, 0, s_flip), (2, 3, r), (3, 2, r))
     # Persistent-trap leak; the only process that breaks conservation.
     if params.persistent_fraction > 0.0:
         leak = params.persistent_fraction * params.persistent_leak_scale
         m[2, 2] -= leak
         m[3, 3] -= leak
-
     return m
 
 
@@ -240,18 +223,10 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
 
 
 def matrix_power_batch(propagators: np.ndarray, n: int) -> np.ndarray:
-    """Stacked integer matrix power by repeated squaring."""
+    """Stacked integer matrix power; n < 0 is refused, as NumPy would invert."""
     if n < 0:
         raise ValueError("power must be >= 0")
-    result = np.broadcast_to(np.eye(propagators.shape[-1]), propagators.shape).copy()
-    base = propagators.copy()
-    k = n
-    while k:
-        if k & 1:
-            result = base @ result
-        base = base @ base
-        k >>= 1
-    return result
+    return np.linalg.matrix_power(propagators, n)
 
 
 def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:

@@ -119,12 +119,16 @@ def test_run_rejects_a_sweep_step_too_short_to_hold_a_segment(tmp_path, capsys, 
 
 
 def test_run_reports_an_arithmetic_error(tmp_path, capsys, monkeypatch):
-    def advance(*args):
-        raise ArithmeticError("propagation created population")
+    # NumPy raises a MemoryError for an impossible allocation, such as a class grid
+    # of 5e11 classes; it is raised here so that the test allocates nothing
+    for exc in (ArithmeticError("propagation created population"),
+                MemoryError("Unable to allocate 3.64 TiB for an array")):
+        def advance(*args, exc=exc):
+            raise exc
 
-    monkeypatch.setattr(runner, "advance", advance)
-    assert main(["run", "--preset", "stimulated_pumping", "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == "error: propagation created population\n"
+        monkeypatch.setattr(runner, "advance", advance)
+        assert main(["run", "--preset", "stimulated_pumping", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_run_requires_exactly_one_source(tmp_path, capsys):

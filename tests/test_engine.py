@@ -84,6 +84,79 @@ def test_matrix_columns_conservative():
         assert np.all(m.sum(axis=0) <= 1e-12)
 
 
+def _reference_rate_matrix(params, drive):
+    """The generator written out process by process, each with its own gains and losses."""
+    w = 0.5 / params.tz_ms
+    a_same = params.beta / params.t1_ms
+    a_flip = (1.0 - params.beta) / params.t1_ms
+
+    m = np.zeros((4, 4))
+
+    # Ground spin flips.
+    m[0, 1] += w
+    m[1, 0] += w
+    m[0, 0] -= w
+    m[1, 1] -= w
+
+    # Spontaneous decay; e1 pairs with g1, e2 with g2.
+    m[0, 2] += a_same
+    m[1, 2] += a_flip
+    m[1, 3] += a_same
+    m[0, 3] += a_flip
+    m[2, 2] -= a_same + a_flip
+    m[3, 3] -= a_same + a_flip
+
+    if any(drive.pump_rate):
+        engine.add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
+
+    # Stimulated emission from e1, then e2, through the eliminated
+    # intermediate level; e1 pairs with g1, e2 with g2.
+    if drive.stim_rate:
+        rate, bz = drive.stim_rate, params.beta_z2
+        for up, g_same, g_other in ((2, 0, 1), (3, 1, 0)):
+            m[g_same, up] += rate * bz
+            m[g_other, up] += rate * (1.0 - bz)
+            m[up, up] -= rate
+
+    # Excited-state mixing.
+    if drive.rf_mix_rate > 0.0:
+        r = drive.rf_mix_rate
+        m[2, 3] += r
+        m[3, 2] += r
+        m[2, 2] -= r
+        m[3, 3] -= r
+
+    # Persistent-trap leak; the only process that breaks conservation.
+    if params.persistent_fraction > 0.0:
+        leak = params.persistent_fraction * params.persistent_leak_scale
+        m[2, 2] -= leak
+        m[3, 3] -= leak
+
+    return m
+
+
+def test_matrix_matches_the_process_by_process_reference():
+    # without stimulated return the flows round as the reference does; with it the
+    # stimulated loss is subtracted in its two branches, so it may round differently
+    rng = np.random.default_rng(31)
+    for k in range(400):
+        params = RateParams(
+            t1_ms=rng.uniform(2.0, 30.0), tz_ms=rng.uniform(5.0, 500.0),
+            beta=rng.uniform(0.0, 1.0), beta_z2=rng.uniform(0.0, 1.0),
+            persistent_fraction=rng.choice([0.0, rng.uniform(0.0, 1.0)]),
+        )
+        drive = DriveRates(
+            pump_rate=tuple((rng.uniform(0.0, 5.0, 4) * (rng.random(4) < 0.5)).tolist()),
+            stim_rate=rng.uniform(0.0, 20.0) if k % 2 else 0.0,
+            rf_mix_rate=rng.choice([0.0, rng.uniform(0.0, 50.0)]),
+        )
+        m, ref = build_rate_matrix(params, drive), _reference_rate_matrix(params, drive)
+        if drive.stim_rate == 0.0:
+            assert m.tobytes() == ref.tobytes()
+        else:
+            assert np.all(np.abs(m - ref) <= 1e-15 * np.abs(ref))
+
+
 def test_matrix_persistent_leak_only_from_excited():
     params = RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9, persistent_fraction=0.5)
     m = build_rate_matrix(params)
@@ -248,12 +321,15 @@ def test_matrix_power_batch():
         [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(8)]
     )
     props = propagator_batch(mats, 0.05)
-    for n in (1, 2, 7, 100, 1000):
+    expected, done = np.broadcast_to(np.eye(4), props.shape), 0
+    for n in (0, 1, 2, 7, 100, 1000):
+        while done < n:
+            expected, done = props @ expected, done + 1
         powered = matrix_power_batch(props, n)
-        for i in range(8):
-            assert np.allclose(
-                powered[i], np.linalg.matrix_power(props[i], n), atol=1e-10
-            )
+        assert powered.shape == props.shape
+        assert np.allclose(powered, expected, atol=1e-10)
+    with pytest.raises(ValueError):
+        matrix_power_batch(props, -1)
 
 
 def _apply_column(column):

@@ -139,6 +139,7 @@ def _cap_segments(monkeypatch):
 @pytest.mark.parametrize("period, dt_max, n_steps", [
     (1e-12, None, None), (1e-11, None, None), (1e-10, 2e-12, None),  # steps of 2e-12 or less
     (1.25e-10, None, 50), (1e-10, 2.5e-12, 40),  # the shortest steps that hold a segment
+    (0.1, 1e-11, None),  # 1e10 steps per period, more than MAX_SWEEP_STEPS
 ])
 def test_a_sweep_step_too_short_to_hold_a_segment_is_rejected(monkeypatch, period, dt_max,
                                                               n_steps):
