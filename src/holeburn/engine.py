@@ -108,14 +108,17 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     * ground spin flips g1 <-> g2 at 1 / (2 tz);
     * spontaneous decay from each excited level at 1 / t1 total, split into
       a spin-preserving branch (beta) and a spin-flipping branch (1 - beta);
-    * bidirectional optical pumping on each driven transition (equal rates
-      up and down, so a saturating drive equalises the pair);
     * stimulated de-excitation at stim_rate, returned to the ground doublet
       with spin-preserving weight beta_z2 after adiabatic elimination of the
       intermediate level;
     * excited-state mixing e1 <-> e2 at rf_mix_rate;
     * a trap leak from the excited levels proportional to
-      persistent_fraction, which makes the column sums negative.
+      persistent_fraction, which makes the column sums negative;
+    * bidirectional optical pumping on each driven transition (equal rates
+      up and down, so a saturating drive equalises the pair).
+
+    The pump goes last, as the ensemble path adds it to a stack of pump-free
+    generators, so one drive gives the same bytes either way.
     """
     w = 0.5 / params.tz_ms
     a_same = params.beta / params.t1_ms
@@ -136,8 +139,6 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
 
     # Ground spin flips, then spontaneous decay; e1 pairs with g1, e2 with g2.
     flow((0, 1, w), (1, 0, w), (2, 0, a_same), (2, 1, a_flip), (3, 1, a_same), (3, 0, a_flip))
-    if any(drive.pump_rate):
-        add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
     # Stimulated return through the eliminated intermediate level, then
     # excited-state mixing.
     flow((2, 0, s_same), (2, 1, s_flip), (3, 1, s_same), (3, 0, s_flip), (2, 3, r), (3, 2, r))
@@ -146,6 +147,8 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
         leak = params.persistent_fraction * params.persistent_leak_scale
         m[2, 2] -= leak
         m[3, 3] -= leak
+    if any(drive.pump_rate):
+        add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
     return m
 
 

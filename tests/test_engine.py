@@ -106,9 +106,6 @@ def _reference_rate_matrix(params, drive):
     m[2, 2] -= a_same + a_flip
     m[3, 3] -= a_same + a_flip
 
-    if any(drive.pump_rate):
-        engine.add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
-
     # Stimulated emission from e1, then e2, through the eliminated
     # intermediate level; e1 pairs with g1, e2 with g2.
     if drive.stim_rate:
@@ -131,6 +128,10 @@ def _reference_rate_matrix(params, drive):
         leak = params.persistent_fraction * params.persistent_leak_scale
         m[2, 2] -= leak
         m[3, 3] -= leak
+
+    # Optical pumping, last, as the ensemble path adds it.
+    if any(drive.pump_rate):
+        engine.add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
 
     return m
 
@@ -155,6 +156,17 @@ def test_matrix_matches_the_process_by_process_reference():
             assert m.tobytes() == ref.tobytes()
         else:
             assert np.all(np.abs(m - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_matrix_with_pump_matches_the_ensemble_form():
+    # the ensemble path builds the pump-free generator and adds the pump to a stack
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        params, drive = _random_params(rng), _random_drive(rng)
+        stacked = build_rate_matrix(params, DriveRates(stim_rate=drive.stim_rate,
+                                                       rf_mix_rate=drive.rf_mix_rate))[None]
+        engine.add_pump_rates(stacked, np.asarray(drive.pump_rate)[None])
+        assert build_rate_matrix(params, drive).tobytes() == stacked[0].tobytes()
 
 
 def test_matrix_persistent_leak_only_from_excited():
