@@ -247,7 +247,28 @@ def test_propagator_matches_scipy():
     dts = [1e-4, 1.0, 100.0, *rng.uniform(0.0, 30.0, size=20)]
     for m in mats + [np.zeros((4, 4))]:
         for dt in dts:
-            assert np.allclose(propagator(m, dt), scipy.linalg.expm(m * dt), atol=1e-11)
+            assert np.allclose(propagator(m, dt), scipy.linalg.expm(m * dt), atol=1e-12)
+
+
+def _conservative_stack_below_the_taylor_bound(rng, n):
+    """Random leak-free generators, each with the dt that puts its 1-norm just under 1/4."""
+    mats = np.stack([build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(n)])
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    dts = rng.uniform(0.05, 0.999, n) * engine._THETA12 / norms
+    assert np.all(norms * dts < engine._THETA12)
+    return mats, dts
+
+
+def test_propagator_below_the_taylor_bound_matches_scipy():
+    mats, dts = _conservative_stack_below_the_taylor_bound(np.random.default_rng(41), 200)
+    for m, dt in zip(mats, dts):
+        assert np.abs(propagator(m, dt) - scipy.linalg.expm(m * dt)).max() <= 1e-15
+
+
+def test_propagator_below_the_taylor_bound_keeps_unit_column_sums():
+    mats, dts = _conservative_stack_below_the_taylor_bound(np.random.default_rng(43), 200)
+    for m, dt in zip(mats, dts):
+        assert np.abs(propagator(m, dt).sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def test_propagator_handles_a_jordan_block():
@@ -274,7 +295,9 @@ def test_propagator_bytes_do_not_depend_on_the_batch():
     norms = np.abs(mats).sum(axis=1).max(axis=1)
     # 1e-4 ms needs no squaring for any matrix; 30 ms squares every one
     assert norms.max() * 1e-4 < 5.37 < norms.min() * 30.0
-    for dt in (1e-4, 0.05, 1.0, 30.0):
+    # at 3e-3 ms the stack straddles the Taylor bound, so both methods share it
+    assert 0 < np.count_nonzero(norms * 3e-3 < engine._THETA12) < len(mats)
+    for dt in (1e-4, 3e-3, 0.05, 1.0, 30.0):
         full = propagator_batch(mats, dt)
         reverse = propagator_batch(mats[::-1], dt)[::-1]
         for i, m in enumerate(mats):
@@ -292,7 +315,11 @@ def test_propagator_bytes_do_not_depend_on_the_blocks():
     # at 1 ms the matrices take different numbers of squarings
     norms = np.abs(mats).sum(axis=1).max(axis=1)
     assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA13)[1].clip(0))) > 1
-    for dt in (1e-4, 1.0, 30.0):
+    # at 3e-3 ms every block holds matrices on both sides of the Taylor bound
+    small = norms * 3e-3 < engine._THETA12
+    for block in np.split(small, range(engine._BLOCK_MATRICES, len(mats), engine._BLOCK_MATRICES)):
+        assert 0 < np.count_nonzero(block) < len(block)
+    for dt in (1e-4, 3e-3, 1.0, 30.0):
         full = propagator_batch(mats, dt)
         for i, m in enumerate(mats):
             assert propagator_batch(m[None], dt)[0].tobytes() == full[i].tobytes()
@@ -489,3 +516,13 @@ def test_state_validation():
     with pytest.raises(ValueError):
         DriveRates(pump_rate=(-1.0, 0.0, 0.0, 0.0))
     assert NO_DRIVE.pump_rate == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pump_rate", (0.0, math.nan, 0.0, 0.0)), ("pump_rate", (0.0, 0.0, 0.0, -1.0)),
+    ("stim_rate", math.nan), ("stim_rate", -1.0),
+    ("rf_mix_rate", math.nan), ("rf_mix_rate", -0.5),
+])
+def test_drive_rates_refuse_negative_and_nan_rates(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+        DriveRates(**{field: value})
