@@ -209,11 +209,12 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     for lo in range(0, len(mats), _BLOCK_MATRICES):
         m = mats[lo:lo + _BLOCK_MATRICES]
         norm = np.abs(m).sum(axis=-2).max(axis=-1) * dt_ms
-        a, out, small = m * dt_ms, props[lo:lo + _BLOCK_MATRICES], norm < _THETA12
+        out, small = props[lo:lo + _BLOCK_MATRICES], norm < _THETA12
         if small.all() or not small.any():  # a block on one side needs no gather or scatter
-            out[...] = _taylor12(a) if small[0] else _pade13(a, norm)
+            out[...] = _taylor12(m * dt_ms) if small[0] else _pade13(m, dt_ms, norm)
         else:
-            out[small], out[~small] = _taylor12(a[small]), _pade13(a[~small], norm[~small])
+            out[small] = _taylor12(m[small] * dt_ms)
+            out[~small] = _pade13(m[~small], dt_ms, norm[~small])
     return props
 
 
@@ -227,11 +228,11 @@ def _taylor12(a: np.ndarray) -> np.ndarray:
     return a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye)
 
 
-def _pade13(a: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """exp(a) by degree-13 Pade scaling and squaring, given each matrix's 1-norm."""
-    b, eye = _B13, np.eye(a.shape[-1])
+def _pade13(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
+    """exp(m dt) by degree-13 Pade scaling and squaring, given each matrix's 1-norm of m dt."""
+    b, eye = _B13, np.eye(m.shape[-1])
     s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
-    a = np.ldexp(a, -s[:, None, None])
+    a = np.ldexp(m * dt_ms, -s[:, None, None])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
