@@ -92,7 +92,7 @@ class DriveRates:
     def __post_init__(self):
         if len(self.pump_rate) != 4:
             raise ValueError("pump_rate must have one entry per transition")
-        # written as "not r >= 0" so that a NaN rate is refused too
+        # r >= 0 is False for NaN, so a NaN rate is refused too
         for name, rates in (("pump_rate", self.pump_rate), ("stim_rate", (self.stim_rate,)),
                             ("rf_mix_rate", (self.rf_mix_rate,))):
             if not all(r >= 0 for r in rates):

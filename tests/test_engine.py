@@ -251,7 +251,7 @@ def test_propagator_matches_scipy():
 
 
 def _conservative_stack_below_the_taylor_bound(rng, n):
-    """Random leak-free generators, each with the dt that puts its 1-norm just under 1/4."""
+    """Random leak-free generators, each with a dt that puts its 1-norm between 0.0125 and 1/4."""
     mats = np.stack([build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(n)])
     norms = np.abs(mats).sum(axis=1).max(axis=1)
     dts = rng.uniform(0.05, 0.999, n) * engine._THETA12 / norms
