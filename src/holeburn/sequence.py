@@ -10,7 +10,8 @@ of stepping through every period.
 Sharing propagators between ion classes is exact: a segment's generator
 depends on the class only through the detuning of the pump from the class
 centre, so every class and sweep step with the same detuning and duration
-gets the one propagator computed for that detuning.
+gets the one propagator computed for that detuning.  On the uniform class
+grid the detunings form a lattice, indexed from the pump frequencies alone.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ SWEEP_STEPS_PER_PERIOD = 50
 # fig7 takes 100 steps per period, stimulated_pumping at dt_max_ms 1e-5 takes 1e4.
 MAX_SWEEP_STEPS = 100_000
 
-# Pump detunings from the class centre closer than this share a propagator.
-# Float rounding of those differences is about 1e-14 MHz on the bundled
-# grids; the narrowest pump line is 0.25 MHz wide.
+# Pump residues modulo the class step closer than this share a propagator, and
+# class centres may stray this far from their lattice.  Rounding of both is about
+# 1e-14 MHz on the bundled grids; the narrowest pump line is 0.25 MHz wide.
 DETUNING_KEY_MHZ = 1e-11
 
 # Times closer than this are one time: edges and cuts this close coincide, and
@@ -442,7 +443,7 @@ class _Propagators:
         for a single segment.  The result is its own key: with the class grid
         and pump linewidth, equal keys build equal generators, also when a
         pump frequency is -0.0 in one and 0.0 in the other, as a detuning
-        enters only squared and np.unique takes the two zeros as one.
+        enters only squared and the lattice takes the two zeros as one.
         """
         if isinstance(item, RepeatBlock):
             segments, count = item.segments, item.count
@@ -462,36 +463,60 @@ class _Propagators:
                            tuple(members), pump))
         return tuple(groups), count
 
+    def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first slot in the stack of distinct detunings, and each slot's first row.
+
+        Class i sits at c0 + i·h, so (s, i) meets the detuning (m_s - i)·h + r_s, r_s
+        being row s's offset modulo h keyed to DETUNING_KEY_MHZ.  Rows sorted by
+        (r_s, -m_s) take runs of n slots that overlap as their lattice positions do,
+        gaps compacted away; a slot's first row holds its first (row, class) by rows.
+        """
+        c = self.ens.centers_MHz
+        n = len(c)
+        h = (c[-1] - c[0]) / (n - 1)
+        if np.abs(c[0] + h * np.arange(n) - c).max() > DETUNING_KEY_MHZ:
+            raise ValueError(f"centers_MHz must be a uniform grid to {DETUNING_KEY_MHZ} MHz")
+        m, res = np.divmod(pump - c[0], h)
+        # a residue that rounds up to h is the next lattice point's 0
+        carry, res = np.divmod(np.rint(res / DETUNING_KEY_MHZ), round(h / DETUNING_KEY_MHZ))
+        q = -(m + carry).astype(np.intp)
+        order = np.lexsort((q, res))
+        step = np.minimum(np.diff(q[order]), n)
+        step[np.diff(res[order]) != 0] = n
+        starts = np.empty_like(q)
+        starts[order] = np.concatenate(([0], np.cumsum(step)))
+        first = np.empty(starts.max() + n, dtype=np.intp)
+        for s in reversed(range(len(pump))):
+            first[starts[s]:starts[s] + n] = s
+        return starts, first
+
     def propagator(self, grouped) -> np.ndarray:
         """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
 
         Each group is exponentiated in one batch: one matrix for every class
         with the pump off, one per distinct pump detuning with it.  The
-        segments' factors are then multiplied in time order, class i of a
-        segment gathering the matrix of its detuning (index 0 without the
-        pump).  The shape is (1, 4, 4) when every factor is shared by all classes.
+        segments' factors are then multiplied in time order, a pumped one
+        being the slice of its row's slots (_lattice), a pump-off one its
+        single matrix.  The shape is (1, 4, 4) when every factor is shared.
         """
         groups, count = grouped
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
-            g, indices = np.frombuffer(drive).reshape(1, 4, 4), [[0]] * len(members)
+            g, starts, width = np.frombuffer(drive).reshape(1, 4, 4), [0] * len(members), 1
             if pump is not None:
                 pump = np.array(pump)
-                keys = np.rint((pump[:, None] - self.ens.centers_MHz) / DETUNING_KEY_MHZ)
-                _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-                seg_idx, cls_idx = np.divmod(firsts, keys.shape[1])
-                det = pump[seg_idx, None] - self.trans[cls_idx]
+                (starts, first), width = self._lattice(pump), self.ens.n_classes
+                det = pump[first, None] - self.trans[np.arange(len(first)) - starts[first]]
                 g = np.repeat(g, len(det), axis=0)
                 engine.add_pump_rates(
                     g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
                 )
-                indices = inverse.reshape(keys.shape)
             props = self._expm(g, dt_ms)
-            for i, index in zip(members, indices):
-                factors[i] = props, index
+            for i, a in zip(members, starts):
+                factors[i] = props[a:a + width]
         acc = None
-        for props, index in factors:
-            acc = props[index] if acc is None else props[index] @ acc
+        for factor in factors:
+            acc = factor if acc is None else factor @ acc
         return acc if count is None else engine.matrix_power_batch(acc, count)
 
 

@@ -30,6 +30,21 @@ GOLDEN = Path(__file__).parent / "golden" / "preset_metrics.json"
 ATOL = 1e-12
 RTOL = 1e-9
 
+# The 4x4 matrices each preset exponentiates (the manifest's n_expm_matrices).
+# A change in which classes and steps share a propagator shows here even when
+# the outputs stay within tolerance.
+N_EXPM = {
+    "baseline": 0,
+    "fig3_standard_pumping": 1018,
+    "fig4_stimulation_spectrum": 8024,
+    "fig5_stimulation_rates": 10029,
+    "fig6_rf_power": 30582,
+    "fig7_tailoring": 1103,
+    "rf_pumping": 5097,
+    "standard_pumping_pit": 5096,
+    "stimulated_pumping": 5097,
+}
+
 
 def _columns(path):
     with open(path, newline="") as fh:
@@ -85,7 +100,7 @@ def golden():
 
 
 def test_golden_covers_every_preset(golden):
-    assert sorted(golden) == sorted(preset_names())
+    assert sorted(golden) == sorted(preset_names()) == sorted(N_EXPM)
     assert all(golden[name] for name in golden)
 
 
@@ -99,6 +114,8 @@ def test_preset_matches_golden(name, golden, tmp_path):
         assert have.shape == want.shape, key
         dev = np.abs(have - want)
         assert np.all(dev <= ATOL + RTOL * np.abs(want)), (key, float(dev.max()))
+    stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+    assert stats["n_expm_matrices"] == N_EXPM[name]
 
 
 if __name__ == "__main__":

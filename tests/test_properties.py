@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from holeburn import runner  # noqa: E402
+from holeburn import runner, sequence  # noqa: E402
 from holeburn.analysis import residual_metrics  # noqa: E402
 from holeburn.config import (  # noqa: E402
     ExperimentConfig,
@@ -338,6 +338,71 @@ def test_compiled_steps_tile_the_drives_on_the_pump_grid(pulses):
         assert 1e-12 <= seg.dt_ms <= longest * (1 + 1e-9)
         assert seg.pump_freq_MHz == pytest.approx(freq, rel=0, abs=1e-12)
         assert seg.pump_rate_per_ms == rate
+
+
+def _sorted_key_index(pump, centers):
+    """Sharing by sorted detuning keys, the rule the lattice index reproduces.
+
+    Returns each distinct key's first (row, class) as a flat row-major index,
+    and every (row, class)'s distinct-key label.
+    """
+    keys = np.rint((pump[:, None] - centers) / sequence.DETUNING_KEY_MHZ)
+    _, firsts, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return firsts, inverse.reshape(keys.shape)
+
+
+@st.composite
+def _pumped_grid(draw):
+    """A uniform class grid in a perfbench frame shift, and pump rows on it.
+
+    Rows step as a sweep does (centre + span·((k + 0.5)/N - 0.5)): by 0.2 MHz
+    on a 0.5 MHz grid (five residues, fig6), by h from a half-integer offset
+    (fig7), by an incommensurate step, or by more than the grid is wide (slot
+    gaps); or they are zeros of both signs among lattice points, or one row.
+    """
+    n = draw(st.integers(11, 401))
+    h = draw(st.sampled_from([0.5, 0.25, 1 / 3, 0.1]))
+    shift = draw(st.integers(-31, 31)) / 64
+    kind = draw(st.sampled_from(["fifths", "half", "incommensurate", "wide", "zeros", "one"]))
+    rows = draw(st.integers(1, 60))
+    step, center = h, shift + h * draw(st.integers(-n // 2, n // 2))
+    if kind == "fifths":
+        h, step = 0.5, 0.2
+        center = shift + 0.1 * draw(st.integers(-n // 2, n // 2))
+    elif kind == "incommensurate":
+        step = h * draw(_num(0.05, 3.0))
+    elif kind == "wide":
+        step = h * draw(st.integers(n // 3, 2 * n))
+    prof = InhomogeneousProfile(center_MHz=shift, shape="flat",
+                                grid_span_MHz=(n - 1) * h, grid_step_MHz=h)
+    ens = build_ensemble(prof, FIELD, LEAKY, target_od=None)
+    assert ens.n_classes == n
+    if kind == "zeros":
+        pool = [0.0, -0.0, h, -h, 2 * h, 0.5 * h]
+        pump = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=rows))
+    elif kind == "one":
+        pump = [shift + draw(_num(-(n + 20) * h, (n + 20) * h))]
+    else:
+        steps = 2 * rows if kind == "half" else rows
+        pump = [center + step * steps * ((k + 0.5) / steps - 0.5) for k in range(rows)]
+    return ens, np.array(pump)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_pumped_grid())
+def test_the_lattice_index_shares_as_sorted_keys_do(case):
+    ens, pump = case
+    n = ens.n_classes
+    starts, first = sequence._Propagators(ens, DriveCalibration())._lattice(pump)
+    firsts, inverse = _sorted_key_index(pump, ens.centers_MHz)
+    # one slot per distinct key, every slot used, and the labels pair one to one
+    slots = starts[:, None] + np.arange(n)
+    assert len(first) == len(firsts)
+    assert np.unique(slots).size == len(first)
+    assert np.unique(slots * len(first) + inverse).size == len(first)
+    # each detuning is built from the sorted keys' first (row, class)
+    row, cls = np.divmod(firsts, n)
+    assert np.array_equal(first[starts[row] + cls], row)
 
 
 # Numeric paths every drawn scenario has, each with its values and whether

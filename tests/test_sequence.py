@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from holeburn import engine, sequence
+from holeburn import engine, runner, sequence
 from holeburn.config import parse_config
 from holeburn.engine import DriveRates, IonClassState
 from holeburn.ensemble import InhomogeneousProfile, build_ensemble, hole_area
 from holeburn.errors import ConfigError, SequenceError
 from holeburn.levels import RateParams, ZeemanConfig
+from holeburn.presets import preset
 from holeburn.sequence import (
     CompiledSequence,
     DriveCalibration,
@@ -597,6 +599,40 @@ def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
     # one batch for the lit steps, one shared matrix for the gated ones
     assert sorted(counted) == [1, len(detunings)]
     assert len(detunings) < len(lit) * ens.n_classes
+
+
+def test_a_pumped_item_needs_a_uniform_class_grid():
+    ens = _ens(span=20.0, step=1.0)
+    centers = ens.centers_MHz.copy()
+    centers[7] += 1e-9
+    jittered = replace(ens, centers_MHz=centers)
+    block = next(it for it in _gated_rf_sequence().items if isinstance(it, RepeatBlock))
+    props = sequence._Propagators(jittered, NARROW)
+    with pytest.raises(ValueError, match="centers_MHz"):
+        props.propagator(props.groups(block))
+    # without the pump no lattice is read
+    off = DriveSegment(t_start_ms=0.0, t_end_ms=1.0, stim_power_mW=20.0)
+    assert props.propagator(props.groups(off)).shape == (1, 4, 4)
+
+
+def test_propagator_memory_of_a_gated_sweep_cycle():
+    # fig7's cycle: 94 lit and 6 gated steps over 1,001 classes, 2,000 periods;
+    # sorting its 94 x 1,001 detuning keys would peak at 4.4 MiB
+    cfg = parse_config(preset("fig7_tailoring"))
+    ens, comp = runner._prepare(cfg)
+    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    lit = sum(s.pump_freq_MHz is not None for s in block.segments)
+    assert (lit, len(block.segments) - lit, ens.n_classes, block.count) == (94, 6, 1001, 2000)
+    props = sequence._Propagators(ens, cfg.drive)
+    grouped = props.groups(block)
+    tracemalloc.start()
+    try:
+        out = props.propagator(grouped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1001, 4, 4)
+    assert peak < 1.5 * 2**20
 
 
 # ---------------------------------------------------------------- point memo
