@@ -11,7 +11,9 @@ Sharing propagators between ion classes is exact: a segment's generator
 depends on the class only through the detuning of the pump from the class
 centre, so every class and sweep step with the same detuning and duration
 gets the one propagator computed for that detuning.  On the uniform class
-grid the detunings form a lattice, indexed from the pump frequencies alone.
+grid the detunings form a lattice, indexed from the pump frequencies alone,
+and a step's factor for class i + 1 is its factor for class i moved one slot:
+steps whose factors lie alike on the lattice share their products too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -494,30 +498,111 @@ class _Propagators:
         """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
 
         Each group is exponentiated in one batch: one matrix for every class
-        with the pump off, one per distinct pump detuning with it.  The
-        segments' factors are then multiplied in time order, a pumped one
-        being the slice of its row's slots (_lattice), a pump-off one its
-        single matrix.  The shape is (1, 4, 4) when every factor is shared.
+        with the pump off, one per distinct pump detuning with it.  A pumped
+        segment's factor is the slice of its row's slots (_lattice), a
+        pump-off one its single matrix, and _time_ordered multiplies them in
+        time order.  The shape is (1, 4, 4) when every factor is shared.
         """
         groups, count = grouped
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
-            g, starts, width = np.frombuffer(drive).reshape(1, 4, 4), [0] * len(members), 1
+            g, starts = np.frombuffer(drive).reshape(1, 4, 4), [None] * len(members)
             if pump is not None:
                 pump = np.array(pump)
-                (starts, first), width = self._lattice(pump), self.ens.n_classes
+                starts, first = self._lattice(pump)
                 det = pump[first, None] - self.trans[np.arange(len(first)) - starts[first]]
+                starts = starts.tolist()
                 g = np.repeat(g, len(det), axis=0)
                 engine.add_pump_rates(
                     g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
                 )
             props = self._expm(g, dt_ms)
             for i, a in zip(members, starts):
-                factors[i] = props[a:a + width]
-        acc = None
-        for factor in factors:
-            acc = factor if acc is None else factor @ acc
+                factors[i] = props, a
+        acc = _time_ordered(factors, self.ens.n_classes)
         return acc if count is None else engine.matrix_power_batch(acc, count)
+
+
+def _periods(symbols) -> list[int]:
+    """Every p < len(symbols) with symbols[k + p] == symbols[k] for all k, smallest first.
+
+    A period is the length less a border of the whole; the prefix function
+    chains the borders from the longest down.
+    """
+    border, b = [0], 0
+    for x in symbols[1:]:
+        while b and x != symbols[b]:
+            b = border[b - 1]
+        b += x == symbols[b]
+        border.append(b)
+    periods = []
+    while b:
+        periods.append(len(symbols) - b)
+        b = border[b - 1]
+    return periods
+
+
+def _shift_period(factors) -> int | None:
+    """The smallest p <= K / 2 for which factor k + p is factor k moved by a fixed number of slots.
+
+    The stacks repeat with period p, and the steps between consecutive offsets
+    with period c, the number of offsets among the first p.
+    """
+    lit = list(accumulate(a is not None for _, a in factors))
+    offsets = [a for _, a in factors if a is not None]
+    steps = [b - a for a, b in zip(offsets, offsets[1:])]
+    steady = set(_periods(steps))
+    for p in _periods([id(s) for s, _ in factors]):
+        if 2 * p > len(factors):
+            break
+        if lit[p - 1] >= len(steps) or lit[p - 1] in steady:
+            return p
+    return None
+
+
+def _fold(factors, width) -> np.ndarray:
+    """Left-to-right product of factors, each stack[offset:offset + width] or a shared stack."""
+    return reduce(lambda acc, m: m @ acc, (s if a is None else s[a:a + width] for s, a in factors))
+
+
+def _time_ordered(factors, n) -> np.ndarray:
+    """Product F[K-1] ... F[0] of (stack, offset) factors, each stack[offset:offset + n].
+
+    A factor with offset None is a (1, 4, 4) stack every class shares.  The
+    product of consecutive factors depends only on their stacks and relative
+    offsets, their layout.  So a pass cuts the factors into chunks and
+    multiplies each layout once per run of its chunks' overlapping windows
+    [base, base + n), a base being a chunk's first offset; each chunk keeps
+    its slice.  The first pass takes chunks of the shift period, if any, later
+    ones pairs; once the layouts outnumber half the chunks (rounded up), the
+    rest is folded.
+    """
+    size = max(_shift_period(factors) or 2, 2) if len(factors) > 3 else 2
+    while len(factors) > 3:  # no two chunks of three factors or fewer share a layout
+        padded = factors + [(None, None)] * (-len(factors) % size)
+        ids = np.array([id(s) for s, _ in padded]).reshape(-1, size)
+        lit = np.array([a is not None for _, a in padded]).reshape(ids.shape)
+        off = np.array([a or 0 for _, a in padded]).reshape(ids.shape)
+        base = off[np.arange(len(off)), lit.argmax(axis=1)]
+        keys = np.concatenate([ids, lit, (off - base[:, None]) * lit], axis=1)
+        order = np.lexsort((base, *keys.T[::-1]))  # by layout, then by base
+        fresh = np.diff(keys[order], axis=0, prepend=keys[order[:1]] - 1).any(axis=1)
+        if fresh.sum() > (len(off) + 1) // 2:
+            break
+        base, shared = base.tolist(), (~lit.any(axis=1)).tolist()
+        runs: list = []  # [lo, hi, chunk indices]: a layout's windows that overlap or touch
+        for g, new_layout in zip(order.tolist(), fresh.tolist()):
+            if new_layout or base[g] > runs[-1][1]:
+                runs.append([base[g], base[g], []])
+            runs[-1][1] = base[g] + n
+            runs[-1][2].append(g)
+        reduced = [None] * len(off)
+        for lo, hi, members in runs:
+            prod = _fold(factors[members[0] * size:(members[0] + 1) * size], hi - lo)
+            for g in members:
+                reduced[g] = prod, None if shared[g] else base[g] - lo
+        factors, size = reduced, 2
+    return _fold(factors, n)
 
 
 @dataclass

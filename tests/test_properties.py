@@ -405,6 +405,79 @@ def test_the_lattice_index_shares_as_sorted_keys_do(case):
     assert np.array_equal(first[starts[row] + cls], row)
 
 
+def _stochastic(rng, width):
+    """A stack of column-stochastic 4x4 matrices, so products keep entries in [0, 1]."""
+    m = rng.random((width, 4, 4))
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _factor_list(draw):
+    """(stack, offset) factors and the class count n, as _time_ordered takes them.
+
+    Periodic lists repeat a pattern of p factors G times, each repeat moved by
+    delta slots, and keep r < p of them for a partial last group; |delta| > n
+    puts two uses of one layout more than n apart.  Aperiodic lists draw up to
+    80 factors from one or two pumped stacks over a narrow or wide spread of
+    offsets, so layouts recur with their uses near or far apart.  Both kinds
+    mix in pump-off factors, at the ends too.
+    """
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["periodic", "aperiodic"] * 3 + ["single"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = [_stochastic(rng, 1) for _ in range(2)]
+    if kind == "periodic":
+        slot = st.one_of(st.tuples(st.integers(0, 1), st.none()),
+                         st.tuples(st.integers(2, 3), st.integers(-5, 5)))
+        pattern = draw(st.lists(slot, min_size=1, max_size=6))
+        delta = draw(st.integers(-2 * n - 3, 2 * n + 3))
+        groups, r = draw(st.integers(2, 6)), draw(st.integers(0, len(pattern) - 1))
+        layout = [(i, None if a is None else a + g * delta)
+                  for g in range(groups + 1) for i, a in pattern][:groups * len(pattern) + r]
+    else:
+        size = 1 if kind == "single" else draw(st.integers(2, 80))
+        spread, off_share = draw(st.integers(0, 3 * n)), draw(st.sampled_from([0.0, 0.2, 0.6]))
+        stacks = rng.integers(2, 2 + draw(st.integers(1, 2)), size)
+        layout = [(int(rng.integers(2)), None) if rng.random() < off_share
+                  else (int(i), int(rng.integers(-spread, spread + 1))) for i in stacks]
+    offsets = [a for _, a in layout if a is not None]
+    low, high = min(offsets, default=0), max(offsets, default=0)
+    pumped = [_stochastic(rng, high - low + n) for _ in range(2)]
+    factors = [(shared[i], None) if a is None else (pumped[i - 2], a - low) for i, a in layout]
+    return factors, n, kind
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_factor_list())
+def test_the_shared_product_equals_the_fold(case):
+    factors, n, kind = case
+    rows = []
+    fold = sequence._fold
+
+    def counting(chunk, width):
+        # the 4x4 products a left-to-right fold of these factors takes
+        widths = [1 if a is None else width for _, a in chunk]
+        rows.extend(np.maximum.accumulate(widths)[1:])
+        return fold(chunk, width)
+
+    with mock.patch.object(sequence, "_fold", counting):
+        got = sequence._time_ordered(factors, n)
+    ref = np.eye(4)
+    for s, a in factors:
+        ref = (s if a is None else s[a:a + n]) @ ref
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert sum(rows) <= (len(factors) - 1) * n
+    # a period found is one: factor k + p is factor k moved by one delta
+    p = sequence._shift_period(factors)
+    assert p is not None or kind != "periodic"
+    if p is not None:
+        pairs = list(zip(factors, factors[p:]))
+        assert 2 * p <= len(factors)
+        assert all(s is t for (s, _), (t, _) in pairs)
+        assert len({b - a for (_, a), (_, b) in pairs if a is not None}) <= 1
+
+
 # Numeric paths every drawn scenario has, each with its values and whether
 # it also takes their negatives: the stimulation rate sees its detuning only
 # through the square, so a +-pair there builds byte-equal generators.

@@ -635,6 +635,75 @@ def test_propagator_memory_of_a_gated_sweep_cycle():
     assert peak < 1.5 * 2**20
 
 
+def test_propagator_memory_of_an_ungated_sweep_cycle():
+    # fig6's cycle: 50 lit steps over 1,001 classes, 2,000 periods; its 5,095
+    # detunings peak at 2.07 MiB, as they did under the step-by-step fold, and
+    # one more product stack as wide as the exponentials would add 0.62 MiB
+    cfg = parse_config(preset("fig6_rf_power"))
+    ens, comp = runner._prepare(cfg)
+    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    assert (len(block.segments), ens.n_classes, block.count) == (50, 1001, 2000)
+    props = sequence._Propagators(ens, cfg.drive)
+    grouped = props.groups(block)
+    tracemalloc.start()
+    try:
+        out = props.propagator(grouped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1001, 4, 4)
+    assert peak < 2.5 * 2**20
+
+
+def _counting_products(monkeypatch):
+    """Record each shift period found and the 4x4 products each _fold call takes."""
+    seen = {"periods": [], "rows": 0}
+    period, fold = sequence._shift_period, sequence._fold
+
+    def shift_period(factors):
+        seen["periods"].append(period(factors))
+        return seen["periods"][-1]
+
+    def counting(factors, width):
+        widths = [1 if a is None else width for _, a in factors]
+        seen["rows"] += int(np.maximum.accumulate(widths)[1:].sum())
+        return fold(factors, width)
+
+    monkeypatch.setattr(sequence, "_shift_period", shift_period)
+    monkeypatch.setattr(sequence, "_fold", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name, steps, period, most_rows", [
+    # 0.2 MHz steps on a 0.5 MHz grid: the residues repeat every 5 steps, 2 slots on
+    ("fig6_rf_power", 50, 5, 10_000),
+    # 0.5 MHz steps on the 0.5 MHz grid, the 6 gated ones in mid-cycle
+    ("fig7_tailoring", 100, None, 20_000),
+])
+def test_a_sweep_cycle_multiplies_each_layout_once(monkeypatch, name, steps, period, most_rows):
+    cfg = parse_config(preset(name))
+    ens, comp = runner._prepare(cfg)
+    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    props = sequence._Propagators(ens, cfg.drive)
+    grouped = props.groups(block)
+    seen = _counting_products(monkeypatch)
+    props.propagator(grouped)
+    assert len(block.segments) == steps
+    assert seen["periods"] == [period]
+    # the step-by-step fold took (steps - 1) x 1,001: 49,049 and 99,099; the
+    # shared product takes 8,104 and 18,382
+    assert seen["rows"] <= most_rows
+
+
+def test_the_period_search_finds_none_in_a_long_aperiodic_list():
+    # every step moves one slot but the last: a scan of each candidate p <= K / 2
+    # would compare about 3 K^2 / 8 factors before it gave up
+    stack = np.zeros((1, 4, 4))
+    factors = [(stack, k) for k in range(sequence.MAX_SWEEP_STEPS - 1)] + [(stack, 0)]
+    assert sequence._shift_period(factors) is None
+    assert sequence._shift_period(factors[:-1]) == 1
+
+
 # ---------------------------------------------------------------- point memo
 
 def _memo_sequence(delays=(2.0, 0.0), center=0.0, power=20.0, duration=0.5):
