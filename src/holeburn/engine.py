@@ -173,9 +173,10 @@ def propagator(matrix: np.ndarray, dt_ms: float) -> np.ndarray:
     return propagator_batch(matrix[None, :, :], dt_ms)[0]
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: degree-13 Pade b0..b13 and theta_13, used
-# from a 1-norm of _THETA12 = 1/4 up.  Below it the degree-12 Taylor coefficients 1/k! serve: the
-# series' tail is 2.4e-18 there, under 1/40 ulp of ||exp(A)||_1 >= exp(-1/4); degree 11: 1.3e-16.
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: degree-13 Pade b0..b13 and theta_13, used for a
+# leaky M dt with a 1-norm of _THETA12 = 1/4 or more.  Every other M dt takes the degree-12 Taylor
+# coefficients 1/k!, scaled below 1/4: the series' tail is 2.4e-18 there, under 1/40 ulp of
+# ||exp(A)||_1 >= exp(-1/4); degree 11: 1.3e-16.
 _B13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
         10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)
 _THETA13 = 5.371920351148152
@@ -192,10 +193,15 @@ _BLOCK_MATRICES = 512
 def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     """exp(M dt) for a stack of generators, shape (n, 4, 4).
 
-    Below a 1-norm of 1/4 an M dt takes the degree-12 Taylor polynomial (no solve, no
-    squaring); from 1/4 up, degree-13 Pade scaled by its own power of two to at most
-    theta_13 and squared back.  The rule is per matrix, so no byte depends on the batch
-    or on the blocks of _BLOCK_MATRICES that keep each temporary at 64 KiB.
+    A conservative M (each column sum within 4 ulp of its absolute sum) takes the degree-12
+    Taylor polynomial at any norm: M dt is scaled by its own power of two to a 1-norm below
+    1/4, the polynomial is squared back, and the columns are divided by their sums after
+    the last squaring and every 32nd, so they sum to 1 within a few ulp at any dt.  A leaky
+    M dt takes Taylor below a 1-norm of 1/4 (no squaring) and degree-13 Pade from 1/4 up,
+    scaled to at most theta_13: Taylor's four or five extra squarings would cost it 10-25x
+    in accuracy, and its column sums below 1 are real, so no renormalisation can restore
+    it.  The rule is per matrix, so no byte depends on the batch or on the blocks of
+    _BLOCK_MATRICES that keep each temporary at 64 KiB.
     """
     if dt_ms < 0:
         raise ValueError(f"dt_ms must be >= 0, got {dt_ms}")
@@ -208,24 +214,37 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     props = np.empty(mats.shape)
     for lo in range(0, len(mats), _BLOCK_MATRICES):
         m = mats[lo:lo + _BLOCK_MATRICES]
-        norm = np.abs(m).sum(axis=-2).max(axis=-1) * dt_ms
-        out, small = props[lo:lo + _BLOCK_MATRICES], norm < _THETA12
-        if small.all() or not small.any():  # a block on one side needs no gather or scatter
-            out[...] = _taylor12(m * dt_ms) if small[0] else _pade13(m, dt_ms, norm)
+        c = _sum4(np.abs(m))  # column 1-norms
+        norm = np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3])) * dt_ms
+        out, taylor = props[lo:lo + _BLOCK_MATRICES], norm < _THETA12
+        if not taylor.all():  # a leaky M dt keeps Pade from 1/4 up
+            kept = np.abs(_sum4(m)) <= 2.0**-50 * c  # within 4 ulp: 4 eps is 2**-50
+            taylor |= kept[:, 0] & kept[:, 1] & kept[:, 2] & kept[:, 3]
+        if taylor.all() or not taylor.any():  # a block on one side needs no gather or scatter
+            out[...] = (_taylor12 if taylor[0] else _pade13)(m, dt_ms, norm)
         else:
-            out[small] = _taylor12(m[small] * dt_ms)
-            out[~small] = _pade13(m[~small], dt_ms, norm[~small])
+            out[taylor] = _taylor12(m[taylor], dt_ms, norm[taylor])
+            out[~taylor] = _pade13(m[~taylor], dt_ms, norm[~taylor])
     return props
 
 
-def _taylor12(a: np.ndarray) -> np.ndarray:
-    """Degree-12 Taylor polynomial of exp(a) in Paterson-Stockmeyer form: five matmuls."""
-    c, eye = _TAYLOR12, np.eye(a.shape[-1])
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, of length 4, added in index order: the column sums of a (n, 4, 4)
+    stack, or the row totals of (n, 4) populations, without NumPy's slow small-axis reduction."""
+    return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+
+
+def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
+    """exp(m dt) by the degree-12 Taylor polynomial in Paterson-Stockmeyer form (five matmuls),
+    scaled below a 1-norm of 1/4 and squared back with renormalised columns."""
+    c, eye = _TAYLOR12, np.eye(m.shape[-1])
+    s = np.maximum(np.frexp(norm / _THETA12)[1], 0)
+    a = np.ldexp(m * dt_ms, -s[:, None, None])
     a2 = a @ a
     a3, a4 = a2 @ a, a2 @ a2
     hi = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
     mid = c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
-    return a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye)
+    return _square(a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye), s, True)
 
 
 def _pade13(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
@@ -240,14 +259,30 @@ def _pade13(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    out = np.linalg.solve(v - u, v + u)
-    for k in range(s.max()):  # square each matrix its own s times
-        sq = s > k
-        if sq.all():
-            out = out @ out
+    return _square(np.linalg.solve(v - u, v + u), s, False)
+
+
+def _square(p: np.ndarray, s: np.ndarray, renormalise: bool) -> np.ndarray:
+    """Square each matrix its own s times.  With renormalise, a squared matrix's columns are
+    divided by their sums after its last squaring and every 32nd: each squaring doubles their
+    drift from 1, which would overflow in the 66 squarings of a 1e20 ms leak-free step."""
+    def divide(rows):
+        if renormalise and rows.any():
+            np.copyto(p, p / _sum4(p)[:, None], where=rows[:, None, None])
+
+    if not s.any():
+        return p
+    least = s.min()
+    for k in range(1, s.max() + 1):
+        if k <= least:
+            p = p @ p
         else:
-            out[sq] = out[sq] @ out[sq]
-    return out
+            with np.errstate(over="ignore", invalid="ignore"):  # finished matrices' squares go unused
+                np.copyto(p, p @ p, where=(s >= k)[:, None, None])
+        if k % 32 == 0:
+            divide(s > k)
+    divide(s > 0)
+    return p
 
 
 def matrix_power_batch(propagators: np.ndarray, n: int) -> np.ndarray:
@@ -266,13 +301,13 @@ def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
     down to -1e-10 are clamped to zero, and anything lower raises.
     """
     v = pops[:, :4]
-    old = v.sum(axis=1)
+    old = _sum4(v)
     new = np.matmul(props, v[:, :, None])[:, :, 0]
     tiny = (new < 0.0) & (new > -1e-10)
     new[tiny] = 0.0
     if not np.all(new >= 0.0):
         raise ArithmeticError("propagation produced a NaN or negative population")
-    leaked = old - new.sum(axis=1)
+    leaked = old - _sum4(new)
     leaked[(leaked < 0.0) & (leaked > -1e-10)] = 0.0
     if not np.all(leaked >= 0.0):
         raise ArithmeticError("propagation created population")

@@ -1,6 +1,7 @@
 """Per-class dynamics: generator structure, exact propagation, steady states,
 and the closed-form population ratios."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,6 +38,10 @@ def _random_params(rng):
         tz_ms=rng.uniform(5.0, 500.0),
         beta=rng.uniform(0.0, 0.99),
     )
+
+
+def _leaky_params(rng):
+    return dataclasses.replace(_random_params(rng), persistent_fraction=rng.uniform(0.01, 0.3))
 
 
 def _random_drive(rng):
@@ -271,6 +276,24 @@ def test_propagator_below_the_taylor_bound_keeps_unit_column_sums():
         assert np.abs(propagator(m, dt).sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("dt", [1e6, 1e10, 1e15, 1e20])
+def test_propagator_keeps_unit_column_sums_over_long_intervals(dt):
+    # each squaring doubles a column sum's round-off; renormalising after it undoes that
+    m = build_rate_matrix(RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9))
+    props = propagator_batch(m[None], dt)
+    assert np.abs(props.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def test_propagator_of_a_leaky_generator_matches_scipy():
+    # a leaky generator keeps Pade from a norm of 1/4 up: Taylor's extra squarings are less
+    # accurate, and its column sums below 1 are real, so renormalising cannot help
+    rng = np.random.default_rng(47)
+    mats = np.stack([build_rate_matrix(_leaky_params(rng), _random_drive(rng)) for _ in range(20)])
+    for dt in (1e-4, 1e-2, 1.0, 100.0):
+        for m, p in zip(mats, propagator_batch(mats, dt)):
+            assert np.abs(p - scipy.linalg.expm(m * dt)).max() <= 1e-12
+
+
 def test_propagator_handles_a_jordan_block():
     # Jordan-block generator: it has no eigenbasis to diagonalise in.
     m = np.array(
@@ -284,11 +307,25 @@ def test_propagator_handles_a_jordan_block():
     assert np.allclose(propagator(m, 2.5), scipy.linalg.expm(m * 2.5), atol=1e-11)
 
 
+def _mixed_stack(rng, n_conservative, n_leaky):
+    """Random generators, the conservative ones drawn first, the leaky ones spread among them."""
+    n, k = n_conservative, n_leaky
+    cons = [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(n)]
+    leaky = [build_rate_matrix(_leaky_params(rng), _random_drive(rng)) for _ in range(k)]
+    return np.insert(np.stack(cons), np.arange(k) * n // k, leaky, axis=0)
+
+
+def _paths(mats, dt):
+    """Each matrix's exponential path at dt: 0 Taylor unsquared (a 1-norm of M dt under 1/4),
+    1 Taylor squared and renormalised (conservative), 2 Pade (leaky)."""
+    norms = np.abs(mats).sum(axis=1).max(axis=1) * dt
+    leaky = np.abs(mats.sum(axis=1)).max(axis=1) > 1e-9
+    return np.where(norms < engine._THETA12, 0, np.where(leaky, 2, 1))
+
+
 def test_propagator_bytes_do_not_depend_on_the_batch():
     rng = np.random.default_rng(5)
-    mats = np.stack(
-        [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(300)]
-    )
+    mats = _mixed_stack(rng, 300, 150)
     # the stack mixes real and complex spectra, which an eigensolver treats differently
     w = np.linalg.eigvals(mats)
     assert 0 < np.count_nonzero(np.abs(w.imag).max(axis=1)) < len(mats)
@@ -297,6 +334,8 @@ def test_propagator_bytes_do_not_depend_on_the_batch():
     assert norms.max() * 1e-4 < 5.37 < norms.min() * 30.0
     # at 3e-3 ms the stack straddles the Taylor bound, so both methods share it
     assert 0 < np.count_nonzero(norms * 3e-3 < engine._THETA12) < len(mats)
+    # and all three paths share it: small norms, large conservative and large leaky
+    assert set(_paths(mats, 3e-3)) == {0, 1, 2}
     for dt in (1e-4, 3e-3, 0.05, 1.0, 30.0):
         full = propagator_batch(mats, dt)
         reverse = propagator_batch(mats[::-1], dt)[::-1]
@@ -307,18 +346,19 @@ def test_propagator_bytes_do_not_depend_on_the_batch():
 
 def test_propagator_bytes_do_not_depend_on_the_blocks():
     rng = np.random.default_rng(29)
-    mats = np.stack(
-        [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(1100)]
-    )
+    mats = _mixed_stack(rng, 734, 366)
     # two full blocks and a partial one
     assert 2 * engine._BLOCK_MATRICES < len(mats) < 3 * engine._BLOCK_MATRICES
     # at 1 ms the matrices take different numbers of squarings
     norms = np.abs(mats).sum(axis=1).max(axis=1)
     assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA13)[1].clip(0))) > 1
-    # at 3e-3 ms every block holds matrices on both sides of the Taylor bound
+    assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA12)[1].clip(0))) > 1
+    # at 3e-3 ms every block holds matrices on both sides of the Taylor bound, and all three paths
     small = norms * 3e-3 < engine._THETA12
-    for block in np.split(small, range(engine._BLOCK_MATRICES, len(mats), engine._BLOCK_MATRICES)):
+    edges = range(engine._BLOCK_MATRICES, len(mats), engine._BLOCK_MATRICES)
+    for block, paths in zip(np.split(small, edges), np.split(_paths(mats, 3e-3), edges)):
         assert 0 < np.count_nonzero(block) < len(block)
+        assert set(paths) == {0, 1, 2}
     for dt in (1e-4, 3e-3, 1.0, 30.0):
         full = propagator_batch(mats, dt)
         for i, m in enumerate(mats):
@@ -369,6 +409,18 @@ def test_matrix_power_batch():
         assert np.allclose(powered, expected, atol=1e-10)
     with pytest.raises(ValueError):
         matrix_power_batch(props, -1)
+
+
+def test_sums_of_four_match_numpy_bytewise():
+    # the exponential's 1-norm and apply_batch's row totals add in index order, as NumPy's
+    # reductions over an axis of 4 do, so they keep the bytes of the reference forms
+    rng = np.random.default_rng(53)
+    m = rng.standard_normal((10000, 4, 4)) * 10.0 ** rng.uniform(-5, 5, (10000, 1, 1))
+    c = engine._sum4(np.abs(m))
+    norm = np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3]))
+    assert norm.tobytes() == np.abs(m).sum(axis=-2).max(axis=-1).tobytes()
+    v = rng.uniform(0.0, 1.0, (10000, 5))[:, :4] * 10.0 ** rng.uniform(-12, 0, (10000, 1))
+    assert engine._sum4(v).tobytes() == v.sum(axis=1).tobytes()
 
 
 def _apply_column(column):

@@ -8,6 +8,7 @@ from holeburn.analysis import residual_metrics
 from holeburn.config import apply_override, parse_config
 from holeburn.ensemble import Spectrum, hole_area
 from holeburn.errors import ConfigError
+from holeburn.presets import preset
 from holeburn.runner import run_scenario
 
 
@@ -238,3 +239,20 @@ def test_readout_count_on_a_grid_leaves_its_files_unchanged(tmp_path):
         run_scenario(parse_config(raw), tmp_path / name)
     for name in ("baseline.csv", "spectrum_000.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+
+
+def _pit_after(delay_ms):
+    raw = preset("stimulated_pumping")
+    raw["sequence"][-1]["at_delay_ms"] = delay_ms
+    cfg = parse_config(raw)
+    last = runner.run_single(cfg)[1].readouts[-1]
+    return residual_metrics(last.spectrum, last.baseline, tuple(cfg.outputs.metrics_window_MHz))
+
+
+@pytest.mark.parametrize("delay_ms", [1e8, 1e12, 1e20])
+def test_a_long_readout_delay_keeps_the_relaxed_pit(delay_ms):
+    # by 1e6 ms every class has relaxed; squaring a longer delay must neither create
+    # population nor lose it to the trap slot
+    relaxed, later = _pit_after(1e6), _pit_after(delay_ms)
+    assert later.rho1_res == pytest.approx(relaxed.rho1_res, abs=1e-12)
+    assert later.ground_state_ratio == pytest.approx(relaxed.ground_state_ratio, abs=1e-12)
