@@ -9,9 +9,12 @@ difference times a Lorentzian line of the probe-limited width.
 
 That sum is linear in the populations: OD = sigma * K @ amp, where the
 kernel K depends only on the probe grid, the transition frequencies and the
-probe linewidth.  A scan therefore evaluates K once, in blocks of probe rows
-small enough to stay in cache, and contracts each block with every
-population snapshot it is given.
+probe linewidth.  When the probe step divides the class step h, q times, the
+entry of probe j and class i depends only on j - q*i: each residue j mod q
+and transition reads one Lorentzian line sampled h apart, convolved with the
+snapshot's amplitudes, and no kernel matrix is built.  Other probe grids
+evaluate K in blocks of probe rows small enough to stay in cache and
+contract each block with every population snapshot they are given.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ PROFILE_SHAPES = ("gaussian", "lorentzian", "flat")
 
 # Kernel entries per block of probe rows: 512 KiB, which stays in a core's L2 cache.
 _BLOCK_ENTRIES = 1 << 16
+
+# Class centres and probe points may stray this far from their lattice, and pump
+# residues modulo the class step closer than this share a propagator.  Rounding of
+# both is about 1e-14 MHz on the bundled grids; the narrowest pump line is 0.25 MHz wide.
+DETUNING_KEY_MHZ = 1e-11
 
 
 class GridResolutionWarning(UserWarning):
@@ -223,21 +231,56 @@ def kernel_key(ens: EnsembleState) -> bytes:
     return np.concatenate(fields, dtype=float).tobytes()
 
 
-def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarray:
-    """Weak-probe optical depth of each population snapshot, shape (k, n_freq).
+def on_lattice(points: np.ndarray, step: float) -> bool:
+    """Whether every point lies within DETUNING_KEY_MHZ of points[0] + k·step."""
+    return bool(np.abs(points[0] + step * np.arange(len(points)) - points).max()
+                <= DETUNING_KEY_MHZ)
 
-    Computed as sigma * sum over classes and transitions of
-    weight * (N_lower - N_upper) * unit-peak Lorentzian.  Inverted
-    transitions contribute negative depth (gain).  Each kernel block is
-    contracted with one snapshot at a time, so a snapshot's depths do not
-    depend on how many others share the scan.
+
+def _probe_stride(centers: np.ndarray, freqs: np.ndarray) -> int:
+    """Probe points per class step when the probe grid lies on the class lattice, else 0.
+
+    That is q = h / (probe step) for a class grid uniform to DETUNING_KEY_MHZ
+    with step h, when every probe point lies on the lattice of step h / q
+    (one point lies on any, with q = 1).  A grid of fewer than q² points,
+    fewer than q rows per residue, is refused too: its lines are too short to
+    pay for themselves.  Only the two grids are read, never the snapshots.
     """
-    f0 = ens.transition_freqs().ravel()
-    amps = [(ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])).ravel()
-            for p in snapshots]
-    hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
+    n, rows = len(centers), len(freqs)
+    if n < 2:
+        return 0
+    h = (centers[-1] - centers[0]) / (n - 1)
+    q = 1 if rows == 1 else round(h * (rows - 1) / (freqs[-1] - freqs[0]))
+    if q < 1 or rows < q * q or not (on_lattice(centers, h) and on_lattice(freqs, h / q)):
+        return 0
+    return q
 
-    out = np.empty((len(amps), len(freqs)))
+
+def _lattice_depth(out, amps, freqs, f0, hw2, q) -> None:
+    """Unscaled depths on the lattice: one line and convolution per residue and transition.
+
+    Probe row rho + q·m meets class i's transition t at the detuning
+    (freqs[rho] - f0[0, t]) + (m - i)·h, so each residue's line holds m - i
+    from 1 - n up to its last row, and the valid part of its convolution with
+    a snapshot's amplitudes is that residue's depths.
+    """
+    n = len(f0)
+    # f0[:, 0], each class's g1 -> e1 line, is its centre
+    steps = (f0[-1, 0] - f0[0, 0]) / (n - 1) * np.arange(1 - n, len(freqs[::q]))
+    for rho in range(q):
+        rows = out[:, rho::q]
+        lines = (freqs[rho] - f0[0])[:, None] + steps[:rows.shape[1] + n - 1]
+        np.square(lines, out=lines)
+        lines += hw2
+        np.divide(hw2, lines, out=lines)
+        for row, amp in zip(rows, amps):
+            row[:] = sum(np.convolve(line, a, "valid") for line, a in zip(lines, amp.T))
+
+
+def _dense_depth(out, amps, freqs, f0, hw2) -> None:
+    """Unscaled depths from the kernel, built in blocks of probe rows."""
+    f0 = f0.ravel()
+    amps = [amp.ravel() for amp in amps]
     step = max(1, _BLOCK_ENTRIES // max(len(f0), 1))
     buf = np.empty((min(step, len(freqs)), len(f0)))
     for i in range(0, len(freqs), step):
@@ -249,6 +292,29 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarr
         np.divide(hw2, k, out=k)
         for row, amp in zip(out, amps):
             row[i:i + step] = k @ amp
+
+
+def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarray:
+    """Weak-probe optical depth of each population snapshot, shape (k, n_freq).
+
+    Computed as sigma * sum over classes and transitions of
+    weight * (N_lower - N_upper) * unit-peak Lorentzian.  Inverted
+    transitions contribute negative depth (gain).  A probe grid on the class
+    lattice (_probe_stride) is read out by convolution, any other from dense
+    kernel blocks; the path is chosen from the two grids alone, and each
+    snapshot is contracted on its own, so a snapshot's depths do not depend
+    on how many others share the scan.
+    """
+    f0 = ens.transition_freqs()
+    amps = [ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])
+            for p in snapshots]
+    hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
+    out = np.empty((len(amps), len(freqs)))
+    q = _probe_stride(ens.centers_MHz, freqs)
+    if q:
+        _lattice_depth(out, amps, freqs, f0, hw2, q)
+    else:
+        _dense_depth(out, amps, freqs, f0, hw2)
     return ens.params.sigma_scale * out
 
 

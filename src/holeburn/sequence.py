@@ -27,7 +27,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import engine
-from .ensemble import EnsembleState, Spectrum, kernel_key, readout_scan
+from .ensemble import (DETUNING_KEY_MHZ, EnsembleState, Spectrum, kernel_key, on_lattice,
+                       readout_scan)
 from .errors import SequenceError
 
 __all__ = [
@@ -58,11 +59,6 @@ SWEEP_STEPS_PER_PERIOD = 50
 # 285 MiB, and a dt_max_ms of 1e-11 on a 0.1 ms period would ask for 1e10.
 # fig7 takes 100 steps per period, stimulated_pumping at dt_max_ms 1e-5 takes 1e4.
 MAX_SWEEP_STEPS = 100_000
-
-# Pump residues modulo the class step closer than this share a propagator, and
-# class centres may stray this far from their lattice.  Rounding of both is about
-# 1e-14 MHz on the bundled grids; the narrowest pump line is 0.25 MHz wide.
-DETUNING_KEY_MHZ = 1e-11
 
 # Times closer than this are one time: edges and cuts this close coincide, and
 # durations this close share a propagator (sweep steps differ only by rounding).
@@ -478,7 +474,7 @@ class _Propagators:
         c = self.ens.centers_MHz
         n = len(c)
         h = (c[-1] - c[0]) / (n - 1)
-        if np.abs(c[0] + h * np.arange(n) - c).max() > DETUNING_KEY_MHZ:
+        if not on_lattice(c, h):
             raise ValueError(f"centers_MHz must be a uniform grid to {DETUNING_KEY_MHZ} MHz")
         m, res = np.divmod(pump - c[0], h)
         # a residue that rounds up to h is the next lattice point's 0
@@ -677,8 +673,9 @@ def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
     A readout's baseline is the scan of its run's initial state on its grid.
     Readouts on one grid whose ensembles have equal kernel keys share one
     kernel pass, a readout_scan over their distinct snapshots; a spectrum's
-    bytes do not depend on the others in its pass.  A pass's kernel
-    evaluations are counted in the stats of the first run that uses it.
+    bytes do not depend on the others in its pass.  A pass's kernel entries
+    (probe points x 4 x classes: entries contracted, however few Lorentzians
+    the lattice path evaluates) are counted in the stats of its first run.
     """
     passes: dict = {}  # (kernel key, grid) -> (ensemble, first run, {bytes: (row, snapshot)})
     refs = []  # per run and readout: (pass key, baseline row, spectrum row)

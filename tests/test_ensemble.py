@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from holeburn import ensemble
+from holeburn.config import parse_config
 from holeburn.engine import DriveRates, IonClassState, build_rate_matrix, evolve
 from holeburn.ensemble import (
     EnsembleState,
@@ -18,6 +21,8 @@ from holeburn.ensemble import (
 )
 from holeburn.errors import GridMismatchError
 from holeburn.levels import RateParams, TransitionSet, ZeemanConfig
+from holeburn.presets import preset, preset_names
+from holeburn.runner import run_scenario
 
 COLD = RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9)
 FIELD = ZeemanConfig(field_mT=1.2)
@@ -112,31 +117,62 @@ def test_readout_scan_is_snapshot():
     assert spec.freqs_MHz[0] == -20.0 and spec.freqs_MHz[-1] == 20.0
 
 
+# Probe grids over 601 classes 0.5 MHz apart: 4001 points 0.1 MHz apart lie on
+# the class lattice (5 residues of 801 rows); 3001 points 0.133 MHz apart do not,
+# and their kernel spans about 110 blocks; 2001 points 1 kHz apart lie on it with
+# q = 500, but with 4 rows per residue they are read out from the kernel too.
+LATTICE_GRID = (-200.0, 200.0, 4001)
+OFF_LATTICE_GRID = (-200.0, 200.0, 3001)
+FINE_GRID = (-1.0, 1.0, 2001)
+
+
 def test_scan_bytes_do_not_depend_on_the_snapshots_beside_it():
-    # 4001 probe points over 601 classes span about 150 kernel blocks
     ens = build_ensemble(_flat(), FIELD, COLD)
     rng = np.random.default_rng(7)
     states = [rng.dirichlet(np.ones(5), size=ens.n_classes) for _ in range(5)]
     ens.populations[:] = states[2]
-    alone = readout_scan(ens, -200.0, 200.0, 4001)
-    for stack, pos in (([states[2]], 0), (states[1:3], 1), (states, 2)):
-        spectra = readout_scan(ens, -200.0, 200.0, 4001, stack)
-        assert len(spectra) == len(stack)
-        assert spectra[pos].optical_depth.tobytes() == alone.optical_depth.tobytes()
-        assert np.array_equal(spectra[pos].freqs_MHz, alone.freqs_MHz)
+    for grid in (LATTICE_GRID, OFF_LATTICE_GRID):
+        alone = readout_scan(ens, *grid)
+        for stack, pos in (([states[2]], 0), (states[1:3], 1), (states, 2)):
+            spectra = readout_scan(ens, *grid, stack)
+            assert len(spectra) == len(stack)
+            assert spectra[pos].optical_depth.tobytes() == alone.optical_depth.tobytes()
+            assert np.array_equal(spectra[pos].freqs_MHz, alone.freqs_MHz)
     assert np.array_equal(ens.populations, states[2])
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
-    # the kernel is built block by block, never whole: 4001 x 2404 entries is 73 MiB
+    # no kernel is built whole: 4001 x 2404 entries would be 73 MiB, 2001 x 2404 37 MiB
     ens = build_ensemble(_flat(), FIELD, COLD)
-    tracemalloc.start()
-    try:
-        readout_scan(ens, -200.0, 200.0, 4001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    for grid in (LATTICE_GRID, FINE_GRID):
+        tracemalloc.start()
+        try:
+            readout_scan(ens, *grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, grid
+
+
+@pytest.mark.parametrize("grid, q", [(LATTICE_GRID, 5), (OFF_LATTICE_GRID, 0), (FINE_GRID, 0)])
+def test_the_readout_path_is_chosen_from_the_grids(grid, q):
+    ens = build_ensemble(_flat(), FIELD, COLD)
+    assert ensemble._probe_stride(ens.centers_MHz, np.linspace(*grid)) == q
+    taken, other = ("_lattice_depth", "_dense_depth") if q else ("_dense_depth", "_lattice_depth")
+    with mock.patch.object(ensemble, taken, wraps=getattr(ensemble, taken)) as path, \
+            mock.patch.object(ensemble, other, side_effect=AssertionError(other)):
+        readout_scan(ens, *grid)
+    path.assert_called_once()
+
+
+def test_every_preset_reads_out_on_the_lattice(tmp_path):
+    # scans and target_od calibrations alike
+    with mock.patch.object(ensemble, "_lattice_depth", wraps=ensemble._lattice_depth) as path, \
+            mock.patch.object(ensemble, "_dense_depth", side_effect=AssertionError("dense")):
+        for name in preset_names():
+            run_scenario(parse_config(preset(name)), tmp_path / name)
+            assert path.call_count >= 2, name
+            path.reset_mock()
 
 
 def test_scan_matches_the_direct_lorentzian_sum():

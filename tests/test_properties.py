@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from holeburn import runner, sequence  # noqa: E402
+from holeburn import ensemble, runner, sequence  # noqa: E402
 from holeburn.analysis import residual_metrics  # noqa: E402
 from holeburn.config import (  # noqa: E402
     ExperimentConfig,
@@ -36,7 +36,7 @@ from holeburn.ensemble import (  # noqa: E402
     hole_area,
 )
 from holeburn.errors import ConfigError  # noqa: E402
-from holeburn.levels import RateParams, ZeemanConfig  # noqa: E402
+from holeburn.levels import RateParams, TransitionSet, ZeemanConfig  # noqa: E402
 from holeburn.presets import preset, preset_names  # noqa: E402
 from holeburn.sequence import (  # noqa: E402
     SWEEP_STEPS_PER_PERIOD,
@@ -403,6 +403,42 @@ def test_the_lattice_index_shares_as_sorted_keys_do(case):
     # each detuning is built from the sorted keys' first (row, class)
     row, cls = np.divmod(firsts, n)
     assert np.array_equal(first[starts[row] + cls], row)
+
+
+@st.composite
+def _lattice_readout(draw):
+    """An ensemble, a probe grid on its lattice (q = 1..12, start between classes) and snapshots."""
+    n = draw(st.integers(11, 301))
+    h = draw(st.sampled_from([0.5, 0.25, 1 / 3, 0.1, 1.0]))
+    q = draw(st.integers(1, 12))
+    prof = InhomogeneousProfile(center_MHz=draw(_num(-50.0, 50.0)), shape="flat",
+                                grid_span_MHz=(n - 1) * h, grid_step_MHz=h)
+    ens = build_ensemble(prof, FIELD, LEAKY, target_od=None,
+                         probe_linewidth_MHz=draw(_num(0.05, 3.0)))
+    rows = draw(st.integers(q * q, max(q * q, 400)))
+    start = ens.centers_MHz[0] + h * (draw(st.integers(-n, n)) + draw(_num(0.01, 0.99)))
+    freqs = np.linspace(start, start + (rows - 1) * h / q, rows)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    snapshots = [rng.dirichlet(np.ones(5), size=n) for _ in range(draw(st.integers(1, 3)))]
+    return ens, freqs, q, snapshots
+
+
+@FEW
+@given(_lattice_readout())
+def test_the_lattice_readout_equals_the_dense_kernel(case):
+    ens, freqs, q, snapshots = case
+    assert ensemble._probe_stride(ens.centers_MHz, freqs) == q
+    lattice = ensemble._optical_depth(ens, freqs, snapshots)
+    dense = np.empty_like(lattice)
+    amps = [ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])
+            for p in snapshots]
+    hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
+    ensemble._dense_depth(dense, amps, freqs, ens.transition_freqs(), hw2)
+    # depths of either sign can cancel, so the round-off is bounded by the sum of |terms|
+    scale = max(np.abs(a).sum() for a in amps)
+    np.testing.assert_allclose(lattice, ens.params.sigma_scale * dense, rtol=1e-12,
+                               atol=1e-12 * ens.params.sigma_scale * scale)
 
 
 def _stochastic(rng, width):
