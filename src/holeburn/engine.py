@@ -1,17 +1,19 @@
 """Rate-equation engine for one ion class.
 
-Populations live in a fixed basis (g1, g2, e1, e2) plus a persistent-trap
-bucket that collects any population lost through non-recovering holes.  All
-dynamics are generated by a 4x4 rate matrix M with column sums <= 0; the
-deficit of a column is the trap leak.  Propagation over a piecewise-constant
-drive segment is exact through the matrix exponential, so results do not
-depend on how a constant segment is subdivided.
+Populations live in a fixed basis (g1, g2, e1, e2) plus a persistent trap
+that collects any population lost through non-recovering holes.  All dynamics
+are generated by a rate matrix M whose columns sum to zero: 4x4 over the four
+levels, or 5x5 when a trap leak makes the trap an absorbing fifth state.
+Propagation over a piecewise-constant drive segment is exact through the
+matrix exponential, so results do not depend on how a constant segment is
+subdivided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "propagator",
     "propagator_batch",
     "matrix_power_batch",
+    "normalise_columns",
     "steady_state",
     "ratio_standard",
     "ratio_effective",
@@ -103,9 +106,11 @@ NO_DRIVE = DriveRates()
 
 
 def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.ndarray:
-    """Assemble the 4x4 generator for the given relaxation and drive rates.
+    """Assemble the generator for the given relaxation and drive rates.
 
-    Columns are source levels in (g1, g2, e1, e2) order.  Included processes:
+    Columns are source levels in (g1, g2, e1, e2) order, followed by the
+    persistent trap when the params leak; the generator is then 5x5, else
+    4x4.  Every column sums to zero.  Included processes:
 
     * ground spin flips g1 <-> g2 at 1 / (2 tz);
     * spontaneous decay from each excited level at 1 / t1 total, split into
@@ -114,8 +119,8 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
       with spin-preserving weight beta_z2 after adiabatic elimination of the
       intermediate level;
     * excited-state mixing e1 <-> e2 at rf_mix_rate;
-    * a trap leak from the excited levels proportional to
-      persistent_fraction, which makes the column sums negative;
+    * a trap leak from each excited level proportional to
+      persistent_fraction, into the trap, which nothing leaves;
     * bidirectional optical pumping on each driven transition (equal rates
       up and down, so a saturating drive equalises the pair).
 
@@ -128,8 +133,9 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     s_same = drive.stim_rate * params.beta_z2
     s_flip = drive.stim_rate * (1.0 - params.beta_z2)
     r = drive.rf_mix_rate
+    leak = params.persistent_fraction * params.persistent_leak_scale
 
-    m = np.zeros((4, 4))
+    m = np.zeros((5, 5) if leak else (4, 4))
 
     def flow(*rows):
         # each (from, to, rate) is gained at (to, from) and lost at (from, from);
@@ -144,11 +150,8 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     # Stimulated return through the eliminated intermediate level, then
     # excited-state mixing.
     flow((2, 0, s_same), (2, 1, s_flip), (3, 1, s_same), (3, 0, s_flip), (2, 3, r), (3, 2, r))
-    # Persistent-trap leak; the only process that breaks conservation.
-    if params.persistent_fraction > 0.0:
-        leak = params.persistent_fraction * params.persistent_leak_scale
-        m[2, 2] -= leak
-        m[3, 3] -= leak
+    # Persistent-trap leak into the fifth state.
+    flow((2, 4, leak), (3, 4, leak))
     if any(drive.pump_rate):
         add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
     return m
@@ -157,7 +160,7 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
 def add_pump_rates(matrices: np.ndarray, rates: np.ndarray) -> None:
     """Add bidirectional optical pumping to generators, in place.
 
-    matrices has shape (..., 4, 4) and rates shape (..., 4), one rate per
+    matrices has shape (..., k, k) and rates shape (..., 4), one rate per
     transition in (g1-e1, g1-e2, g2-e1, g2-e2) order.
     """
     for k, (lo, up) in enumerate(zip(TransitionSet.LOWER, TransitionSet.UPPER)):
@@ -173,13 +176,9 @@ def propagator(matrix: np.ndarray, dt_ms: float) -> np.ndarray:
     return propagator_batch(matrix[None, :, :], dt_ms)[0]
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: degree-13 Pade b0..b13 and theta_13, used for a
-# leaky M dt with a 1-norm of _THETA12 = 1/4 or more.  Every other M dt takes the degree-12 Taylor
-# coefficients 1/k!, scaled below 1/4: the series' tail is 2.4e-18 there, under 1/40 ulp of
-# ||exp(A)||_1 >= exp(-1/4); degree 11: 1.3e-16.
-_B13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
-        10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)
-_THETA13 = 5.371920351148152
+# Every M dt takes the degree-12 Taylor coefficients 1/k!, scaled below a 1-norm of 1/4
+# (_THETA12): the series' tail is 2.4e-18 there, under 1/40 ulp of ||exp(A)||_1 >= exp(-1/4);
+# degree 11: 1.3e-16.
 _TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
 _THETA12 = 0.25
 
@@ -191,16 +190,16 @@ _BLOCK_MATRICES = 512
 
 
 def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
-    """exp(M dt) for a stack of generators, shape (n, 4, 4).
+    """exp(M dt) for a stack of generators, shape (n, k, k).
 
-    A conservative M (each column sum within 4 ulp of its absolute sum) takes the degree-12
-    Taylor polynomial at any norm: M dt is scaled by its own power of two to a 1-norm below
-    1/4, the polynomial is squared back, and the columns are divided by their sums after
-    the last squaring and every 32nd, so they sum to 1 within a few ulp at any dt.  A leaky
-    M dt takes Taylor below a 1-norm of 1/4 (no squaring) and degree-13 Pade from 1/4 up,
-    scaled to at most theta_13: Taylor's four or five extra squarings would cost it 10-25x
-    in accuracy, and its column sums below 1 are real, so no renormalisation can restore
-    it.  The rule is per matrix, so no byte depends on the batch or on the blocks of
+    Every M dt takes the degree-12 Taylor polynomial: it is scaled by its own power of two
+    to a 1-norm below 1/4, the polynomial is squared back, and the columns are divided by
+    their sums after the last squaring and every 32nd, so they sum to 1 within a few ulp
+    at any dt.  That is right for a conservative M, each column sum within 4 ulp of its
+    absolute sum, as every generator of build_rate_matrix is.  A matrix that must be
+    squared and is not conservative raises ValueError, as renormalising would erase its
+    leak; below a 1-norm of 1/4 nothing is squared, and the polynomial holds for any M.
+    The rule is per matrix, so no byte depends on the batch or on the blocks of
     _BLOCK_MATRICES that keep each temporary at 64 KiB.
     """
     if dt_ms < 0:
@@ -214,24 +213,26 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     props = np.empty(mats.shape)
     for lo in range(0, len(mats), _BLOCK_MATRICES):
         m = mats[lo:lo + _BLOCK_MATRICES]
-        c = _sum4(np.abs(m))  # column 1-norms
-        norm = np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3])) * dt_ms
-        out, taylor = props[lo:lo + _BLOCK_MATRICES], norm < _THETA12
-        if not taylor.all():  # a leaky M dt keeps Pade from 1/4 up
-            kept = np.abs(_sum4(m)) <= 2.0**-50 * c  # within 4 ulp: 4 eps is 2**-50
-            taylor |= kept[:, 0] & kept[:, 1] & kept[:, 2] & kept[:, 3]
-        if taylor.all() or not taylor.any():  # a block on one side needs no gather or scatter
-            out[...] = (_taylor12 if taylor[0] else _pade13)(m, dt_ms, norm)
-        else:
-            out[taylor] = _taylor12(m[taylor], dt_ms, norm[taylor])
-            out[~taylor] = _pade13(m[~taylor], dt_ms, norm[~taylor])
+        c = _column_sums(np.abs(m))  # column 1-norms
+        norm = reduce(np.maximum, c.T) * dt_ms
+        small = norm < _THETA12
+        if not small.all():
+            kept = np.abs(_column_sums(m)) <= 2.0**-50 * c  # within 4 ulp: 4 eps is 2**-50
+            if not (kept | small[:, None]).all():
+                raise ValueError("a generator whose columns do not sum to 0 cannot be squared")
+        props[lo:lo + _BLOCK_MATRICES] = _taylor12(m, dt_ms, norm)
     return props
 
 
-def _sum4(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 1, of length 4, added in index order: the column sums of a (n, 4, 4)
-    stack, or the row totals of (n, 4) populations, without NumPy's slow small-axis reduction."""
-    return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 added in index order, as NumPy's reduction over an axis of 4 or 5
+    does, without its small-axis overhead: the column sums of a (n, k, k) stack."""
+    return reduce(np.add, (x[:, i] for i in range(x.shape[1])))
+
+
+def normalise_columns(p: np.ndarray) -> np.ndarray:
+    """A (n, k, k) stack with each matrix's columns divided by their sums."""
+    return p / _column_sums(p)[:, None]
 
 
 def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
@@ -244,31 +245,16 @@ def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
     a3, a4 = a2 @ a, a2 @ a2
     hi = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
     mid = c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
-    return _square(a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye), s, True)
+    return _square(a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye), s)
 
 
-def _pade13(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
-    """exp(m dt) by degree-13 Pade scaling and squaring, given each matrix's 1-norm of m dt."""
-    b, eye = _B13, np.eye(m.shape[-1])
-    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
-    a = np.ldexp(m * dt_ms, -s[:, None, None])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    return _square(np.linalg.solve(v - u, v + u), s, False)
-
-
-def _square(p: np.ndarray, s: np.ndarray, renormalise: bool) -> np.ndarray:
-    """Square each matrix its own s times.  With renormalise, a squared matrix's columns are
-    divided by their sums after its last squaring and every 32nd: each squaring doubles their
-    drift from 1, which would overflow in the 66 squarings of a 1e20 ms leak-free step."""
+def _square(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Square each matrix its own s times, dividing a squared matrix's columns by their sums
+    after its last squaring and every 32nd: each squaring doubles their drift from 1, which
+    would overflow in the 66 squarings of a 1e20 ms step."""
     def divide(rows):
-        if renormalise and rows.any():
-            np.copyto(p, p / _sum4(p)[:, None], where=rows[:, None, None])
+        if rows.any():
+            np.copyto(p, normalise_columns(p), where=rows[:, None, None])
 
     if not s.any():
         return p
@@ -293,33 +279,28 @@ def matrix_power_batch(propagators: np.ndarray, n: int) -> np.ndarray:
 
 
 def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
-    """Advance populations in place, crediting any leak to the trap bucket.
+    """Advance populations in place: pops[:, :k] = props @ pops[:, :k].
 
-    props has shape (n, 4, 4), or (1, 4, 4) for one propagator shared by
-    every row; pops has shape (n, 5) with the trap bucket last.
-    Round-off can leave a population or a leak a hair below zero; values
-    down to -1e-10 are clamped to zero, and anything lower raises.
+    props has shape (n, k, k), or (1, k, k) for one propagator shared by
+    every row; pops has shape (n, 5) with the trap last.  A 4x4 propagator
+    leaves the trap as it is, and a 5x5 one, of a leaky generator, fills it.
+    Round-off can leave a population a hair below zero; values down to
+    -1e-10 are clamped to zero, and anything lower raises.
     """
-    v = pops[:, :4]
-    old = _sum4(v)
-    new = np.matmul(props, v[:, :, None])[:, :, 0]
-    tiny = (new < 0.0) & (new > -1e-10)
-    new[tiny] = 0.0
+    k = props.shape[-1]
+    new = np.matmul(props, pops[:, :k, None])[:, :, 0]
+    new[(new < 0.0) & (new > -1e-10)] = 0.0
     if not np.all(new >= 0.0):
         raise ArithmeticError("propagation produced a NaN or negative population")
-    leaked = old - _sum4(new)
-    leaked[(leaked < 0.0) & (leaked > -1e-10)] = 0.0
-    if not np.all(leaked >= 0.0):
-        raise ArithmeticError("propagation created population")
-    pops[:, :4] = new
-    pops[:, 4] += leaked
+    pops[:, :k] = new
 
 
 def evolve(state: IonClassState, matrix: np.ndarray, dt_ms: float) -> IonClassState:
     """Propagate a class state exactly over a constant-drive interval.
 
-    Population lost by the four dynamical levels (the trap leak) is credited
-    to persistent_bleached, so the five-entry total is conserved.
+    A leaky generator's fifth state is persistent_bleached, so what the
+    four levels lose to the trap is credited there and the five-entry total
+    is conserved.
     """
     pops = np.array([[state.g1, state.g2, state.e1, state.e2, state.persistent_bleached]])
     apply_batch(propagator(matrix, dt_ms)[None], pops)
@@ -330,11 +311,12 @@ def steady_state(matrix: np.ndarray) -> IonClassState:
     """Stationary distribution of a conservative generator.
 
     Raises DegenerateSteadyStateError when the kernel is not one-dimensional
-    (disconnected level sets) and ValueError when the matrix leaks
-    population and therefore admits no stationary distribution.
+    (disconnected level sets) and ValueError when the four levels leak
+    population, to a trap state or otherwise, and therefore admit no
+    stationary distribution.
     """
     m = np.asarray(matrix, dtype=float)
-    colsums = m.sum(axis=0)
+    colsums = m[:4, :4].sum(axis=0)
     scale = np.abs(m).max() + 1.0
     if np.any(colsums < -1e-9 * scale):
         raise ValueError("matrix leaks population; no steady state exists")

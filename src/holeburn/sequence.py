@@ -411,7 +411,8 @@ class _Propagators:
 
     Without the pump a segment's generator is the same for every class;
     with it, the generator varies only with the pump detuning from the
-    class centre.  n_expm counts the 4x4 matrices exponentiated so far.
+    class centre.  n_expm counts the matrices exponentiated so far: 4x4, or
+    5x5 with a trap leak.
     """
 
     def __init__(self, ens: EnsembleState, cal: DriveCalibration):
@@ -491,18 +492,21 @@ class _Propagators:
         return starts, first
 
     def propagator(self, grouped) -> np.ndarray:
-        """Per-class propagator of a grouped item, shape (n_classes, 4, 4).
+        """Per-class propagator of a grouped item, shape (n_classes, k, k).
 
         Each group is exponentiated in one batch: one matrix for every class
         with the pump off, one per distinct pump detuning with it.  A pumped
         segment's factor is the slice of its row's slots (_lattice), a
         pump-off one its single matrix, and _time_ordered multiplies them in
-        time order.  The shape is (1, 4, 4) when every factor is shared.
+        time order.  The shape is (1, k, k) when every factor is shared.  k
+        is the generator's size, and the product's columns, raised to the
+        item's count, are divided by their sums once.
         """
         groups, count = grouped
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
-            g, starts = np.frombuffer(drive).reshape(1, 4, 4), [None] * len(members)
+            k = math.isqrt(len(drive) // 8)
+            g, starts = np.frombuffer(drive).reshape(1, k, k), [None] * len(members)
             if pump is not None:
                 pump = np.array(pump)
                 starts, first = self._lattice(pump)
@@ -516,7 +520,8 @@ class _Propagators:
             for i, a in zip(members, starts):
                 factors[i] = props, a
         acc = _time_ordered(factors, self.ens.n_classes)
-        return acc if count is None else engine.matrix_power_batch(acc, count)
+        acc = acc if count is None else engine.matrix_power_batch(acc, count)
+        return engine.normalise_columns(acc)
 
 
 def _periods(symbols) -> list[int]:
@@ -564,7 +569,7 @@ def _fold(factors, width) -> np.ndarray:
 def _time_ordered(factors, n) -> np.ndarray:
     """Product F[K-1] ... F[0] of (stack, offset) factors, each stack[offset:offset + n].
 
-    A factor with offset None is a (1, 4, 4) stack every class shares.  The
+    A factor with offset None is a (1, k, k) stack every class shares.  The
     product of consecutive factors depends only on their stacks and relative
     offsets, their layout.  So a pass cuts the factors into chunks and
     multiplies each layout once per run of its chunks' overlapping windows

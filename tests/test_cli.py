@@ -121,7 +121,7 @@ def test_run_rejects_a_sweep_step_too_short_to_hold_a_segment(tmp_path, capsys, 
 def test_run_reports_an_arithmetic_error(tmp_path, capsys, monkeypatch):
     # NumPy raises a MemoryError for an impossible allocation, such as a class grid
     # of 5e11 classes; it is raised here so that the test allocates nothing
-    for exc in (ArithmeticError("propagation created population"),
+    for exc in (ArithmeticError("propagation produced a NaN or negative population"),
                 MemoryError("Unable to allocate 3.64 TiB for an array")):
         def advance(*args, exc=exc):
             raise exc

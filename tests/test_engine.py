@@ -4,6 +4,7 @@ and the closed-form population ratios."""
 import dataclasses
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -94,8 +95,10 @@ def _reference_rate_matrix(params, drive):
     w = 0.5 / params.tz_ms
     a_same = params.beta / params.t1_ms
     a_flip = (1.0 - params.beta) / params.t1_ms
+    leak = params.persistent_fraction * params.persistent_leak_scale
 
-    m = np.zeros((4, 4))
+    # the trap is a fifth state when the params leak
+    m = np.zeros((5, 5) if leak else (4, 4))
 
     # Ground spin flips.
     m[0, 1] += w
@@ -128,9 +131,10 @@ def _reference_rate_matrix(params, drive):
         m[2, 2] -= r
         m[3, 3] -= r
 
-    # Persistent-trap leak; the only process that breaks conservation.
-    if params.persistent_fraction > 0.0:
-        leak = params.persistent_fraction * params.persistent_leak_scale
+    # Persistent-trap leak from each excited level into the trap.
+    if leak:
+        m[4, 2] += leak
+        m[4, 3] += leak
         m[2, 2] -= leak
         m[3, 3] -= leak
 
@@ -177,11 +181,12 @@ def test_matrix_with_pump_matches_the_ensemble_form():
 def test_matrix_persistent_leak_only_from_excited():
     params = RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9, persistent_fraction=0.5)
     m = build_rate_matrix(params)
-    colsums = m.sum(axis=0)
-    assert colsums[0] == pytest.approx(0.0, abs=1e-15)
-    assert colsums[1] == pytest.approx(0.0, abs=1e-15)
-    assert colsums[2] < 0.0
-    assert colsums[3] < 0.0
+    assert m.shape == (5, 5)
+    # the trap gains from e1 and e2 only, and nothing leaves it
+    assert np.nonzero(m[4])[0].tolist() == [2, 3]
+    assert np.all(m[4, 2:4] > 0.0)
+    assert np.all(m[:, 4] == 0.0)
+    assert np.abs(m.sum(axis=0)).max() <= 1e-15
 
 
 def test_no_drive_eigenvalues():
@@ -285,8 +290,8 @@ def test_propagator_keeps_unit_column_sums_over_long_intervals(dt):
 
 
 def test_propagator_of_a_leaky_generator_matches_scipy():
-    # a leaky generator keeps Pade from a norm of 1/4 up: Taylor's extra squarings are less
-    # accurate, and its column sums below 1 are real, so renormalising cannot help
+    # a leaky generator is 5x5 and conservative, its leak the trap row, so it takes the
+    # renormalised Taylor squaring as a leak-free one does
     rng = np.random.default_rng(47)
     mats = np.stack([build_rate_matrix(_leaky_params(rng), _random_drive(rng)) for _ in range(20)])
     for dt in (1e-4, 1e-2, 1.0, 100.0):
@@ -307,64 +312,70 @@ def test_propagator_handles_a_jordan_block():
     assert np.allclose(propagator(m, 2.5), scipy.linalg.expm(m * 2.5), atol=1e-11)
 
 
-def _mixed_stack(rng, n_conservative, n_leaky):
-    """Random generators, the conservative ones drawn first, the leaky ones spread among them."""
-    n, k = n_conservative, n_leaky
-    cons = [build_rate_matrix(_random_params(rng), _random_drive(rng)) for _ in range(n)]
-    leaky = [build_rate_matrix(_leaky_params(rng), _random_drive(rng)) for _ in range(k)]
-    return np.insert(np.stack(cons), np.arange(k) * n // k, leaky, axis=0)
-
-
-def _paths(mats, dt):
-    """Each matrix's exponential path at dt: 0 Taylor unsquared (a 1-norm of M dt under 1/4),
-    1 Taylor squared and renormalised (conservative), 2 Pade (leaky)."""
-    norms = np.abs(mats).sum(axis=1).max(axis=1) * dt
-    leaky = np.abs(mats.sum(axis=1)).max(axis=1) > 1e-9
-    return np.where(norms < engine._THETA12, 0, np.where(leaky, 2, 1))
+def _stacks(rng, n):
+    """n random generators leak-free (4x4), then n leaky (5x5): one batch cannot mix sizes."""
+    for params in (_random_params, _leaky_params):
+        yield np.stack([build_rate_matrix(params(rng), _random_drive(rng)) for _ in range(n)])
 
 
 def test_propagator_bytes_do_not_depend_on_the_batch():
     rng = np.random.default_rng(5)
-    mats = _mixed_stack(rng, 300, 150)
-    # the stack mixes real and complex spectra, which an eigensolver treats differently
-    w = np.linalg.eigvals(mats)
-    assert 0 < np.count_nonzero(np.abs(w.imag).max(axis=1)) < len(mats)
-    norms = np.abs(mats).sum(axis=1).max(axis=1)
-    # 1e-4 ms needs no squaring for any matrix; 30 ms squares every one
-    assert norms.max() * 1e-4 < 5.37 < norms.min() * 30.0
-    # at 3e-3 ms the stack straddles the Taylor bound, so both methods share it
-    assert 0 < np.count_nonzero(norms * 3e-3 < engine._THETA12) < len(mats)
-    # and all three paths share it: small norms, large conservative and large leaky
-    assert set(_paths(mats, 3e-3)) == {0, 1, 2}
-    for dt in (1e-4, 3e-3, 0.05, 1.0, 30.0):
-        full = propagator_batch(mats, dt)
-        reverse = propagator_batch(mats[::-1], dt)[::-1]
-        for i, m in enumerate(mats):
-            alone = propagator_batch(m[None], dt)[0]
-            assert alone.tobytes() == full[i].tobytes() == reverse[i].tobytes()
+    for mats in _stacks(rng, 300):
+        # the stack mixes real and complex spectra, which an eigensolver treats differently
+        w = np.linalg.eigvals(mats)
+        assert 0 < np.count_nonzero(np.abs(w.imag).max(axis=1)) < len(mats)
+        norms = np.abs(mats).sum(axis=1).max(axis=1)
+        # 1e-4 ms needs no squaring for any matrix; 30 ms squares every one
+        assert norms.max() * 1e-4 < engine._THETA12 < norms.min() * 30.0
+        # at 3e-3 ms the stack straddles the Taylor bound: squared and unsquared share it
+        assert 0 < np.count_nonzero(norms * 3e-3 < engine._THETA12) < len(mats)
+        for dt in (1e-4, 3e-3, 0.05, 1.0, 30.0):
+            full = propagator_batch(mats, dt)
+            reverse = propagator_batch(mats[::-1], dt)[::-1]
+            for i, m in enumerate(mats):
+                alone = propagator_batch(m[None], dt)[0]
+                assert alone.tobytes() == full[i].tobytes() == reverse[i].tobytes()
 
 
 def test_propagator_bytes_do_not_depend_on_the_blocks():
     rng = np.random.default_rng(29)
-    mats = _mixed_stack(rng, 734, 366)
-    # two full blocks and a partial one
-    assert 2 * engine._BLOCK_MATRICES < len(mats) < 3 * engine._BLOCK_MATRICES
-    # at 1 ms the matrices take different numbers of squarings
+    for mats in _stacks(rng, 1100):
+        k = mats.shape[-1]
+        # two full blocks and a partial one
+        assert 2 * engine._BLOCK_MATRICES < len(mats) < 3 * engine._BLOCK_MATRICES
+        # at 1 ms the matrices take different numbers of squarings
+        norms = np.abs(mats).sum(axis=1).max(axis=1)
+        assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA12)[1].clip(0))) > 1
+        # at 3e-3 ms every block holds matrices on both sides of the Taylor bound
+        small = norms * 3e-3 < engine._THETA12
+        edges = range(engine._BLOCK_MATRICES, len(mats), engine._BLOCK_MATRICES)
+        for block in np.split(small, edges):
+            assert 0 < np.count_nonzero(block) < len(block)
+        for dt in (1e-4, 3e-3, 1.0, 30.0):
+            full = propagator_batch(mats, dt)
+            for i, m in enumerate(mats):
+                assert propagator_batch(m[None], dt)[0].tobytes() == full[i].tobytes()
+        assert propagator_batch(np.empty((0, k, k)), 1.0).shape == (0, k, k)
+        assert np.array_equal(propagator_batch(mats, 0.0), np.broadcast_to(np.eye(k), mats.shape))
+
+
+def test_propagator_refuses_to_square_a_leak():
+    # the old 4x4 form of a leaky generator, its trap row dropped: renormalising its squares
+    # would erase the leak, but unsquared Taylor is right for any matrix
+    rng = np.random.default_rng(59)
+    mats = np.stack([build_rate_matrix(_leaky_params(rng), _random_drive(rng))[:4, :4]
+                     for _ in range(50)])
     norms = np.abs(mats).sum(axis=1).max(axis=1)
-    assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA13)[1].clip(0))) > 1
-    assert len(np.unique(np.frexp(norms * 1.0 / engine._THETA12)[1].clip(0))) > 1
-    # at 3e-3 ms every block holds matrices on both sides of the Taylor bound, and all three paths
-    small = norms * 3e-3 < engine._THETA12
-    edges = range(engine._BLOCK_MATRICES, len(mats), engine._BLOCK_MATRICES)
-    for block, paths in zip(np.split(small, edges), np.split(_paths(mats, 3e-3), edges)):
-        assert 0 < np.count_nonzero(block) < len(block)
-        assert set(paths) == {0, 1, 2}
-    for dt in (1e-4, 3e-3, 1.0, 30.0):
-        full = propagator_batch(mats, dt)
-        for i, m in enumerate(mats):
-            assert propagator_batch(m[None], dt)[0].tobytes() == full[i].tobytes()
-    assert propagator_batch(np.empty((0, 4, 4)), 1.0).shape == (0, 4, 4)
-    assert np.array_equal(propagator_batch(mats, 0.0), np.broadcast_to(np.eye(4), mats.shape))
+    for m, norm in zip(mats, norms):
+        dt = 0.99 * engine._THETA12 / norm
+        assert np.abs(propagator(m, dt) - scipy.linalg.expm(m * dt)).max() <= 1e-15
+        with pytest.raises(ValueError, match="cannot be squared"):
+            propagator(m, 1.01 * engine._THETA12 / norm)
+    # the refusal is per matrix: a leak below the bound passes beside squared matrices
+    cons = build_rate_matrix(RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9), _random_drive(rng))
+    dt = 0.99 * engine._THETA12 / norms[0]
+    out = propagator_batch(np.stack([cons * 1e3, mats[0]]), dt)
+    assert out[1].tobytes() == propagator(mats[0], dt).tobytes()
 
 
 def test_propagator_memory_does_not_grow_with_the_stack():
@@ -412,20 +423,20 @@ def test_matrix_power_batch():
 
 
 def test_sums_of_four_match_numpy_bytewise():
-    # the exponential's 1-norm and apply_batch's row totals add in index order, as NumPy's
-    # reductions over an axis of 4 do, so they keep the bytes of the reference forms
+    # the exponential's 1-norm and column sums add in index order, as NumPy's reductions over
+    # an axis of 4 or 5 do, so they keep the bytes of the reference forms
     rng = np.random.default_rng(53)
-    m = rng.standard_normal((10000, 4, 4)) * 10.0 ** rng.uniform(-5, 5, (10000, 1, 1))
-    c = engine._sum4(np.abs(m))
-    norm = np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3]))
-    assert norm.tobytes() == np.abs(m).sum(axis=-2).max(axis=-1).tobytes()
-    v = rng.uniform(0.0, 1.0, (10000, 5))[:, :4] * 10.0 ** rng.uniform(-12, 0, (10000, 1))
-    assert engine._sum4(v).tobytes() == v.sum(axis=1).tobytes()
+    for k in (4, 5):
+        m = rng.standard_normal((10000, k, k)) * 10.0 ** rng.uniform(-5, 5, (10000, 1, 1))
+        assert engine._column_sums(m).tobytes() == m.sum(axis=-2).tobytes()
+        norm = reduce(np.maximum, engine._column_sums(np.abs(m)).T)
+        assert norm.tobytes() == np.abs(m).sum(axis=-2).max(axis=-1).tobytes()
 
 
 def _apply_column(column):
-    """Populations after a propagator with this first column acts on level 0 alone."""
-    prop = np.eye(4)
+    """Populations after a propagator with this first column acts on level 0 alone; a
+    column of five is a leaky generator's, its last entry the trap's."""
+    prop = np.eye(len(column))
     prop[:, 0] = column
     pops = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
     engine.apply_batch(prop[None], pops)
@@ -434,11 +445,19 @@ def _apply_column(column):
 
 def test_apply_batch_clamps_round_off_below_zero():
     assert _apply_column([0.5, -1e-11, 0.5, 0.0]).tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
+    assert _apply_column([0.5, 0.0, 0.5, 0.0, -1e-11]).tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
+
+
+def test_apply_batch_fills_the_trap_only_through_a_trap_row():
+    # apply_batch checks signs only, as every propagator conserves by construction:
+    # a 4x4 one leaves the trap slot as it is, and a 5x5 one moves population into it
+    assert _apply_column([0.5, 0.25, 0.0, 0.0]).tolist() == [0.5, 0.25, 0.0, 0.0, 0.0]
+    assert _apply_column([0.5, 0.25, 0.0, 0.0, 0.25]).tolist() == [0.5, 0.25, 0.0, 0.0, 0.25]
 
 
 @pytest.mark.parametrize("column, message", [
     ([0.5, -1e-9, 0.5, 0.0], "negative population"),
-    ([0.5, 0.5 + 1e-9, 0.0, 0.0], "created population"),
+    ([0.5, 0.5, 0.0, 0.0, -1e-9], "negative population"),
     ([0.5, np.nan, 0.5, 0.0], "NaN"),
 ])
 def test_apply_batch_rejects_a_propagator_that_breaks_the_populations(column, message):

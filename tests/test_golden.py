@@ -30,7 +30,8 @@ GOLDEN = Path(__file__).parent / "golden" / "preset_metrics.json"
 ATOL = 1e-12
 RTOL = 1e-9
 
-# The 4x4 matrices each preset exponentiates (the manifest's n_expm_matrices).
+# The matrices each preset exponentiates (the manifest's n_expm_matrices): 4x4,
+# or 5x5 for fig5, whose generators leak into the trap state.
 # A change in which classes and steps share a propagator shows here even when
 # the outputs stay within tolerance.
 N_EXPM = {

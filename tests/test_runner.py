@@ -1,6 +1,8 @@
+import csv
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from holeburn import runner, sequence
@@ -256,3 +258,37 @@ def test_a_long_readout_delay_keeps_the_relaxed_pit(delay_ms):
     relaxed, later = _pit_after(1e6), _pit_after(delay_ms)
     assert later.rho1_res == pytest.approx(relaxed.rho1_res, abs=1e-12)
     assert later.ground_state_ratio == pytest.approx(relaxed.ground_state_ratio, abs=1e-12)
+
+
+def _sweep_after(delay_ms, out_dir):
+    raw = preset("fig5_stimulation_rates")
+    raw["sequence"][-1]["at_delay_ms"] = delay_ms
+    run_scenario(parse_config(raw), out_dir)
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        return np.array([row[1:] for row in csv.reader(fh)][1:], dtype=float)
+
+
+@pytest.fixture(scope="module")
+def relaxed_fig5_sweep(tmp_path_factory):
+    return _sweep_after(1e6, tmp_path_factory.mktemp("relaxed"))
+
+
+@pytest.mark.parametrize("delay_ms", [1e8, 1e12, 1e15, 1e20])
+def test_a_long_readout_delay_keeps_the_persistent_hole(delay_ms, relaxed_fig5_sweep, tmp_path):
+    # fig5 leaks into the trap; by 1e6 ms every class has relaxed, and the squarings of a
+    # longer delay move its hole areas by about 1e-9 (1.7e-9 at 1e15 ms)
+    later = _sweep_after(delay_ms, tmp_path)
+    assert later.shape == relaxed_fig5_sweep.shape == (10, 1)
+    assert np.abs(later - relaxed_fig5_sweep).max() <= 1e-8
+
+
+def test_a_fine_sweep_step_puts_nothing_in_the_trap():
+    # 10,000 steps per period over 61 classes: no generator leaks, so the cycle product
+    # and its 2,000th power must leave the trap slot empty and every row total at 1
+    raw = preset("stimulated_pumping")
+    raw["dt_max_ms"] = 1e-5
+    raw["profile"] = dict(raw["profile"], grid_span_MHz=30.0)
+    ens = runner.run_single(parse_config(raw))[0]
+    assert ens.n_classes == 61
+    assert np.all(ens.populations[:, 4] == 0.0)
+    assert np.abs(ens.populations.sum(axis=1) - 1.0).max() <= 1e-15
