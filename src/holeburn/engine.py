@@ -178,14 +178,18 @@ def propagator(matrix: np.ndarray, dt_ms: float) -> np.ndarray:
 
 # Every M dt takes the degree-12 Taylor coefficients 1/k!, scaled below a 1-norm of 1/4
 # (_THETA12): the series' tail is 2.4e-18 there, under 1/40 ulp of ||exp(A)||_1 >= exp(-1/4);
-# degree 11: 1.3e-16.
-_TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
+# degree 11: 1.3e-16.  The rows are the Paterson-Stockmeyer partial sums hi, mid and low of
+# exp(A) ~ A^4 (A^4 hi + mid) + low, the columns the powers I, A, A^2, A^3, A^4 they weigh.
+_TAYLOR12 = np.array([[1.0 / math.factorial(k) for k in range(8, 13)],
+                      [1.0 / math.factorial(k) for k in range(4, 8)] + [0.0],
+                      [1.0 / math.factorial(k) for k in range(0, 4)] + [0.0]])
 _THETA12 = 0.25
 
-# Matrices exponentiated per block.  512 x 16 doubles is 64 KiB per temporary: under
-# glibc's default 128 KiB mmap threshold, so a freed temporary is reused from the heap
-# instead of going back to the OS and being faulted in again, and one block's working
-# set stays in a core's 2 MiB L2.
+# Matrices exponentiated per block.  512 x 16 doubles is 64 KiB per 4x4 stack, and a block's
+# working set (five powers, three partial sums and a product: about 0.6 MiB, 0.9 MiB at 5x5)
+# stays in a core's 2 MiB L2.  The stacked powers and sums outgrow glibc's default 128 KiB
+# mmap threshold, but freeing the first mmapped one raises the threshold to its size, so
+# later blocks take theirs from the heap instead of faulting fresh pages in.
 _BLOCK_MATRICES = 512
 
 
@@ -200,7 +204,7 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     squared and is not conservative raises ValueError, as renormalising would erase its
     leak; below a 1-norm of 1/4 nothing is squared, and the polynomial holds for any M.
     The rule is per matrix, so no byte depends on the batch or on the blocks of
-    _BLOCK_MATRICES that keep each temporary at 64 KiB.
+    _BLOCK_MATRICES that keep a block's working set in L2.
     """
     if dt_ms < 0:
         raise ValueError(f"dt_ms must be >= 0, got {dt_ms}")
@@ -225,9 +229,9 @@ def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 added in index order, as NumPy's reduction over an axis of 4 or 5
-    does, without its small-axis overhead: the column sums of a (n, k, k) stack."""
-    return reduce(np.add, (x[:, i] for i in range(x.shape[1])))
+    """The column sums of a (n, k, k) stack: einsum adds over axis 1 in index order, as
+    NumPy's reduction over an axis of 4 or 5 does, without its small-axis overhead."""
+    return np.einsum("nij->nj", x)
 
 
 def normalise_columns(p: np.ndarray) -> np.ndarray:
@@ -237,15 +241,31 @@ def normalise_columns(p: np.ndarray) -> np.ndarray:
 
 def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
     """exp(m dt) by the degree-12 Taylor polynomial in Paterson-Stockmeyer form (five matmuls),
-    scaled below a 1-norm of 1/4 and squared back with renormalised columns."""
-    c, eye = _TAYLOR12, np.eye(m.shape[-1])
+    scaled below a 1-norm of 1/4 and squared back with renormalised columns.
+
+    The partial sums hi, mid and low are one product: _TAYLOR12 times the stacked powers
+    I, A, A^2, A^3, A^4, each power's entries one column of it, so an entry's sums do not
+    depend on the matrices beside it.  A block with no matrix to square is not scaled.
+    """
+    n, k = m.shape[:2]
     s = np.maximum(np.frexp(norm / _THETA12)[1], 0)
-    a = np.ldexp(m * dt_ms, -s[:, None, None])
-    a2 = a @ a
-    a3, a4 = a2 @ a, a2 @ a2
-    hi = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
-    mid = c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
-    return _square(a4 @ (a4 @ hi + mid) + (c[3] * a3 + c[2] * a2 + a + eye), s)
+    powers = np.empty((5, n, k, k))
+    powers[0] = np.eye(k)
+    _, a, a2, a3, a4 = powers
+    np.multiply(m, dt_ms, out=a)
+    if s.any():
+        np.ldexp(a, -s[:, None, None], out=a)
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    np.matmul(a2, a2, out=a4)
+    sums = np.empty((3, n, k, k))
+    np.matmul(_TAYLOR12, powers.reshape(5, -1), out=sums.reshape(3, -1))
+    hi, mid, low = sums
+    inner = a4 @ hi
+    inner += mid
+    np.matmul(a4, inner, out=hi)
+    hi += low
+    return _square(hi, s)
 
 
 def _square(p: np.ndarray, s: np.ndarray) -> np.ndarray:

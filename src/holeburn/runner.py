@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy
@@ -33,16 +33,22 @@ def config_hash(cfg: ExperimentConfig) -> str:
 SCAN_BUDGET_ENTRIES = 1 << 20
 
 
-def _prepare(cfg: ExperimentConfig):
-    """The configured ensemble and compiled sequence."""
-    ens = build_ensemble(
-        cfg.profile,
-        cfg.zeeman,
-        cfg.rates,
-        target_od=cfg.target_od,
-        probe_linewidth_MHz=cfg.probe_linewidth_MHz,
-    )
-    return ens, compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
+def _prepare(cfg: ExperimentConfig, ensembles: dict | None = None):
+    """The configured ensemble and compiled sequence.
+
+    Configs whose ensemble fields are equal share one build_ensemble call,
+    its target_od calibration included, through ensembles; each still gets
+    its own populations, which advance mutates.
+    """
+    key = (cfg.profile, cfg.zeeman, cfg.rates, cfg.target_od, cfg.probe_linewidth_MHz)
+    ensembles = {} if ensembles is None else ensembles
+    if key not in ensembles:
+        ensembles[key] = build_ensemble(cfg.profile, cfg.zeeman, cfg.rates,
+                                        target_od=cfg.target_od,
+                                        probe_linewidth_MHz=cfg.probe_linewidth_MHz)
+    ens = ensembles[key]
+    return (replace(ens, populations=ens.populations.copy()),
+            compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms))
 
 
 def run_single(cfg: ExperimentConfig):
@@ -98,10 +104,10 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     # key, until those the memo holds pass the budget.  The memo holds each
     # pending point's evolution once: a point with byte-equal initial state
     # and generators reuses an earlier one's, and the memo is emptied with
-    # the pending list.
-    results, pending, kernels, memo = [], [], {}, {}
+    # the pending list.  Points with equal ensemble fields share one build.
+    results, pending, kernels, memo, ensembles = [], [], {}, {}, {}
     for _, sub in points:
-        ens, compiled = _prepare(sub)
+        ens, compiled = _prepare(sub, ensembles)
         evolution = advance(ens, compiled, sub.drive, memo)
         pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
         if sum(s.size for snapshots, _ in memo.values() for s in snapshots) > SCAN_BUDGET_ENTRIES:

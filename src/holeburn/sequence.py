@@ -308,13 +308,14 @@ def _sweep_steps(pump: PumpPulse, n_steps: int, base: DriveSegment,
         k += 1
     t = t0
     while t < t1 - TIME_TOL_MS:
-        seg = replace(base, t_start_ms=t, t_end_ms=min(pump.start_ms + (k + 1) * dt, t1))
+        # every field of base, with the step's times and pump, in one construction per step
+        fields = dict(vars(base), t_start_ms=t, t_end_ms=min(pump.start_ms + (k + 1) * dt, t1))
         offset = pump.sweep_span_MHz * ((k % n_steps + 0.5) / n_steps - 0.5)
         if abs(offset) >= pump.gate_gap_MHz / 2.0:
-            seg = replace(seg, pump_freq_MHz=pump.center_MHz + offset,
+            fields.update(pump_freq_MHz=pump.center_MHz + offset,
                           pump_rate_per_ms=pump.power_rate_per_ms)
-        steps.append(seg)
-        t, k = seg.t_end_ms, k + 1
+        steps.append(DriveSegment(**fields))
+        t, k = fields["t_end_ms"], k + 1
     return steps
 
 

@@ -289,6 +289,38 @@ def test_propagator_keeps_unit_column_sums_over_long_intervals(dt):
     assert np.abs(props.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
+def _horner12(a):
+    """The degree-12 Taylor polynomial of exp(a), sum of a^k / k! for k <= 12, by Horner."""
+    eye = np.eye(len(a))
+    p = eye
+    for k in range(12, 0, -1):
+        p = eye + a @ p / k
+    return p
+
+
+def test_propagator_matches_the_taylor_polynomial_below_the_bound():
+    # unsquared, the exponential is the degree-12 polynomial itself, to round-off
+    rng = np.random.default_rng(61)
+    for mats in _stacks(rng, 300):
+        norms = np.abs(mats).sum(axis=1).max(axis=1)
+        targets = np.exp(rng.uniform(np.log(1e-4), np.log(0.2499), len(mats)))
+        a = mats * (targets / norms)[:, None, None]
+        assert np.abs(a).sum(axis=1).max(axis=1).max() < engine._THETA12
+        for p, m in zip(propagator_batch(a, 1.0), a):
+            ref = _horner12(m)
+            assert np.abs(p - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_propagator_of_a_leaky_generator_at_fig4_norms_matches_scipy():
+    # fig4's 100 ms pump steps put a generator's 1-norm between about 200 and 600
+    rng = np.random.default_rng(67)
+    mats = np.stack([build_rate_matrix(_leaky_params(rng), _random_drive(rng)) for _ in range(50)])
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    a = mats * (rng.uniform(200.0, 600.0, len(mats)) / norms)[:, None, None]
+    for p, m in zip(propagator_batch(a, 1.0), a):
+        assert np.abs(p - scipy.linalg.expm(m)).max() <= 1e-13
+
+
 def test_propagator_of_a_leaky_generator_matches_scipy():
     # a leaky generator is 5x5 and conservative, its leak the trap row, so it takes the
     # renormalised Taylor squaring as a leak-free one does

@@ -149,6 +149,40 @@ def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
 
 
+def _count_builds(monkeypatch):
+    built = []
+    real_build = runner.build_ensemble
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_ensemble", spy)
+    return built
+
+
+def test_sweep_points_with_equal_ensemble_fields_share_one_build(tmp_path, monkeypatch):
+    # fig4 sweeps the stimulation detuning, which the ensemble does not read
+    built = _count_builds(monkeypatch)
+    cfg = parse_config(preset("fig4_stimulation_spectrum"))
+    assert len(cfg.outputs.sweep.values) == 15
+    run_scenario(cfg, tmp_path)
+    assert len(built) == 1
+
+
+def test_sweep_points_with_other_rates_get_their_own_builds(tmp_path, monkeypatch):
+    # tz_ms is an ensemble field: one build (and target_od calibration) per distinct value
+    path, values = "rates.tz_ms", [50.0, 100.0, 50.0, 200.0]
+    raw = _drive_sweep(path, values)
+    built = _count_builds(monkeypatch)
+    run_scenario(parse_config(raw), tmp_path)
+    assert [args[2].tz_ms for args in built] == [50.0, 100.0, 200.0]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, path, values)
+    rows = [line.split(",")[1:] for line in lines[1:]]
+    assert rows[0] == rows[2] != rows[1]
+
+
 _DETUNING = "drive.stim_detuning_MHz"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from dataclasses import replace
 
@@ -230,6 +231,23 @@ def test_compile_gate_blanks_center_steps():
     assert all(s.pump_rate_per_ms == 0.0 for s in gated)
     assert all(abs(s.pump_freq_MHz) >= 1.5 for s in lit)
     assert max(abs(s.pump_freq_MHz) for s in lit) <= 5.0
+
+
+def test_sweep_steps_copy_every_field_but_the_times_and_the_pump():
+    # a sentinel per copied field, read from dataclasses.fields, so a field added to
+    # DriveSegment later is checked too
+    own = {"t_start_ms", "t_end_ms", "pump_freq_MHz", "pump_rate_per_ms"}
+    kept = {f.name: object() for f in dataclasses.fields(DriveSegment) if f.name not in own}
+    assert len(kept) == 4
+    base = DriveSegment(t_start_ms=0.0, t_end_ms=1.0, **kept)
+    pump = PumpPulse(duration_ms=1.0, center_MHz=0.0, power_rate_per_ms=2.0,
+                     sweep_span_MHz=10.0, sweep_period_ms=0.5, gate_gap_MHz=3.0)
+    steps = sequence._sweep_steps(pump, 10, base, 0.0, 1.0)
+    assert len(steps) == 20
+    assert {s.pump_freq_MHz is None for s in steps} == {True, False}
+    for step in steps:
+        for name, value in kept.items():
+            assert getattr(step, name) is value
 
 
 def test_compile_stim_overhang_gets_own_segment():
