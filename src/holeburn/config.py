@@ -228,6 +228,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _build_section(raw, "", ExperimentConfig)
 
 
+def _parse_field(name: str, value):
+    """One top-level ExperimentConfig field parsed from its raw value, as
+    parse_config parses it."""
+    (f,) = (f for f in fields(ExperimentConfig) if f.name == name)
+    return _PARSERS[f.type](value, name)
+
+
 def parse_config_file(path) -> ExperimentConfig:
     """Load a JSON or YAML config file."""
     text = Path(path).read_text()

@@ -196,13 +196,14 @@ _BLOCK_MATRICES = 512
 def propagator_batch(matrices: np.ndarray, dt_ms: float) -> np.ndarray:
     """exp(M dt) for a stack of generators, shape (n, k, k).
 
-    Every M dt takes the degree-12 Taylor polynomial: it is scaled by its own power of two
-    to a 1-norm below 1/4, the polynomial is squared back, and the columns are divided by
-    their sums after the last squaring and every 32nd, so they sum to 1 within a few ulp
-    at any dt.  That is right for a conservative M, each column sum within 4 ulp of its
-    absolute sum, as every generator of build_rate_matrix is.  A matrix that must be
-    squared and is not conservative raises ValueError, as renormalising would erase its
-    leak; below a 1-norm of 1/4 nothing is squared, and the polynomial holds for any M.
+    Every M dt takes the degree-12 Taylor polynomial: it is scaled by its own power of two,
+    2^-s, to a 1-norm below 1/4, the polynomial is squared back exactly s times, and the
+    columns are divided by their sums after the last squaring and every 32nd, so they sum
+    to 1 within a few ulp at any dt.  That is right for a conservative M, each column sum
+    within 4 ulp of its absolute sum, as every generator of build_rate_matrix is.  A matrix
+    that must be squared and is not conservative raises ValueError, as renormalising would
+    erase its leak; below a 1-norm of 1/4 nothing is squared, and the polynomial holds for
+    any M.
     The rule is per matrix, so no byte depends on the batch or on the blocks of
     _BLOCK_MATRICES that keep a block's working set in L2.
     """
@@ -245,7 +246,8 @@ def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
 
     The partial sums hi, mid and low are one product: _TAYLOR12 times the stacked powers
     I, A, A^2, A^3, A^4, each power's entries one column of it, so an entry's sums do not
-    depend on the matrices beside it.  A block with no matrix to square is not scaled.
+    depend on the matrices beside it.  The scaling multiplies by 2^-s, exact as ldexp is;
+    a block with no matrix to square is not scaled.
     """
     n, k = m.shape[:2]
     s = np.maximum(np.frexp(norm / _THETA12)[1], 0)
@@ -254,7 +256,7 @@ def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
     _, a, a2, a3, a4 = powers
     np.multiply(m, dt_ms, out=a)
     if s.any():
-        np.ldexp(a, -s[:, None, None], out=a)
+        a *= np.ldexp(1.0, -s)[:, None, None]
     np.matmul(a, a, out=a2)
     np.matmul(a2, a, out=a3)
     np.matmul(a2, a2, out=a4)
@@ -268,26 +270,31 @@ def _taylor12(m: np.ndarray, dt_ms: float, norm: np.ndarray) -> np.ndarray:
     return _square(hi, s)
 
 
-def _square(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Square each matrix its own s times, dividing a squared matrix's columns by their sums
+def _square(p: np.ndarray, s: np.ndarray, done: int = 0) -> np.ndarray:
+    """Square each matrix of p its own s times, in place, dividing its columns by their sums
     after its last squaring and every 32nd: each squaring doubles their drift from 1, which
-    would overflow in the 66 squarings of a 1e20 ms step."""
-    def divide(rows):
-        if rows.any():
-            np.copyto(p, normalise_columns(p), where=rows[:, None, None])
+    would overflow in the 66 squarings of a 1e20 ms step.
 
+    Every matrix is squared to the least s, from the done squarings it has had, and then
+    only the rows that need more are gathered and squared on, one recursion level per
+    distinct s: the squared rows total sum(s) - done.  A matrix at s = 0 is returned as
+    it came.
+    """
     if not s.any():
         return p
     least = s.min()
-    for k in range(1, s.max() + 1):
-        if k <= least:
-            p = p @ p
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # finished matrices' squares go unused
-                np.copyto(p, p @ p, where=(s >= k)[:, None, None])
-        if k % 32 == 0:
-            divide(s > k)
-    divide(s > 0)
+    q = np.empty_like(p)
+    for j in range(done + 1, least + 1):
+        np.matmul(p, p, out=q)
+        p, q = q, p
+        if j % 32 == 0:
+            p /= _column_sums(p)[:, None]
+    more = s > least
+    rest = p[more]  # taken before the rows that end here are divided
+    if least % 32:
+        p /= _column_sums(p)[:, None]
+    if len(rest):
+        p[more] = _square(rest, s[more], least)
     return p
 
 
@@ -304,11 +311,14 @@ def apply_batch(props: np.ndarray, pops: np.ndarray) -> None:
     props has shape (n, k, k), or (1, k, k) for one propagator shared by
     every row; pops has shape (n, 5) with the trap last.  A 4x4 propagator
     leaves the trap as it is, and a 5x5 one, of a leaky generator, fills it.
-    Round-off can leave a population a hair below zero; values down to
-    -1e-10 are clamped to zero, and anything lower raises.
+    einsum adds each row's k products in index order, as matmul does at k = 4,
+    so no row's bytes depend on the rows beside it; one GEMM for a shared
+    propagator would make them depend on how many rows share it.  Round-off
+    can leave a population a hair below zero; values down to -1e-10 are
+    clamped to zero, and anything lower raises.
     """
     k = props.shape[-1]
-    new = np.matmul(props, pops[:, :k, None])[:, :, 0]
+    new = np.einsum("...ij,...j->...i", props, pops[:, :k])
     new[(new < 0.0) & (new > -1e-10)] = 0.0
     if not np.all(new >= 0.0):
         raise ArithmeticError("propagation produced a NaN or negative population")

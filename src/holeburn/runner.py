@@ -17,7 +17,9 @@ import numpy
 
 from . import __version__
 from .analysis import residual_metrics
-from .config import ExperimentConfig, apply_override, parse_config, serialize_config
+# parse_config is not called here; it stays a runner attribute for perfbench/tracer.py
+from .config import (ExperimentConfig, _parse_field, apply_override, parse_config,
+                     serialize_config)
 from .ensemble import build_ensemble, hole_area, kernel_key, readout_scan
 from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
 
@@ -74,6 +76,30 @@ def _last_metrics(result, cfg):
     return residual_metrics(last.spectrum, last.baseline, window)
 
 
+def _sweep_points(cfg: ExperimentConfig) -> list:
+    """(value, config) of each point of the config's sweep.
+
+    A point is the config with its sweep cleared and the one top-level field
+    the sweep path names parsed again with the value in place; every other
+    field is the base config's own object.  A bad value raises the
+    ConfigError that parsing the whole overridden config would.
+    """
+    sweep = cfg.outputs.sweep
+    base = replace(cfg, outputs=replace(cfg.outputs, sweep=None))
+    base_raw = serialize_config(base)
+    top = sweep.path.split(".")[0].split("[")[0]
+    # an unknown top-level key is left to apply_override, which names it
+    field_raw = {top: base_raw[top]} if top in base_raw else {}
+    points = []
+    for value in sweep.values:
+        # An integral value goes in as an int, so integer fields accept it
+        # and float fields parse it to the same float.
+        raw = apply_override(field_raw, sweep.path,
+                             int(value) if float(value).is_integer() else value)
+        points.append((value, replace(base, **{top: _parse_field(top, raw[top])})))
+    return points
+
+
 def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Run a scenario, evolved as the sweep of its points, and write artifacts.
 
@@ -82,19 +108,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """
     t0 = time.perf_counter()
     sweep = cfg.outputs.sweep
-    # A run without a sweep is the one point of its own sweep.
-    points = [(None, cfg)]
-    if sweep is not None:
-        # Every point is parsed before any runs, so a bad value fails first.
-        base_raw = serialize_config(cfg)
-        points = []
-        for value in sweep.values:
-            # An integral value goes in as an int, so integer fields accept it
-            # and float fields parse it to the same float.
-            raw = apply_override(base_raw, sweep.path,
-                                 int(value) if float(value).is_integer() else value)
-            raw["outputs"] = dict(raw["outputs"], sweep=None)
-            points.append((value, parse_config(raw)))
+    # A run without a sweep is the one point of its own sweep.  Every point
+    # of a sweep is built before any runs, so a bad value fails first.
+    points = [(None, cfg)] if sweep is None else _sweep_points(cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

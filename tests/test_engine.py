@@ -3,6 +3,7 @@ and the closed-form population ratios."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -427,6 +428,42 @@ def test_propagator_memory_does_not_grow_with_the_stack():
     assert peak - out.nbytes < 2**20
 
 
+class _SquaredRows:
+    """Stands in for numpy in holeburn.engine and counts the rows of the stacked products
+    that _square makes, each a squaring."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if sys._getframe(1).f_code is engine._square.__code__:
+            self.rows += len(a)
+        return np.matmul(a, b, **kwargs)
+
+
+def test_each_matrix_is_squared_its_own_s_times(monkeypatch):
+    # one block: 511 matrices at s = 10 and one at s = 12 (1-norm dt in [128, 256) and
+    # [512, 1024) times 1/4); squaring every row to the block's largest s takes 6,144 rows
+    rng = np.random.default_rng(61)
+    mats = np.stack([build_rate_matrix(_random_params(rng), _random_drive(rng))
+                     for _ in range(engine._BLOCK_MATRICES)])
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    target = np.append(rng.uniform(130.0, 250.0, len(mats) - 1), 700.0)
+    mats *= (target / norms)[:, None, None]
+    s = np.frexp(np.abs(mats).sum(axis=1).max(axis=1) / engine._THETA12)[1]
+    assert np.bincount(s).tolist()[10:] == [511, 0, 1]
+    squared = _SquaredRows()
+    monkeypatch.setattr(engine, "np", squared)
+    full = propagator_batch(mats, 1.0)
+    assert squared.rows == s.sum() == 5122
+    monkeypatch.undo()
+    for i, m in enumerate(mats):
+        assert propagator_batch(m[None], 1.0)[0].tobytes() == full[i].tobytes()
+
+
 def test_propagator_batch_matches_single():
     rng = np.random.default_rng(19)
     mats = np.stack(
@@ -463,6 +500,43 @@ def test_sums_of_four_match_numpy_bytewise():
         assert engine._column_sums(m).tobytes() == m.sum(axis=-2).tobytes()
         norm = reduce(np.maximum, engine._column_sums(np.abs(m)).T)
         assert norm.tobytes() == np.abs(m).sum(axis=-2).max(axis=-1).tobytes()
+
+
+def _applied_alone_and_stacked(apply, props, pops):
+    """pops after apply(props, pops) on the whole stack and row by row."""
+    stacked, alone = pops.copy(), pops.copy()
+    apply(props, stacked)
+    for i in range(len(pops)):
+        row = alone[i:i + 1]
+        apply(props if len(props) == 1 else props[i:i + 1], row)
+    return stacked, alone
+
+
+def _gemm_apply(props, pops):
+    # one product for a shared propagator: a row's bytes follow the rows beside it
+    k = props.shape[-1]
+    pops[:, :k] = pops[:, :k] @ props[0].T
+
+
+def test_apply_batch_bytes_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(67)
+    n = 1001
+    pops = rng.random((n, 5))
+    pops /= pops.sum(axis=1, keepdims=True)
+    for k in (4, 5):
+        for n_props in (1, n):
+            props = rng.random((n_props, k, k))
+            props /= props.sum(axis=1, keepdims=True)
+            stacked, alone = _applied_alone_and_stacked(engine.apply_batch, props, pops)
+            assert stacked.tobytes() == alone.tobytes()
+            matmul = np.matmul(props, pops[:, :k, None])[:, :, 0]
+            if k == 4:
+                assert stacked[:, :k].tobytes() == matmul.tobytes()
+            else:  # einsum and matmul may round a sum of five differently
+                assert np.abs(stacked[:, :k] - matmul).max() <= 2.2e-16
+            if n_props == 1:
+                stacked, alone = _applied_alone_and_stacked(_gemm_apply, props, pops)
+                assert stacked.tobytes() != alone.tobytes()
 
 
 def _apply_column(column):

@@ -1,13 +1,13 @@
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from holeburn import runner, sequence
 from holeburn.analysis import residual_metrics
-from holeburn.config import apply_override, parse_config
+from holeburn.config import ExperimentConfig, apply_override, parse_config, serialize_config
 from holeburn.ensemble import Spectrum, hole_area
 from holeburn.errors import ConfigError
 from holeburn.presets import preset
@@ -224,6 +224,62 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     assert flushed["stats"]["n_expm_matrices"] == 2 * near + far
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
+
+def _swept(path, values):
+    """A config of every section, drive included, that sweeps path through values."""
+    ro = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21, "at_delay_ms": 1.0}
+    raw = dict(_pumped(ro, outputs={"sweep": {"path": path, "values": values}}),
+               drive={"stim_detuning_MHz": 0.0}, dt_max_ms=0.5)
+    raw["sequence"].append({"kind": "stimulation", "duration_ms": 10.0, "power_mW": 20.0})
+    return parse_config(raw)
+
+
+def _parsed_whole(cfg, value):
+    """The point of a sweep value parsed as a whole overridden config, its sweep cleared."""
+    raw = serialize_config(cfg)
+    raw["outputs"]["sweep"] = None
+    return parse_config(apply_override(raw, cfg.outputs.sweep.path,
+                                       int(value) if float(value).is_integer() else value))
+
+
+@pytest.mark.parametrize("path, values, field", [
+    ("drive.stim_detuning_MHz", [-2.5, 0.0, 3.0], "drive"),
+    ("rates.beta", [0.5, 0.75], "rates"),
+    ("profile.grid_step_MHz", [0.5, 2.0], "profile"),
+    ("sequence[1].n_points", [41.0, 81.0], "sequence"),
+    ("sequence[2].power_mW", [5.0, 12.5], "sequence"),
+    ("dt_max_ms", [0.25, 1.0], "dt_max_ms"),
+])
+def test_a_sweep_point_reparses_only_the_swept_field(path, values, field):
+    cfg = _swept(path, values)
+    points = runner._sweep_points(cfg)
+    assert [value for value, _ in points] == values
+    for value, point in points:
+        assert point == _parsed_whole(cfg, value)
+        for f in fields(ExperimentConfig):
+            if f.name not in (field, "outputs"):
+                assert getattr(point, f.name) is getattr(cfg, f.name), f.name
+        assert point.outputs == replace(cfg.outputs, sweep=None)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("rates.beta", 1.5),
+    ("sequence[1].n_points", 41.5),
+    ("target_od", -1.0),
+    ("dt_max_ms", 0.0),
+    ("nope.x", 1.0),
+    ("sequence[9].duration_ms", 1.0),
+    ("rates..beta", 1.0),
+    ("outputs", 1.0),
+])
+def test_a_bad_sweep_value_fails_as_the_whole_config_would(path, value):
+    cfg = _swept(path, [value])
+    with pytest.raises(ConfigError) as whole:
+        _parsed_whole(cfg, value)
+    with pytest.raises(ConfigError) as point:
+        runner._sweep_points(cfg)
+    assert (point.value.path, point.value.message) == (whole.value.path, whole.value.message)
 
 
 def test_a_run_equals_the_one_value_sweep_of_itself(tmp_path):
