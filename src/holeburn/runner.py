@@ -20,7 +20,7 @@ from .analysis import residual_metrics
 # parse_config is not called here; it stays a runner attribute for perfbench/tracer.py
 from .config import (ExperimentConfig, _parse_field, apply_override, parse_config,
                      serialize_config)
-from .ensemble import build_ensemble, hole_area, kernel_key, readout_scan
+from .ensemble import build_ensemble, hole_area, readout_scan
 from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
@@ -31,26 +31,35 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Snapshot entries the sweep memo may hold before a scan: 8 MiB.
+# Entries the sweep memo's snapshots and the store's arrays may hold before a scan: 8 MiB.
 SCAN_BUDGET_ENTRIES = 1 << 20
 
 
-def _prepare(cfg: ExperimentConfig, ensembles: dict | None = None):
+def _build(cfg: ExperimentConfig, shared: dict):
+    """The ensemble of the config's ensemble fields, built once per distinct fields in shared."""
+    key = (cfg.profile, cfg.zeeman, cfg.rates, cfg.target_od, cfg.probe_linewidth_MHz)
+    if key not in shared:
+        shared[key] = build_ensemble(cfg.profile, cfg.zeeman, cfg.rates,
+                                     target_od=cfg.target_od,
+                                     probe_linewidth_MHz=cfg.probe_linewidth_MHz)
+    return shared[key]
+
+
+def _prepare(cfg: ExperimentConfig, shared: dict | None = None):
     """The configured ensemble and compiled sequence.
 
-    Configs whose ensemble fields are equal share one build_ensemble call,
-    its target_od calibration included, through ensembles; each still gets
-    its own populations, which advance mutates.
+    Through shared, configs whose ensemble fields are equal share one
+    build_ensemble call, its target_od calibration included, and configs
+    whose sequence and dt_max_ms are equal share one compile_sequence call.
+    Each still gets its own populations, which advance mutates; nothing
+    mutates a compiled sequence.
     """
-    key = (cfg.profile, cfg.zeeman, cfg.rates, cfg.target_od, cfg.probe_linewidth_MHz)
-    ensembles = {} if ensembles is None else ensembles
-    if key not in ensembles:
-        ensembles[key] = build_ensemble(cfg.profile, cfg.zeeman, cfg.rates,
-                                        target_od=cfg.target_od,
-                                        probe_linewidth_MHz=cfg.probe_linewidth_MHz)
-    ens = ensembles[key]
-    return (replace(ens, populations=ens.populations.copy()),
-            compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms))
+    shared = {} if shared is None else shared
+    ens = _build(cfg, shared)
+    key = (cfg.sequence, cfg.dt_max_ms)
+    if key not in shared:
+        shared[key] = compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
+    return replace(ens, populations=ens.populations.copy()), shared[key]
 
 
 def run_single(cfg: ExperimentConfig):
@@ -116,19 +125,22 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
     # Points are evolved before they are scanned, so points sharing a readout
-    # kernel share its pass; the snapshots wait, with one ensemble per kernel
-    # key, until those the memo holds pass the budget.  The memo holds each
-    # pending point's evolution once: a point with byte-equal initial state
-    # and generators reuses an earlier one's, and the memo is emptied with
-    # the pending list.  Points with equal ensemble fields share one build.
-    results, pending, kernels, memo, ensembles = [], [], {}, {}, {}
+    # kernel share its pass; the snapshots wait, each with its shared build
+    # for scan to key, until the memo and the store pass the budget.  The
+    # memo holds each pending point's evolution once: a point with byte-equal
+    # initial state and generators reuses an earlier one's.  The store holds
+    # the pump-off propagators and pump-rate stacks points share; both are
+    # emptied with the pending list.  Builds and compiles are shared for the
+    # whole run.
+    results, pending, memo, store, shared = [], [], {}, {}, {}
     for _, sub in points:
-        ens, compiled = _prepare(sub, ensembles)
-        evolution = advance(ens, compiled, sub.drive, memo)
-        pending.append((kernels.setdefault(kernel_key(ens), ens), evolution))
-        if sum(s.size for snapshots, _ in memo.values() for s in snapshots) > SCAN_BUDGET_ENTRIES:
+        ens, compiled = _prepare(sub, shared)
+        evolution = advance(ens, compiled, sub.drive, memo, store)
+        pending.append((_build(sub, shared), evolution))
+        held = sum(s.size for snapshots, _ in memo.values() for s in snapshots)
+        if held + sum(a.size for arrays in store.values() for a in arrays) > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
-            pending, kernels, memo = [], {}, {}
+            pending, memo, store = [], {}, {}
     results += scan(pending)
     # The work counts cover every point; other stats are the last point's.
     stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)

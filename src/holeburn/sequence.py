@@ -414,12 +414,20 @@ class _Propagators:
     with it, the generator varies only with the pump detuning from the
     class centre.  n_expm counts the matrices exponentiated so far: 4x4, or
     5x5 with a trap leak.
+
+    store holds, as tuples of arrays, what items and runs share: the
+    propagator of an item with the pump off throughout, keyed by its groups,
+    and a pumped group's lattice slot starts and slot pump rates, keyed by
+    the transition frequencies' digest, pump linewidth, pump rate and pump
+    frequencies.  An entry counts in n_expm only where it is built.
     """
 
-    def __init__(self, ens: EnsembleState, cal: DriveCalibration):
+    def __init__(self, ens: EnsembleState, cal: DriveCalibration, store: dict | None = None):
         self.ens = ens
         self.cal = cal
         self.trans = ens.transition_freqs()
+        self.digest = hashlib.sha256(self.trans).digest()
+        self.store = {} if store is None else store
         self.n_expm = 0
 
     def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
@@ -492,6 +500,17 @@ class _Propagators:
             first[starts[s]:starts[s] + n] = s
         return starts, first
 
+    def _pump_rates(self, rate: float, pump: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """A pumped group's slot starts on the lattice and the pump rates of its slots."""
+        key = (self.digest, self.cal.pump_linewidth_MHz, rate, pump)
+        if key not in self.store:
+            freqs = np.array(pump)
+            starts, first = self._lattice(freqs)
+            det = freqs[first, None] - self.trans[np.arange(len(first)) - starts[first]]
+            self.store[key] = (starts,
+                               engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det))
+        return self.store[key]
+
     def propagator(self, grouped) -> np.ndarray:
         """Per-class propagator of a grouped item, shape (n_classes, k, k).
 
@@ -501,22 +520,26 @@ class _Propagators:
         pump-off one its single matrix, and _time_ordered multiplies them in
         time order.  The shape is (1, k, k) when every factor is shared.  k
         is the generator's size, and the product's columns, raised to the
-        item's count, are divided by their sums once.
+        item's count, are divided by their sums once.  An item with the pump
+        off throughout depends on its groups alone, so the store keeps it.
         """
+        if any(pump is not None for *_, pump in grouped[0]):
+            return self._product(grouped)
+        if grouped not in self.store:
+            self.store[grouped] = (self._product(grouped),)
+        return self.store[grouped][0]
+
+    def _product(self, grouped) -> np.ndarray:
         groups, count = grouped
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
             k = math.isqrt(len(drive) // 8)
             g, starts = np.frombuffer(drive).reshape(1, k, k), [None] * len(members)
             if pump is not None:
-                pump = np.array(pump)
-                starts, first = self._lattice(pump)
-                det = pump[first, None] - self.trans[np.arange(len(first)) - starts[first]]
+                starts, rates = self._pump_rates(rate, pump)
                 starts = starts.tolist()
-                g = np.repeat(g, len(det), axis=0)
-                engine.add_pump_rates(
-                    g, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det)
-                )
+                g = np.repeat(g, len(rates), axis=0)
+                engine.add_pump_rates(g, rates)
             props = self._expm(g, dt_ms)
             for i, a in zip(members, starts):
                 factors[i] = props, a
@@ -619,18 +642,21 @@ class Evolution:
 def advance(ens: EnsembleState,
             compiled: CompiledSequence,
             calibration: DriveCalibration | None = None,
-            memo: dict | None = None) -> Evolution:
+            memo: dict | None = None,
+            store: dict | None = None) -> Evolution:
     """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
 
     Every item and readout gap is grouped once; the groups key the run in
     memo and build its propagators.  A run whose initial populations and
-    transition frequencies (by their SHA-256 digest), pump linewidth, groups
+    transition frequencies (by their SHA-256 digests), pump linewidth, groups
     and readout gaps equal those of a run already in memo takes that run's
     snapshots and final populations, and exponentiates and applies nothing.
-    Without a memo the run is keyed against an empty one.
+    Without a memo the run is keyed against an empty one.  Runs given one
+    store build what they share once in it (_Propagators); without one a run
+    uses a fresh store, in which its equal readout gaps still share.
     """
     cal = calibration or DriveCalibration()
-    props = _Propagators(ens, cal)
+    props = _Propagators(ens, cal, store)
     items = [props.groups(item) for item in compiled.items]
     t = sum(item.dt_ms for item in compiled.items)
     gaps = []  # per readout, the grouped drive-free segment before its snapshot, or None
@@ -642,12 +668,11 @@ def advance(ens: EnsembleState,
             t = target
         gaps.append(gap)
 
-    # A digest stands in for the two arrays the size of the class grid, so a
+    # Digests stand in for the two arrays the size of the class grid, so a
     # key holds no copy of them; the first transition column is the class
     # centre itself.
-    arrays = hashlib.sha256(ens.populations)
-    arrays.update(props.trans)
-    key = (arrays.digest(), cal.pump_linewidth_MHz, tuple(items), tuple(gaps))
+    key = (hashlib.sha256(ens.populations).digest(), props.digest, cal.pump_linewidth_MHz,
+           tuple(items), tuple(gaps))
     memo = {} if memo is None else memo
     if key in memo:
         snapshots, final = memo[key]
@@ -678,15 +703,19 @@ def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
 
     A readout's baseline is the scan of its run's initial state on its grid.
     Readouts on one grid whose ensembles have equal kernel keys share one
-    kernel pass, a readout_scan over their distinct snapshots; a spectrum's
+    kernel pass, a readout_scan over their distinct snapshots; the key is
+    computed once per distinct ensemble object.  A spectrum's
     bytes do not depend on the others in its pass.  A pass's kernel entries
     (probe points x 4 x classes: entries contracted, however few Lorentzians
     the lattice path evaluates) are counted in the stats of its first run.
     """
     passes: dict = {}  # (kernel key, grid) -> (ensemble, first run, {bytes: (row, snapshot)})
     refs = []  # per run and readout: (pass key, baseline row, spectrum row)
+    kernels: dict = {}  # id of each distinct ensemble -> its kernel key
     for r, (ens, evo) in enumerate(runs):
-        kernel = kernel_key(ens)
+        if id(ens) not in kernels:
+            kernels[id(ens)] = kernel_key(ens)
+        kernel = kernels[id(ens)]
         initial, *snapshots = evo.snapshots
         refs.append([])
         for ro, snapshot in zip(evo.readouts, snapshots):

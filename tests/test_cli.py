@@ -186,10 +186,11 @@ def test_fit_rejects_header_only_csv(tmp_path, capsys, recwarn):
 
 def test_runs_are_byte_identical(tmp_path, capsys):
     # fig3 writes a decay trace, the pit preset its baseline and spectrum,
-    # fig4 a sweep whose points share their kernel pass, fig7 reads out at
-    # ten probe points per class step
+    # fig4 a sweep whose points share their kernel pass, fig6 a sweep whose
+    # points share pump-rate stacks and pump-off propagators, fig7 reads out
+    # at ten probe points per class step
     for preset in ("fig3_standard_pumping", "standard_pumping_pit", "fig4_stimulation_spectrum",
-                   "fig7_tailoring"):
+                   "fig6_rf_power", "fig7_tailoring"):
         a = tmp_path / preset / "a"
         b = tmp_path / preset / "b"
         for out in (a, b):

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from holeburn import runner, sequence
+from holeburn import engine, runner, sequence
 from holeburn.analysis import residual_metrics
 from holeburn.config import ExperimentConfig, apply_override, parse_config, serialize_config
 from holeburn.ensemble import Spectrum, hole_area
@@ -149,21 +149,21 @@ def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
 
 
-def _count_builds(monkeypatch):
-    built = []
-    real_build = runner.build_ensemble
+def _spy(monkeypatch, module, name):
+    """The argument tuples of every call of module.name, recorded as they are made."""
+    calls, real = [], getattr(module, name)
 
     def spy(*args, **kwargs):
-        built.append(args)
-        return real_build(*args, **kwargs)
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "build_ensemble", spy)
-    return built
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def test_sweep_points_with_equal_ensemble_fields_share_one_build(tmp_path, monkeypatch):
     # fig4 sweeps the stimulation detuning, which the ensemble does not read
-    built = _count_builds(monkeypatch)
+    built = _spy(monkeypatch, runner, "build_ensemble")
     cfg = parse_config(preset("fig4_stimulation_spectrum"))
     assert len(cfg.outputs.sweep.values) == 15
     run_scenario(cfg, tmp_path)
@@ -174,7 +174,7 @@ def test_sweep_points_with_other_rates_get_their_own_builds(tmp_path, monkeypatc
     # tz_ms is an ensemble field: one build (and target_od calibration) per distinct value
     path, values = "rates.tz_ms", [50.0, 100.0, 50.0, 200.0]
     raw = _drive_sweep(path, values)
-    built = _count_builds(monkeypatch)
+    built = _spy(monkeypatch, runner, "build_ensemble")
     run_scenario(parse_config(raw), tmp_path)
     assert [args[2].tz_ms for args in built] == [50.0, 100.0, 200.0]
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -200,11 +200,12 @@ def _single_expm(raw, value):
 
 def test_sweep_points_with_equal_generators_share_one_evolution(tmp_path):
     # the stimulation rate sees the detuning only through its square, so -d
-    # and d build byte-equal generators at one power, and e does not
+    # and d build byte-equal generators at one power, and e does not; the
+    # 1 ms drive-free gap is the same at every point and exponentiated once
     values = [-3000.0, 3000.0, 7000.0]
     raw = _stim_detuning_sweep(values)
     manifest = run_scenario(parse_config(raw), tmp_path)
-    assert manifest["stats"]["n_expm_matrices"] == 2 * _single_expm(raw, values[0])
+    assert manifest["stats"]["n_expm_matrices"] == 2 * _single_expm(raw, values[0]) - 1
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines == _single_rows(raw, _DETUNING, values)
     rows = [line.split(",")[1:] for line in lines[1:]]
@@ -215,15 +216,90 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     raw = _stim_detuning_sweep([-3000.0, 3000.0, 7000.0, -3000.0, 3000.0])
     near, far = _single_expm(raw, 3000.0), _single_expm(raw, 7000.0)
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
-    assert whole["stats"]["n_expm_matrices"] == near + far
-    # each evolved point holds 2 x 41 x 5 entries and a memo hit holds none,
-    # so the budget is passed at point 3, not at point 2
+    # the drive-free gap is shared by every point: one matrix fewer
+    assert whole["stats"]["n_expm_matrices"] == near + far - 1
+    # each evolved point holds 2 x 41 x 5 entries and a memo hit holds none;
+    # the store's 41 x 4 pump rates, slot start and gap add 181, so the
+    # budget is passed at point 3, not at point 2
     monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
-    # the scan empties the memo, so point 4 is evolved again and point 5 reuses it
-    assert flushed["stats"]["n_expm_matrices"] == 2 * near + far
+    # the scan empties the memo and the store, so point 4 is evolved again,
+    # its gap included, and point 5 reuses it
+    assert flushed["stats"]["n_expm_matrices"] == 2 * near + far - 1
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name, compiles", [
+    # fig4 sweeps the stimulation detuning, which the sequence does not hold
+    ("fig4_stimulation_spectrum", 1),
+    # fig6 sweeps sequence[2].voltage_Vpp: each point has its own sequence
+    ("fig6_rf_power", 6),
+])
+def test_sweep_points_with_equal_sequences_share_one_compile(tmp_path, monkeypatch, name,
+                                                             compiles):
+    compiled = _spy(monkeypatch, runner, "compile_sequence")
+    run_scenario(parse_config(preset(name)), tmp_path)
+    assert len(compiled) == compiles
+
+
+def test_sweep_points_share_one_pump_rate_stack(tmp_path, monkeypatch):
+    # the RF voltage changes the drive matrix, not the pump's Lorentzian rates
+    profiles = _spy(monkeypatch, engine, "pump_rate_profile")
+    run_scenario(parse_config(preset("fig6_rf_power")), tmp_path)
+    assert len(profiles) == 1
+
+
+def test_a_pump_centre_sweep_builds_one_pump_rate_stack_per_value(tmp_path, monkeypatch):
+    path, values = "sequence[0].center_MHz", [-1.0, 0.0, 1.0]
+    raw = _drive_sweep(path, values)
+    profiles = _spy(monkeypatch, engine, "pump_rate_profile")
+    run_scenario(parse_config(raw), tmp_path)
+    assert len(profiles) == len(values)
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == _single_rows(raw, path, values)
+
+
+def test_equal_readout_gaps_share_one_exponential(tmp_path, monkeypatch):
+    # fig3's 17 readouts after one pumped item leave gaps of 13 distinct lengths
+    cfg = parse_config(preset("fig3_standard_pumping"))
+    calls = _spy(monkeypatch, engine, "propagator_batch")
+    manifest = run_scenario(cfg, tmp_path)
+    delays = sorted(p.at_delay_ms for p in cfg.sequence if isinstance(p, sequence.ReadoutPulse))
+    gaps = {b - a for a, b in zip([0.0] + delays, delays)}
+    assert (len(delays), len(gaps)) == (17, 13)
+    assert sorted(dt for matrices, dt in calls if len(matrices) == 1) == sorted(gaps)
+    assert len(calls) == 1 + len(gaps)
+    assert manifest["stats"]["n_expm_matrices"] == 1014
+
+
+def test_a_sweep_computes_its_kernel_key_once_per_build(tmp_path, monkeypatch):
+    # fig4's 15 points share one ensemble build and one scan
+    keys = _spy(monkeypatch, sequence, "kernel_key")
+    run_scenario(parse_config(preset("fig4_stimulation_spectrum")), tmp_path)
+    assert len(keys) == 1
+
+
+def test_an_rf_voltage_sweep_of_a_swept_pit_matches_its_single_runs(tmp_path):
+    # a small fig6: the points share the pump-rate stack of the swept pump, the
+    # stimulation-only tail and the readout gap, and nothing else
+    raw = preset("fig6_rf_power")
+    raw["profile"] = {"grid_span_MHz": 24.0, "grid_step_MHz": 0.5}
+    raw["sequence"][0]["duration_ms"] = 2.0
+    raw["sequence"][1]["duration_ms"] = 3.0
+    raw["sequence"][2]["duration_ms"] = 2.0
+    path, values = "sequence[2].voltage_Vpp", [0.0, 5.0, 10.0]
+    raw["outputs"] = {**_WINDOWS, "sweep": {"path": path, "values": values}}
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, path, values)
+    assert len(set(line.split(",", 1)[1] for line in lines[1:])) == len(values)
+    singles = []
+    for value in values:
+        point = apply_override(raw, path, value)
+        point["outputs"] = dict(point["outputs"], sweep=None)
+        singles.append(runner.run_single(parse_config(point))[1].stats["n_expm_matrices"])
+    # every point after the first reuses the tail's and the gap's exponential
+    assert manifest["stats"]["n_expm_matrices"] == sum(singles) - 2 * (len(values) - 1)
 
 
 def _swept(path, values):
