@@ -36,6 +36,7 @@ __all__ = [
     "build_ensemble",
     "absorbance",
     "readout_scan",
+    "write_spectra",
     "kernel_key",
     "hole_area",
     "predicted_features",
@@ -60,8 +61,8 @@ class GridResolutionWarning(UserWarning):
 class InhomogeneousProfile:
     """Shape and discretisation of the inhomogeneous line.
 
-    The class grid spans center +- grid_span/2 with uniform step grid_step;
-    fwhm_MHz is ignored for the flat shape.
+    The class grid spans center +- grid_span/2 with uniform step grid_step,
+    the span a whole number of steps; fwhm_MHz is ignored for the flat shape.
     """
 
     center_MHz: float = 0.0
@@ -77,6 +78,10 @@ class InhomogeneousProfile:
             raise ValueError("grid_step_MHz must be > 0")
         if self.grid_span_MHz < 10.0 * self.grid_step_MHz:
             raise ValueError("grid_span_MHz must be at least 10 grid steps")
+        steps = self.grid_span_MHz / self.grid_step_MHz
+        if not abs(self.grid_span_MHz - np.rint(steps) * self.grid_step_MHz) <= DETUNING_KEY_MHZ:
+            raise ValueError(f"grid_span_MHz must be a whole number of grid steps to "
+                             f"{DETUNING_KEY_MHZ} MHz, got {steps!r} steps")
         if self.shape != "flat" and self.fwhm_MHz <= 0:
             raise ValueError("fwhm_MHz must be > 0")
 
@@ -114,10 +119,7 @@ class Spectrum:
             raise GridMismatchError("spectrum and baseline are on different frequency grids")
 
     def to_csv(self, path) -> None:
-        rows = zip(self.freqs_MHz.tolist(), self.optical_depth.tolist(), self.transmission.tolist())
-        text = "".join(f"{f!r},{od!r},{tr!r}\n" for f, od, tr in rows)
-        with open(path, "w") as fh:
-            fh.write("freq_MHz,optical_depth,transmission\n" + text)
+        write_spectra([(path, self)])
 
     @classmethod
     def from_csv(cls, path) -> "Spectrum":
@@ -133,6 +135,26 @@ class Spectrum:
         if np.max(np.abs(data[:, 2] - spec.transmission)) > 1e-12:
             raise ValueError("transmission is not exp(-optical_depth)")
         return spec
+
+
+def write_spectra(named) -> None:
+    """Write each (path, spectrum) pair as CSV, formatting each distinct frequency grid once.
+
+    Every row is the repr of its frequency, optical depth and transmission,
+    so a file's bytes do not depend on the spectra written with it.
+    """
+    grids: dict = {}  # frequency bytes -> the formatted first column
+    for path, spec in named:
+        key = spec.freqs_MHz.tobytes()
+        if key not in grids:
+            grids[key] = [f"{f!r}," for f in spec.freqs_MHz.tolist()]
+        # each row's frequency, then the rest of the row
+        cells = [""] * (2 * len(grids[key]))
+        cells[::2] = grids[key]
+        cells[1::2] = [f"{od!r},{tr!r}\n" for od, tr in zip(spec.optical_depth.tolist(),
+                                                            spec.transmission.tolist())]
+        with open(path, "w") as fh:
+            fh.write("freq_MHz,optical_depth,transmission\n" + "".join(cells))
 
 
 @dataclass(frozen=True)
@@ -184,18 +206,17 @@ def build_ensemble(profile: InhomogeneousProfile,
     """
     if probe_linewidth_MHz <= 0:
         raise ValueError("probe_linewidth_MHz must be > 0")
-    de = config.delta_e_MHz
-    if de > 0 and profile.grid_step_MHz > de / 4.0:
+    half = profile.grid_span_MHz / 2.0
+    n = int(round(profile.grid_span_MHz / profile.grid_step_MHz)) + 1
+    centers = profile.center_MHz + np.linspace(-half, half, n)
+    step, de = (centers[-1] - centers[0]) / (n - 1), config.delta_e_MHz
+    if de > 0 and step > de / 4.0:
         warnings.warn(
-            f"grid step {profile.grid_step_MHz} MHz exceeds a quarter of the "
+            f"grid step {step} MHz exceeds a quarter of the "
             f"excited splitting {de} MHz; side structure will be aliased",
             GridResolutionWarning,
             stacklevel=2,
         )
-
-    half = profile.grid_span_MHz / 2.0
-    n = int(round(profile.grid_span_MHz / profile.grid_step_MHz)) + 1
-    centers = profile.center_MHz + np.linspace(-half, half, n)
     weights = profile.weights(centers)
 
     pops = np.zeros((n, 5))

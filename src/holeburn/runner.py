@@ -20,7 +20,7 @@ from .analysis import residual_metrics
 # parse_config is not called here; it stays a runner attribute for perfbench/tracer.py
 from .config import (ExperimentConfig, _parse_field, apply_override, parse_config,
                      serialize_config)
-from .ensemble import build_ensemble, hole_area, readout_scan
+from .ensemble import build_ensemble, hole_area, readout_scan, write_spectra
 from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
@@ -144,7 +144,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     results += scan(pending)
     # The work counts cover every point; other stats are the last point's.
     stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)
-                                       for k in ("n_expm_matrices", "n_kernel_evals")})
+                                       for k in ("n_expm_matrices", "n_product_rows",
+                                                 "n_kernel_evals")})
 
     if sweep is not None:
         rows = []
@@ -175,14 +176,11 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 lo, hi = float(ens.centers_MHz[0]), float(ens.centers_MHz[-1])
                 bases = readout_scan(ens, lo, hi, n, evolution.snapshots[:1])
                 stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n)
-            for i, base in enumerate(bases):
-                name = "baseline.csv" if i == 0 else f"baseline_{i}.csv"
-                base.to_csv(out / name)
-                artifacts.append(name)
-            for i, r in enumerate(result.readouts):
-                name = f"spectrum_{i:03d}.csv"
-                r.spectrum.to_csv(out / name)
-                artifacts.append(name)
+            named = [("baseline.csv" if i == 0 else f"baseline_{i}.csv", base)
+                     for i, base in enumerate(bases)]
+            named += [(f"spectrum_{i:03d}.csv", r.spectrum) for i, r in enumerate(result.readouts)]
+            write_spectra([(out / name, spectrum) for name, spectrum in named])
+            artifacts += [name for name, _ in named]
 
         trace = _trace(result, cfg)
         if trace:

@@ -13,7 +13,8 @@ centre, so every class and sweep step with the same detuning and duration
 gets the one propagator computed for that detuning.  On the uniform class
 grid the detunings form a lattice, indexed from the pump frequencies alone,
 and a step's factor for class i + 1 is its factor for class i moved one slot:
-steps whose factors lie alike on the lattice share their products too.
+a run of steps that moves a fixed number of slots per step gives every class
+its product as one sliding window over the stack.
 """
 
 from __future__ import annotations
@@ -429,6 +430,7 @@ class _Propagators:
         self.digest = hashlib.sha256(self.trans).digest()
         self.store = {} if store is None else store
         self.n_expm = 0
+        self.n_rows = 0
 
     def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
         self.n_expm += len(matrices)
@@ -543,7 +545,8 @@ class _Propagators:
             props = self._expm(g, dt_ms)
             for i, a in zip(members, starts):
                 factors[i] = props, a
-        acc = _time_ordered(factors, self.ens.n_classes)
+        acc, rows = _time_ordered(factors, self.ens.n_classes)
+        self.n_rows += rows
         acc = acc if count is None else engine.matrix_power_batch(acc, count)
         return engine.normalise_columns(acc)
 
@@ -585,49 +588,123 @@ def _shift_period(factors) -> int | None:
     return None
 
 
-def _fold(factors, width) -> np.ndarray:
+def _mul(later, earlier, rows: list) -> np.ndarray:
+    """later @ earlier, with the number of matrix products it takes appended to rows."""
+    out = later @ earlier
+    rows.append(math.prod(out.shape[:-2]))
+    return out
+
+
+def _fold(factors, width, rows) -> np.ndarray:
     """Left-to-right product of factors, each stack[offset:offset + width] or a shared stack."""
-    return reduce(lambda acc, m: m @ acc, (s if a is None else s[a:a + width] for s, a in factors))
+    return reduce(lambda acc, m: _mul(m, acc, rows),
+                  (s if a is None else s[a:a + width] for s, a in factors))
 
 
-def _time_ordered(factors, n) -> np.ndarray:
-    """Product F[K-1] ... F[0] of (stack, offset) factors, each stack[offset:offset + n].
+def _chunked(factors, p, n, rows) -> list:
+    """Factors with each whole chunk of p factors, a shift period, multiplied out.
 
-    A factor with offset None is a (1, k, k) stack every class shares.  The
-    product of consecutive factors depends only on their stacks and relative
-    offsets, their layout.  So a pass cuts the factors into chunks and
-    multiplies each layout once per run of its chunks' overlapping windows
-    [base, base + n), a base being a chunk's first offset; each chunk keeps
-    its slice.  The first pass takes chunks of the shift period, if any, later
-    ones pairs; once the layouts outnumber half the chunks (rounded up), the
-    rest is folded.
+    Chunk j is chunk 0 moved j·delta slots, so the lowest chunk folded over
+    n + (c - 1)·|delta| slots gives each of the c chunks its product as a
+    slice.  Chunks with no pumped factor, or more than n slots apart, would
+    share nothing and are left as they are.
     """
-    size = max(_shift_period(factors) or 2, 2) if len(factors) > 3 else 2
-    while len(factors) > 3:  # no two chunks of three factors or fewer share a layout
-        padded = factors + [(None, None)] * (-len(factors) % size)
-        ids = np.array([id(s) for s, _ in padded]).reshape(-1, size)
-        lit = np.array([a is not None for _, a in padded]).reshape(ids.shape)
-        off = np.array([a or 0 for _, a in padded]).reshape(ids.shape)
-        base = off[np.arange(len(off)), lit.argmax(axis=1)]
-        keys = np.concatenate([ids, lit, (off - base[:, None]) * lit], axis=1)
-        order = np.lexsort((base, *keys.T[::-1]))  # by layout, then by base
-        fresh = np.diff(keys[order], axis=0, prepend=keys[order[:1]] - 1).any(axis=1)
-        if fresh.sum() > (len(off) + 1) // 2:
-            break
-        base, shared = base.tolist(), (~lit.any(axis=1)).tolist()
-        runs: list = []  # [lo, hi, chunk indices]: a layout's windows that overlap or touch
-        for g, new_layout in zip(order.tolist(), fresh.tolist()):
-            if new_layout or base[g] > runs[-1][1]:
-                runs.append([base[g], base[g], []])
-            runs[-1][1] = base[g] + n
-            runs[-1][2].append(g)
-        reduced = [None] * len(off)
-        for lo, hi, members in runs:
-            prod = _fold(factors[members[0] * size:(members[0] + 1) * size], hi - lo)
-            for g in members:
-                reduced[g] = prod, None if shared[g] else base[g] - lo
-        factors, size = reduced, 2
-    return _fold(factors, n)
+    c = len(factors) // p
+    chunks = [factors[j * p:(j + 1) * p] for j in range(c)]
+    bases = [next((a for _, a in chunk if a is not None), None) for chunk in chunks]
+    if bases[0] is None or abs(bases[1] - bases[0]) > n:
+        return factors
+    low = bases.index(min(bases))
+    prod = _fold(chunks[low], n + abs(bases[-1] - bases[0]), rows)
+    return [(prod, b - bases[low]) for b in bases] + factors[c * p:]
+
+
+def _windows(stack, lo, width, size, d, rows) -> np.ndarray:
+    """W[j] for j < width: the time-ordered product of stack[lo + j + t·|d|] over t < size.
+
+    Slot lo + m·|d| + r is position m of residue r.  With the positions cut
+    in blocks of size, a window from position m is the suffix of m's block
+    from m, then the prefix of the next block up to m + size - 1 (van Herk,
+    Pattern Recognit. Lett. 13 (1992) 517; Gil & Werman, IEEE TPAMI 15
+    (1993) 504).  That takes at most 3·(P + size)·|d| products for
+    P = ceil(width / |d|), whatever the size.  The slots run upward in time
+    for d > 0 and downward for d < 0.
+    """
+    e, shape = abs(d), stack.shape[1:]
+    starts = -(-width // e)  # window starts per residue
+    blocks = -(-(starts + size - 1) // size)
+    pre = np.zeros((blocks * size * e, *shape))
+    avail = stack[lo:lo + len(pre)]
+    pre[:len(avail)] = avail  # slots past the stack's end are read by no window kept
+    pre = pre.reshape(blocks, size, e, *shape)
+    suf = pre[:-(-starts // size)].copy()
+
+    def mul(low, high):  # the product of lower positions, then higher ones, in time order
+        return _mul(high, low, rows) if d > 0 else _mul(low, high, rows)
+
+    for t in range(1, size):
+        pre[:, t] = mul(pre[:, t - 1], pre[:, t])
+    for t in range(size - 2, 0, -1):
+        suf[:, t] = mul(suf[:, t], suf[:, t + 1])
+    suf[:, 0] = np.eye(shape[-1])  # a window from a block's start is that block's prefix
+    suf, pre = suf.reshape(-1, e, *shape), pre.reshape(-1, e, *shape)
+    return mul(suf[:starts], pre[size - 1:size - 1 + starts]).reshape(-1, *shape)[:width]
+
+
+def _windowed(factors, n, rows) -> list:
+    """Factors with each run of pumped factors on one stack, d != 0 slots apart, multiplied out.
+
+    A run of K such factors from lowest offset x gives class i the window of
+    K slots |d| apart from slot x + i.  Runs with equal stack, K and d share
+    one window stack (_windows) over the union of their n-slot spans, taken
+    only where it costs fewer products than folding each run, (K - 1)·n.
+    """
+    runs: dict = {}  # (stack id, K, d) -> [(first factor, lowest offset)]
+    i = 0
+    while i < len(factors):
+        s, a = factors[i]
+        j, d = i + 1, None
+        while a is not None and j < len(factors) and factors[j][0] is s:
+            step = factors[j][1] - factors[j - 1][1]
+            if step == 0 or d not in (None, step):
+                break
+            d, j = step, j + 1
+        if d is not None:
+            runs.setdefault((id(s), j - i, d), []).append((i, min(a, factors[j - 1][1])))
+        i = j
+    out = list(factors)
+    for (_, size, d), members in runs.items():
+        lo = min(x for _, x in members)
+        width = max(x for _, x in members) + n - lo
+        if 3 * (-(-width // abs(d)) + size) * abs(d) >= (size - 1) * n * len(members):
+            continue
+        w = _windows(factors[members[0][0]][0], lo, width, size, d, rows)
+        for i, x in members:
+            out[i:i + size] = [(w, x - lo)] + [None] * (size - 1)
+    return [f for f in out if f is not None]
+
+
+def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
+    """Product F[K-1] ... F[0] of (stack, offset) factors, each stack[offset:offset + n],
+    and the number of matrix products it took.
+
+    A factor with offset None is a (1, k, k) stack every class shares.  A
+    cycle with a shift period (fig6: 5 steps) first multiplies its chunks
+    (_chunked).  Each run of pumped factors on one stack that moves a fixed
+    number of slots per factor is then one sliding window (_windowed), and
+    consecutive shared factors one matrix, before the rest is folded.
+    """
+    rows: list = []
+    p = _shift_period(factors)
+    if p is not None and p > 1:
+        factors = _chunked(factors, p, n, rows)
+    merged: list = []
+    for s, a in _windowed(factors, n, rows):
+        if a is None and merged and merged[-1][1] is None:
+            merged[-1] = _mul(s, merged[-1][0], rows), None
+        else:
+            merged.append((s, a))
+    return _fold(merged, n, rows), sum(rows)
 
 
 @dataclass
@@ -694,6 +771,7 @@ def advance(ens: EnsembleState,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
         "n_expm_matrices": props.n_expm,
+        "n_product_rows": props.n_rows,
     }
     return Evolution(compiled.readouts, snapshots, stats)
 

@@ -19,7 +19,7 @@ from holeburn.ensemble import (
     predicted_features,
     readout_scan,
 )
-from holeburn.errors import GridMismatchError
+from holeburn.errors import ConfigError, GridMismatchError
 from holeburn.levels import RateParams, TransitionSet, ZeemanConfig
 from holeburn.presets import preset, preset_names
 from holeburn.runner import run_scenario
@@ -68,6 +68,32 @@ def test_coarse_grid_warns():
     )
     with pytest.warns(GridResolutionWarning):
         build_ensemble(prof, FIELD, COLD)
+
+
+def test_the_coarse_grid_warning_reads_the_step_used():
+    prof = InhomogeneousProfile(center_MHz=0.0, shape="flat", grid_span_MHz=4000.0,
+                                grid_step_MHz=100.0)
+    with pytest.warns(GridResolutionWarning, match=r"grid step 100\.0 MHz"):
+        build_ensemble(prof, FIELD, COLD)
+
+
+@pytest.mark.parametrize("span", [500.3, 500.0 + 1e-9, 499.75])
+def test_a_span_off_the_grid_step_is_refused(span):
+    # np.linspace would take round(span / step) + 1 classes and so another
+    # step: 500.3 MHz in steps of 0.5 was 0.4998 MHz, and no pump step fell on it
+    with pytest.raises(ValueError, match="grid_span_MHz must be a whole number of grid steps"):
+        InhomogeneousProfile(grid_span_MHz=span, grid_step_MHz=0.5)
+    raw = dict(preset("fig7_tailoring"), profile={"grid_span_MHz": span})
+    with pytest.raises(ConfigError, match="grid_span_MHz") as err:
+        parse_config(raw)
+    assert err.value.path == "profile"
+
+
+def test_a_whole_step_span_keeps_its_step():
+    # 0.1 is not a float multiple of itself thrice: 30 x 0.1 is 30.000000000000004
+    ens = build_ensemble(InhomogeneousProfile(grid_span_MHz=30.0, grid_step_MHz=0.1), FIELD, COLD)
+    assert ens.n_classes == 301
+    assert np.array_equal(ens.centers_MHz, np.linspace(-15.0, 15.0, 301))
 
 
 def test_profile_validation():
@@ -238,6 +264,24 @@ def test_spectrum_csv_writes_each_float_as_its_repr(tmp_path):
     assert lines[0] == "freq_MHz,optical_depth,transmission"
     assert lines[1:] == [f"{float(f)!r},{float(od)!r},{float(tr)!r}" for f, od, tr in zip(
         spec.freqs_MHz, spec.optical_depth, spec.transmission)] + [""]
+
+
+def test_spectra_written_together_match_each_written_alone(tmp_path):
+    # two spectra share a grid, one has its own, and -0.0 is not 0.0 in a CSV
+    grid = np.linspace(-2.0, 2.0, 9)
+    zero = grid.copy()
+    zero[4] = -0.0
+    specs = [Spectrum(grid, np.arange(9) / 7.0), Spectrum(grid.copy(), np.arange(9) / 3.0),
+             Spectrum(grid * 3.0, np.ones(9) / 9.0), Spectrum(zero, np.arange(9) / 7.0)]
+    ensemble.write_spectra([(tmp_path / f"{i}.csv", s) for i, s in enumerate(specs)])
+    for i, spec in enumerate(specs):
+        spec.to_csv(tmp_path / "alone.csv")
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        rows = zip(spec.freqs_MHz.tolist(), spec.optical_depth.tolist(),
+                   spec.transmission.tolist())
+        assert (tmp_path / f"{i}.csv").read_text() == "freq_MHz,optical_depth,transmission\n" + (
+            "".join(f"{f!r},{od!r},{tr!r}\n" for f, od, tr in rows))
+    assert (tmp_path / "3.csv").read_text().count("\n-0.0,") == 1
 
 
 def test_hole_area_identical_spectra():

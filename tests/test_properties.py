@@ -105,7 +105,7 @@ def _profile(draw):
         center_MHz=draw(_num(-100.0, 100.0)),
         fwhm_MHz=draw(_pos(1e4)),
         shape=draw(st.sampled_from(PROFILE_SHAPES)),
-        grid_span_MHz=step * draw(_num(10.0, 1e3)),
+        grid_span_MHz=step * draw(st.integers(10, 1000)),
         grid_step_MHz=step,
     )
 
@@ -483,27 +483,34 @@ def _factor_list(draw):
     return factors, n, kind
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_factor_list())
-def test_the_shared_product_equals_the_fold(case):
-    factors, n, kind = case
-    rows = []
-    fold = sequence._fold
+def _counted_product(factors, n):
+    """_time_ordered of factors, checked against a plain fold, and its count of 4x4 products.
 
-    def counting(chunk, width):
-        # the 4x4 products a left-to-right fold of these factors takes
-        widths = [1 if a is None else width for _, a in chunk]
-        rows.extend(np.maximum.accumulate(widths)[1:])
-        return fold(chunk, width)
+    The count is checked against one taken from the shapes of every _mul call.
+    """
+    counted = []
+    mul = sequence._mul
 
-    with mock.patch.object(sequence, "_fold", counting):
-        got = sequence._time_ordered(factors, n)
+    def counting(later, earlier, rows):
+        counted.append(math.prod(np.broadcast_shapes(later.shape[:-2], earlier.shape[:-2])))
+        return mul(later, earlier, rows)
+
+    with mock.patch.object(sequence, "_mul", counting):
+        got, rows = sequence._time_ordered(factors, n)
     ref = np.eye(4)
     for s, a in factors:
         ref = (s if a is None else s[a:a + n]) @ ref
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert sum(rows) <= (len(factors) - 1) * n
+    assert rows == sum(counted) <= (len(factors) - 1) * n
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_factor_list())
+def test_the_shared_product_equals_the_fold(case):
+    factors, n, kind = case
+    _counted_product(factors, n)
     # a period found is one: factor k + p is factor k moved by one delta
     p = sequence._shift_period(factors)
     assert p is not None or kind != "periodic"
@@ -512,6 +519,32 @@ def test_the_shared_product_equals_the_fold(case):
         assert 2 * p <= len(factors)
         assert all(s is t for (s, _), (t, _) in pairs)
         assert len({b - a for (_, a), (_, b) in pairs if a is not None}) <= 1
+
+
+@st.composite
+def _window_list(draw):
+    """A long run on one pumped stack at a stride of +-1 or +-2 slots, one to three
+    shared factors, then a second run on the stack, as long or not, and n from 30 to 200."""
+    n = draw(st.integers(30, 200))
+    d = draw(st.sampled_from([-2, -1, 1, 2]))
+    first = draw(st.integers(12, 60))
+    second = draw(st.one_of(st.just(first), st.integers(0, 60)))
+    skip = draw(st.integers(-3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = [k * d for k in range(first)] + [(first + skip + k) * d for k in range(second)]
+    low = min(offsets)
+    stack, shared = _stochastic(rng, max(offsets) - low + n), _stochastic(rng, 1)
+    pumped = [(stack, a - low) for a in offsets]
+    return pumped[:first] + [(shared, None)] * draw(st.integers(1, 3)) + pumped[first:], n
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_window_list())
+def test_window_products_equal_the_fold(case):
+    factors, n = case
+    with mock.patch.object(sequence, "_windows", wraps=sequence._windows) as windows:
+        _counted_product(factors, n)
+    assert windows.called
 
 
 # Numeric paths every drawn scenario has, each with its values and whether

@@ -302,6 +302,34 @@ def test_an_rf_voltage_sweep_of_a_swept_pit_matches_its_single_runs(tmp_path):
     assert manifest["stats"]["n_expm_matrices"] == sum(singles) - 2 * (len(values) - 1)
 
 
+def test_a_sweep_sums_its_product_rows_over_its_points(tmp_path):
+    # each voltage multiplies its own cycle: the stack moves 2 slots per 5 steps
+    raw = preset("fig6_rf_power")
+    raw["profile"] = {"grid_span_MHz": 24.0, "grid_step_MHz": 0.5}
+    path, values = "sequence[2].voltage_Vpp", [0.0, 5.0, 10.0]
+    raw["outputs"] = {**_WINDOWS, "sweep": {"path": path, "values": values}}
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    singles = []
+    for value in values:
+        point = apply_override(raw, path, value)
+        point["outputs"] = dict(point["outputs"], sweep=None)
+        singles.append(runner.run_single(parse_config(point))[1].stats["n_product_rows"])
+    assert manifest["stats"]["n_product_rows"] == sum(singles) == 3 * singles[0] > 0
+
+
+def test_spectra_on_one_grid_are_written_as_each_alone(tmp_path):
+    # the baseline and both spectra share one readout grid, formatted once
+    ro = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21}
+    raw = _pumped(dict(ro, at_delay_ms=1.0), dict(ro, at_delay_ms=3.0))
+    manifest = run_scenario(parse_config(raw), tmp_path / "run")
+    result = runner.run_single(parse_config(raw))[1]
+    alone = [result.readouts[0].baseline] + [r.spectrum for r in result.readouts]
+    assert manifest["artifacts"] == ["baseline.csv", "spectrum_000.csv", "spectrum_001.csv"]
+    for name, spec in zip(manifest["artifacts"], alone):
+        spec.to_csv(tmp_path / "alone.csv")
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
 def _swept(path, values):
     """A config of every section, drive included, that sweeps path through values."""
     ro = {"f_start_MHz": -5.0, "f_stop_MHz": 5.0, "n_points": 21, "at_delay_ms": 1.0}

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -674,22 +675,33 @@ def test_propagator_memory_of_an_ungated_sweep_cycle():
 
 
 def _counting_products(monkeypatch):
-    """Record each shift period found and the 4x4 products each _fold call takes."""
+    """Record each shift period found and the 4x4 products each _mul call takes."""
     seen = {"periods": [], "rows": 0}
-    period, fold = sequence._shift_period, sequence._fold
+    period, mul = sequence._shift_period, sequence._mul
 
     def shift_period(factors):
         seen["periods"].append(period(factors))
         return seen["periods"][-1]
 
-    def counting(factors, width):
-        widths = [1 if a is None else width for _, a in factors]
-        seen["rows"] += int(np.maximum.accumulate(widths)[1:].sum())
-        return fold(factors, width)
+    def counting(later, earlier, rows):
+        seen["rows"] += math.prod(np.broadcast_shapes(later.shape[:-2], earlier.shape[:-2]))
+        return mul(later, earlier, rows)
 
     monkeypatch.setattr(sequence, "_shift_period", shift_period)
-    monkeypatch.setattr(sequence, "_fold", counting)
+    monkeypatch.setattr(sequence, "_mul", counting)
     return seen
+
+
+def _sweep_cycle_rows(monkeypatch, name):
+    """Multiply a preset's sweep cycle; return its block, the counts and the builder."""
+    cfg = parse_config(preset(name))
+    ens, comp = runner._prepare(cfg)
+    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    props = sequence._Propagators(ens, cfg.drive)
+    grouped = props.groups(block)
+    seen = _counting_products(monkeypatch)
+    props.propagator(grouped)
+    return block, seen, props
 
 
 @pytest.mark.parametrize("name, steps, period, most_rows", [
@@ -699,18 +711,23 @@ def _counting_products(monkeypatch):
     ("fig7_tailoring", 100, None, 20_000),
 ])
 def test_a_sweep_cycle_multiplies_each_layout_once(monkeypatch, name, steps, period, most_rows):
-    cfg = parse_config(preset(name))
-    ens, comp = runner._prepare(cfg)
-    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
-    props = sequence._Propagators(ens, cfg.drive)
-    grouped = props.groups(block)
-    seen = _counting_products(monkeypatch)
-    props.propagator(grouped)
+    block, seen, _ = _sweep_cycle_rows(monkeypatch, name)
     assert len(block.segments) == steps
     assert seen["periods"] == [period]
     # the step-by-step fold took (steps - 1) x 1,001: 49,049 and 99,099; the
     # shared product takes 8,104 and 18,382
     assert seen["rows"] <= most_rows
+
+
+@pytest.mark.parametrize("name, most_rows", [
+    ("fig6_rf_power", 6_900),
+    ("fig7_tailoring", 5_400),
+])
+def test_a_sweep_cycle_takes_few_row_products(monkeypatch, name, most_rows):
+    _, seen, props = _sweep_cycle_rows(monkeypatch, name)
+    # pairwise layout passes took 8,104 and 18,382; fig6's 5-step chunks and then
+    # windows 2 slots apart take 6,710, fig7's shared window stack and gate 5,149
+    assert seen["rows"] == props.n_rows <= most_rows
 
 
 def test_the_period_search_finds_none_in_a_long_aperiodic_list():
@@ -754,7 +771,7 @@ def test_memo_hit_matches_a_fresh_advance(delays):
     hit = sequence.advance(ens, comp, NARROW, memo)
     fresh = sequence.advance(fresh_ens, comp, NARROW)
     assert first.stats["n_expm_matrices"] > 0
-    assert hit.stats == dict(fresh.stats, n_expm_matrices=0)
+    assert hit.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     assert _bytes(hit) == _bytes(fresh)
     # the final state is copied in, also when no readout snapshot holds it
     assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
