@@ -175,10 +175,13 @@ def _build_section(raw, path, cls):
 
     A field without a default is a required key, a field with one may be
     omitted, and the field's annotation picks its coercion in _PARSERS.  A
-    value the model type rejects raises ConfigError on the section path.
+    value the model type rejects raises ConfigError on the field path when
+    the model's message starts with one of the section's field names, and on
+    the section path otherwise.
     """
     raw = _require_mapping(raw, path)
-    _check_keys(raw, {f.name for f in fields(cls)}, path)
+    names = {f.name for f in fields(cls)}
+    _check_keys(raw, names, path)
     kwargs = {}
     for f in fields(cls):
         key = _join(path, f.name)
@@ -189,7 +192,8 @@ def _build_section(raw, path, cls):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        first = str(exc).split(" ", 1)[0]
+        raise ConfigError(_join(path, first) if first in names else path, str(exc)) from exc
 
 
 def _section(cls):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -124,8 +124,9 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     * bidirectional optical pumping on each driven transition (equal rates
       up and down, so a saturating drive equalises the pair).
 
-    The pump goes last, as the ensemble path adds it to a stack of pump-free
-    generators, so one drive gives the same bytes either way.
+    The pump goes last, through add_pump_rates, as the ensemble path adds a
+    stack of pump rates to one pump-free generator, so one drive gives the
+    same bytes either way.
     """
     w = 0.5 / params.tz_ms
     a_same = params.beta / params.t1_ms
@@ -153,22 +154,39 @@ def build_rate_matrix(params: RateParams, drive: DriveRates = NO_DRIVE) -> np.nd
     # Persistent-trap leak into the fifth state.
     flow((2, 4, leak), (3, 4, leak))
     if any(drive.pump_rate):
-        add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
+        m = add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
     return m
 
 
-def add_pump_rates(matrices: np.ndarray, rates: np.ndarray) -> None:
-    """Add bidirectional optical pumping to generators, in place.
+def add_pump_rates(generators: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Generators with bidirectional optical pumping added, as a new array.
 
-    matrices has shape (..., k, k) and rates shape (..., 4), one rate per
-    transition in (g1-e1, g1-e2, g2-e1, g2-e2) order.
+    rates has shape (..., 4), one rate per transition in (g1-e1, g1-e2, g2-e1, g2-e2)
+    order, and the result (..., k, k): one product of the rates with the fixed (4, k^2)
+    pattern of _pump_pattern, plus generators, (k, k) or broadcast against the result.
+    Every pattern entry is 0 or +-1, and each generator entry takes at most two nonzero
+    exact products, so no entry's bytes depend on the rows beside it or on the order BLAS
+    sums them in: one generator plus a stack of rates gives each row the bytes
+    build_rate_matrix gives its drive.
     """
-    for k, (lo, up) in enumerate(zip(TransitionSet.LOWER, TransitionSet.UPPER)):
-        r = rates[..., k]
-        matrices[..., up, lo] += r
-        matrices[..., lo, lo] -= r
-        matrices[..., lo, up] += r
-        matrices[..., up, up] -= r
+    k = generators.shape[-1]
+    out = (rates @ _pump_pattern(k)).reshape(*rates.shape[:-1], k, k)
+    out += generators
+    return out
+
+
+@cache
+def _pump_pattern(k: int) -> np.ndarray:
+    """Row t of the (4, k*k) pattern adds transition t's rate to its (upper, lower) and
+    (lower, upper) entries and takes it from its two diagonal entries; read-only, as
+    every call with one k shares it."""
+    p = np.zeros((4, k, k))
+    for t, (lo, up) in enumerate(zip(TransitionSet.LOWER, TransitionSet.UPPER)):
+        p[t, [up, lo], [lo, up]] = 1.0
+        p[t, [lo, up], [lo, up]] = -1.0
+    p = p.reshape(4, k * k)
+    p.flags.writeable = False
+    return p
 
 
 def propagator(matrix: np.ndarray, dt_ms: float) -> np.ndarray:

@@ -19,8 +19,9 @@ contract each block with every population snapshot they are given.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "build_ensemble",
     "absorbance",
     "readout_scan",
+    "readout_stride",
     "write_spectra",
     "kernel_key",
     "hole_area",
@@ -174,6 +176,13 @@ class EnsembleState:
     persistent_bleached); rows sum to one.  probe_linewidth_MHz is the
     Lorentzian FWHM of the readout; the pump response has its own width,
     DriveCalibration.pump_linewidth_MHz.
+
+    transition_freqs, shape (n_classes, 4), and its SHA-256
+    transition_digest are derived from centers_MHz and config where they are
+    None, as when build_ensemble builds the state, and a table derived anew
+    gets its digest anew.  replace() hands both on, so the points of a sweep
+    read one table and one digest; a replace that changes centers_MHz or
+    config must pass transition_freqs=None.
     """
 
     config: ZeemanConfig
@@ -182,14 +191,26 @@ class EnsembleState:
     weights: np.ndarray
     populations: np.ndarray
     probe_linewidth_MHz: float = 1.0
+    transition_freqs: np.ndarray | None = field(default=None, repr=False)
+    transition_digest: bytes | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.transition_freqs is None:
+            ts = transition_set(self.centers_MHz, self.config)
+            self.transition_freqs = np.stack(ts.as_tuple(), axis=1)
+            self.transition_digest = None
+        if self.transition_digest is None:
+            self.transition_digest = hashlib.sha256(self.transition_freqs).digest()
 
     @property
     def n_classes(self) -> int:
         return len(self.centers_MHz)
 
-    def transition_freqs(self) -> np.ndarray:
-        """Transition frequencies, shape (n_classes, 4)."""
-        return np.stack(transition_set(self.centers_MHz, self.config).as_tuple(), axis=1)
+    @property
+    def class_step_MHz(self) -> float:
+        """The step the class centres use: their span over n_classes - 1."""
+        c = self.centers_MHz
+        return float((c[-1] - c[0]) / (len(c) - 1))
 
 
 def build_ensemble(profile: InhomogeneousProfile,
@@ -209,14 +230,6 @@ def build_ensemble(profile: InhomogeneousProfile,
     half = profile.grid_span_MHz / 2.0
     n = int(round(profile.grid_span_MHz / profile.grid_step_MHz)) + 1
     centers = profile.center_MHz + np.linspace(-half, half, n)
-    step, de = (centers[-1] - centers[0]) / (n - 1), config.delta_e_MHz
-    if de > 0 and step > de / 4.0:
-        warnings.warn(
-            f"grid step {step} MHz exceeds a quarter of the "
-            f"excited splitting {de} MHz; side structure will be aliased",
-            GridResolutionWarning,
-            stacklevel=2,
-        )
     weights = profile.weights(centers)
 
     pops = np.zeros((n, 5))
@@ -231,6 +244,14 @@ def build_ensemble(profile: InhomogeneousProfile,
         populations=pops,
         probe_linewidth_MHz=probe_linewidth_MHz,
     )
+    step, de = ens.class_step_MHz, config.delta_e_MHz
+    if de > 0 and step > de / 4.0:
+        warnings.warn(
+            f"grid step {step} MHz exceeds a quarter of the "
+            f"excited splitting {de} MHz; side structure will be aliased",
+            GridResolutionWarning,
+            stacklevel=2,
+        )
     if target_od is not None:
         if target_od <= 0:
             raise ValueError("target_od must be > 0")
@@ -242,14 +263,14 @@ def build_ensemble(profile: InhomogeneousProfile,
 
 
 def kernel_key(ens: EnsembleState) -> bytes:
-    """The bytes of every ensemble field _optical_depth reads.
+    """The bytes of every ensemble field _optical_depth reads, the transition
+    table by its digest.
 
     Scans of two ensembles with equal keys on one grid evaluate the same
     kernel, so they can share a pass; a field read there belongs here.
     """
-    fields = (ens.transition_freqs().ravel(), ens.weights,
-              [ens.probe_linewidth_MHz, ens.params.sigma_scale])
-    return np.concatenate(fields, dtype=float).tobytes()
+    rest = np.concatenate((ens.weights, [ens.probe_linewidth_MHz, ens.params.sigma_scale]))
+    return ens.transition_digest + rest.tobytes()
 
 
 def on_lattice(points: np.ndarray, step: float) -> bool:
@@ -326,7 +347,7 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarr
     snapshot is contracted on its own, so a snapshot's depths do not depend
     on how many others share the scan.
     """
-    f0 = ens.transition_freqs()
+    f0 = ens.transition_freqs
     amps = [ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])
             for p in snapshots]
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
@@ -337,6 +358,12 @@ def _optical_depth(ens: EnsembleState, freqs: np.ndarray, snapshots) -> np.ndarr
     else:
         _dense_depth(out, amps, freqs, f0, hw2)
     return ens.params.sigma_scale * out
+
+
+def readout_stride(ens: EnsembleState, f_start_MHz: float, f_stop_MHz: float,
+                   n_points: int) -> int:
+    """The lattice stride q a readout_scan of this grid reads out with, 0 for the dense kernel."""
+    return _probe_stride(ens.centers_MHz, np.linspace(f_start_MHz, f_stop_MHz, n_points))
 
 
 def absorbance(ens: EnsembleState, probe_MHz: float) -> float:

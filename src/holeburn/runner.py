@@ -20,7 +20,7 @@ from .analysis import residual_metrics
 # parse_config is not called here; it stays a runner attribute for perfbench/tracer.py
 from .config import (ExperimentConfig, _parse_field, apply_override, parse_config,
                      serialize_config)
-from .ensemble import build_ensemble, hole_area, readout_scan, write_spectra
+from .ensemble import build_ensemble, hole_area, readout_scan, readout_stride, write_spectra
 from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
@@ -129,16 +129,17 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     # for scan to key, until the memo and the store pass the budget.  The
     # memo holds each pending point's evolution once: a point with byte-equal
     # initial state and generators reuses an earlier one's.  The store holds
-    # the pump-off propagators and pump-rate stacks points share; both are
-    # emptied with the pending list.  Builds and compiles are shared for the
-    # whole run.
+    # the drive matrices, pump-off propagators and pump-rate stacks points
+    # share; both are emptied with the pending list.  Builds, with their
+    # transition tables, and compiles are shared for the whole run.
     results, pending, memo, store, shared = [], [], {}, {}, {}
     for _, sub in points:
         ens, compiled = _prepare(sub, shared)
         evolution = advance(ens, compiled, sub.drive, memo, store)
         pending.append((_build(sub, shared), evolution))
-        held = sum(s.size for snapshots, _ in memo.values() for s in snapshots)
-        if held + sum(a.size for arrays in store.values() for a in arrays) > SCAN_BUDGET_ENTRIES:
+        held = sum(s.size for snapshots, *_ in memo.values() for s in snapshots)
+        if held + sum(numpy.size(a) for entry in store.values() for a in entry) \
+                > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
             pending, memo, store = [], {}, {}
     results += scan(pending)
@@ -175,7 +176,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 n = ens.n_classes
                 lo, hi = float(ens.centers_MHz[0]), float(ens.centers_MHz[-1])
                 bases = readout_scan(ens, lo, hi, n, evolution.snapshots[:1])
-                stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n)
+                stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n,
+                             readout_q=[readout_stride(ens, lo, hi, n)])
             named = [("baseline.csv" if i == 0 else f"baseline_{i}.csv", base)
                      for i, base in enumerate(bases)]
             named += [(f"spectrum_{i:03d}.csv", r.spectrum) for i, r in enumerate(result.readouts)]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import engine
 from .ensemble import (DETUNING_KEY_MHZ, EnsembleState, Spectrum, kernel_key, on_lattice,
-                       readout_scan)
+                       readout_scan, readout_stride)
 from .errors import SequenceError
 
 __all__ = [
@@ -413,36 +413,45 @@ class _Propagators:
 
     Without the pump a segment's generator is the same for every class;
     with it, the generator varies only with the pump detuning from the
-    class centre.  n_expm counts the matrices exponentiated so far: 4x4, or
-    5x5 with a trap leak.
+    class centre.  A pumped group's generators are its class-independent
+    drive matrix plus the pump-rate stack of its slots (engine.add_pump_rates).
+    n_expm counts the matrices exponentiated so far: 4x4, or 5x5 with a trap
+    leak; residues holds each pumped group's residue count, in run order.
 
-    store holds, as tuples of arrays, what items and runs share: the
-    propagator of an item with the pump off throughout, keyed by its groups,
-    and a pumped group's lattice slot starts and slot pump rates, keyed by
-    the transition frequencies' digest, pump linewidth, pump rate and pump
-    frequencies.  An entry counts in n_expm only where it is built.
+    store holds, as tuples of arrays, what items and runs share, each kind
+    under keys of its own length:
+    - the drive matrix of each distinct (params, stimulation rate, RF rate);
+    - the propagator of an item with the pump off throughout, keyed by its
+      groups;
+    - a pumped group's lattice slot starts, slot pump rates and residue
+      count, keyed by the ensemble's transition digest, pump linewidth, pump
+      rate and pump frequencies.
+    An entry counts in n_expm only where it is built.
     """
 
     def __init__(self, ens: EnsembleState, cal: DriveCalibration, store: dict | None = None):
         self.ens = ens
         self.cal = cal
-        self.trans = ens.transition_freqs()
-        self.digest = hashlib.sha256(self.trans).digest()
         self.store = {} if store is None else store
         self.n_expm = 0
         self.n_rows = 0
+        self.residues: list[int] = []
 
     def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
         self.n_expm += len(matrices)
         return engine.propagator_batch(matrices, dt_ms)
 
     def _drive_matrix(self, seg: DriveSegment) -> np.ndarray:
-        """The class-independent part of a segment's generator."""
+        """The class-independent part of a segment's generator, built once per store for
+        each distinct (params, stimulation rate, RF rate)."""
         stim = self.cal.stim_rate(seg.stim_power_mW)
         in_band = abs(self.ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
         rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, self.cal.rf_coupling_per_V2_ms) if in_band else 0.0
-        drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
-        return engine.build_rate_matrix(self.ens.params, drive)
+        key = (self.ens.params, stim, rf)
+        if key not in self.store:
+            drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
+            self.store[key] = (engine.build_rate_matrix(self.ens.params, drive),)
+        return self.store[key][0]
 
     def groups(self, item) -> tuple[tuple, int | None]:
         """An item's segments grouped for shared exponentials, and its repeat count.
@@ -475,17 +484,16 @@ class _Propagators:
                            tuple(members), pump))
         return tuple(groups), count
 
-    def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's first slot in the stack of distinct detunings, and each slot's first row.
+    def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Each row's first slot in the stack of distinct detunings, each slot's first row,
+        and the number of distinct residues.
 
         Class i sits at c0 + i·h, so (s, i) meets the detuning (m_s - i)·h + r_s, r_s
         being row s's offset modulo h keyed to DETUNING_KEY_MHZ.  Rows sorted by
         (r_s, -m_s) take runs of n slots that overlap as their lattice positions do,
         gaps compacted away; a slot's first row holds its first (row, class) by rows.
         """
-        c = self.ens.centers_MHz
-        n = len(c)
-        h = (c[-1] - c[0]) / (n - 1)
+        c, n, h = self.ens.centers_MHz, self.ens.n_classes, self.ens.class_step_MHz
         if not on_lattice(c, h):
             raise ValueError(f"centers_MHz must be a uniform grid to {DETUNING_KEY_MHZ} MHz")
         m, res = np.divmod(pump - c[0], h)
@@ -494,23 +502,26 @@ class _Propagators:
         q = -(m + carry).astype(np.intp)
         order = np.lexsort((q, res))
         step = np.minimum(np.diff(q[order]), n)
-        step[np.diff(res[order]) != 0] = n
+        other = np.diff(res[order]) != 0
+        step[other] = n
         starts = np.empty_like(q)
         starts[order] = np.concatenate(([0], np.cumsum(step)))
         first = np.empty(starts.max() + n, dtype=np.intp)
         for s in reversed(range(len(pump))):
             first[starts[s]:starts[s] + n] = s
-        return starts, first
+        return starts, first, 1 + int(np.count_nonzero(other))
 
-    def _pump_rates(self, rate: float, pump: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """A pumped group's slot starts on the lattice and the pump rates of its slots."""
-        key = (self.digest, self.cal.pump_linewidth_MHz, rate, pump)
+    def _pump_rates(self, rate: float, pump: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+        """A pumped group's slot starts on the lattice, the pump rates of its slots and
+        its residue count."""
+        key = (self.ens.transition_digest, self.cal.pump_linewidth_MHz, rate, pump)
         if key not in self.store:
             freqs = np.array(pump)
-            starts, first = self._lattice(freqs)
-            det = freqs[first, None] - self.trans[np.arange(len(first)) - starts[first]]
-            self.store[key] = (starts,
-                               engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz, det))
+            starts, first, residues = self._lattice(freqs)
+            trans = self.ens.transition_freqs[np.arange(len(first)) - starts[first]]
+            rates = engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz,
+                                             freqs[first, None] - trans)
+            self.store[key] = starts, rates, residues
         return self.store[key]
 
     def propagator(self, grouped) -> np.ndarray:
@@ -538,10 +549,10 @@ class _Propagators:
             k = math.isqrt(len(drive) // 8)
             g, starts = np.frombuffer(drive).reshape(1, k, k), [None] * len(members)
             if pump is not None:
-                starts, rates = self._pump_rates(rate, pump)
+                starts, rates, residues = self._pump_rates(rate, pump)
                 starts = starts.tolist()
-                g = np.repeat(g, len(rates), axis=0)
-                engine.add_pump_rates(g, rates)
+                g = engine.add_pump_rates(g, rates)
+                self.residues.append(residues)
             props = self._expm(g, dt_ms)
             for i, a in zip(members, starts):
                 factors[i] = props, a
@@ -709,11 +720,20 @@ def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
 
 @dataclass
 class Evolution:
-    """A run's readouts with its populations before any drive and at each readout."""
+    """A run's readouts with its populations before any drive and at each readout.
+
+    keys holds an identity for each snapshot: the initial state's SHA-256
+    digest, then a token of the evolution that made the snapshot with the
+    number of propagators applied before it (the digest again while none
+    is).  Snapshots with equal keys are byte-equal, so a scan reads each
+    once: byte-equal initial states share their digest, and a memo hit takes
+    the keys of the run it reuses.
+    """
 
     readouts: list[ReadoutPulse]  # by increasing delay
     snapshots: list[np.ndarray]  # the initial state, then one per readout
     stats: dict
+    keys: list  # one identity per snapshot
 
 
 def advance(ens: EnsembleState,
@@ -725,12 +745,14 @@ def advance(ens: EnsembleState,
 
     Every item and readout gap is grouped once; the groups key the run in
     memo and build its propagators.  A run whose initial populations and
-    transition frequencies (by their SHA-256 digests), pump linewidth, groups
-    and readout gaps equal those of a run already in memo takes that run's
-    snapshots and final populations, and exponentiates and applies nothing.
+    transition frequencies (by their SHA-256 digests; the ensemble holds the
+    second), pump linewidth, groups and readout gaps equal those of a run
+    already in memo takes that run's snapshots, snapshot keys, final
+    populations and residue counts, and exponentiates and applies nothing.
     Without a memo the run is keyed against an empty one.  Runs given one
-    store build what they share once in it (_Propagators); without one a run
-    uses a fresh store, in which its equal readout gaps still share.
+    store build what they share once in it (_Propagators): drive matrices,
+    pump-off propagators and pump-rate stacks; without one a run uses a
+    fresh store, in which its equal drives and readout gaps still share.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
@@ -748,22 +770,26 @@ def advance(ens: EnsembleState,
     # Digests stand in for the two arrays the size of the class grid, so a
     # key holds no copy of them; the first transition column is the class
     # centre itself.
-    key = (hashlib.sha256(ens.populations).digest(), props.digest, cal.pump_linewidth_MHz,
-           tuple(items), tuple(gaps))
+    initial = hashlib.sha256(ens.populations).digest()
+    key = (initial, ens.transition_digest, cal.pump_linewidth_MHz, tuple(items), tuple(gaps))
     memo = {} if memo is None else memo
     if key in memo:
-        snapshots, final = memo[key]
+        snapshots, keys, final, residues = memo[key]
         ens.populations[:] = final
     else:
-        snapshots = [ens.populations.copy()]
+        snapshots, keys, token = [ens.populations.copy()], [initial], object()
         for grouped in items:
             engine.apply_batch(props.propagator(grouped), ens.populations)
+        applied = len(items)
         for gap in gaps:
             if gap is not None:
                 engine.apply_batch(props.propagator(gap), ens.populations)
+                applied += 1
             snapshots.append(ens.populations.copy())
+            keys.append((token, applied) if applied else initial)
         # with a readout, the last snapshot is the final state
-        memo[key] = snapshots, snapshots[-1] if gaps else ens.populations.copy()
+        residues = props.residues
+        memo[key] = snapshots, keys, snapshots[-1] if gaps else ens.populations.copy(), residues
 
     stats = {
         "n_items": len(compiled.items),
@@ -772,8 +798,10 @@ def advance(ens: EnsembleState,
         "drives_end_ms": compiled.drives_end_ms,
         "n_expm_matrices": props.n_expm,
         "n_product_rows": props.n_rows,
+        "class_step_MHz": ens.class_step_MHz,
+        "pump_residues": list(residues),
     }
-    return Evolution(compiled.readouts, snapshots, stats)
+    return Evolution(compiled.readouts, snapshots, stats, keys)
 
 
 def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
@@ -781,35 +809,39 @@ def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
 
     A readout's baseline is the scan of its run's initial state on its grid.
     Readouts on one grid whose ensembles have equal kernel keys share one
-    kernel pass, a readout_scan over their distinct snapshots; the key is
-    computed once per distinct ensemble object.  A spectrum's
-    bytes do not depend on the others in its pass.  A pass's kernel entries
-    (probe points x 4 x classes: entries contracted, however few Lorentzians
-    the lattice path evaluates) are counted in the stats of its first run.
+    kernel pass, a readout_scan over their distinct snapshots, told apart by
+    their Evolution keys; the kernel key is computed once per distinct
+    ensemble object.  A spectrum's bytes do not depend on the others in its
+    pass.  A pass's kernel entries (probe points x 4 x classes: entries
+    contracted, however few Lorentzians the lattice path evaluates) are
+    counted in the stats of its first run, and each run's stats list the
+    lattice stride of every pass its readouts read, in order of first use,
+    as readout_q (0 for the dense kernel).
     """
-    passes: dict = {}  # (kernel key, grid) -> (ensemble, first run, {bytes: (row, snapshot)})
+    passes: dict = {}  # (kernel key, grid) -> (ensemble, first run, {snapshot key: (row, snap)})
     refs = []  # per run and readout: (pass key, baseline row, spectrum row)
     kernels: dict = {}  # id of each distinct ensemble -> its kernel key
     for r, (ens, evo) in enumerate(runs):
         if id(ens) not in kernels:
             kernels[id(ens)] = kernel_key(ens)
         kernel = kernels[id(ens)]
-        initial, *snapshots = evo.snapshots
         refs.append([])
-        for ro, snapshot in zip(evo.readouts, snapshots):
+        for j, ro in enumerate(evo.readouts, 1):
             key = (kernel, (ro.f_start_MHz, ro.f_stop_MHz, ro.n_points))
             distinct = passes.setdefault(key, (ens, r, {}))[2]
-            rows = [distinct.setdefault(s.tobytes(), (len(distinct), s))[0]
-                    for s in (initial, snapshot)]
+            rows = [distinct.setdefault(evo.keys[i], (len(distinct), evo.snapshots[i]))[0]
+                    for i in (0, j)]
             refs[-1].append((key, *rows))
 
-    spectra, evals = {}, [0] * len(runs)
+    spectra, strides, evals = {}, {}, [0] * len(runs)
     for key, (ens, r, distinct) in passes.items():
         spectra[key] = readout_scan(ens, *key[1], [s for _, s in distinct.values()])
+        strides[key] = readout_stride(ens, *key[1])
         evals[r] += key[1][2] * 4 * ens.n_classes
     return [RunResult([Readout(ro.at_delay_ms, spectra[key][i], spectra[key][b])
                        for ro, (key, b, i) in zip(evo.readouts, ref)],
-                      dict(evo.stats, n_kernel_evals=n))
+                      dict(evo.stats, n_kernel_evals=n,
+                           readout_q=[strides[key] for key in dict.fromkeys(k for k, *_ in ref)]))
             for (_, evo), ref, n in zip(runs, refs, evals)]
 
 

@@ -48,7 +48,7 @@ def test_out_of_range_value_names_section():
     raw["rates"]["beta"] = 1.2
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.path == "rates"
+    assert err.value.path == "rates.beta"
     assert "beta" in str(err.value)
 
 
@@ -144,7 +144,7 @@ def test_subnormal_lifetime_is_a_config_error(key):
     raw["rates"][key] = 1e-320
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.path == "rates"
+    assert err.value.path == f"rates.{key}"
     assert key in str(err.value)
 
 
@@ -157,7 +157,7 @@ def test_negative_readout_delay_is_a_config_error():
     ]
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.path == "sequence[1]"
+    assert err.value.path == "sequence[1].at_delay_ms"
     assert "at_delay_ms" in str(err.value)
 
 
@@ -173,7 +173,7 @@ def test_a_time_too_large_to_count_is_a_config_error(pulse, key):
     raw["sequence"] = [{"kind": "wait", "duration_ms": 1.0}, pulse]
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.path == "sequence[1]"
+    assert err.value.path == f"sequence[1].{key}"
     assert key in str(err.value)
 
 

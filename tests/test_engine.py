@@ -141,7 +141,7 @@ def _reference_rate_matrix(params, drive):
 
     # Optical pumping, last, as the ensemble path adds it.
     if any(drive.pump_rate):
-        engine.add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
+        m = engine.add_pump_rates(m, np.asarray(drive.pump_rate, dtype=float))
 
     return m
 
@@ -173,9 +173,9 @@ def test_matrix_with_pump_matches_the_ensemble_form():
     rng = np.random.default_rng(37)
     for _ in range(300):
         params, drive = _random_params(rng), _random_drive(rng)
-        stacked = build_rate_matrix(params, DriveRates(stim_rate=drive.stim_rate,
-                                                       rf_mix_rate=drive.rf_mix_rate))[None]
-        engine.add_pump_rates(stacked, np.asarray(drive.pump_rate)[None])
+        base = build_rate_matrix(params, DriveRates(stim_rate=drive.stim_rate,
+                                                    rf_mix_rate=drive.rf_mix_rate))
+        stacked = engine.add_pump_rates(base, np.asarray(drive.pump_rate)[None])
         assert build_rate_matrix(params, drive).tobytes() == stacked[0].tobytes()
 
 

@@ -86,7 +86,7 @@ def test_a_span_off_the_grid_step_is_refused(span):
     raw = dict(preset("fig7_tailoring"), profile={"grid_span_MHz": span})
     with pytest.raises(ConfigError, match="grid_span_MHz") as err:
         parse_config(raw)
-    assert err.value.path == "profile"
+    assert err.value.path == "profile.grid_span_MHz"
 
 
 def test_a_whole_step_span_keeps_its_step():
@@ -206,7 +206,7 @@ def test_scan_matches_the_direct_lorentzian_sum():
     rng = np.random.default_rng(3)
     ens.populations[:] = rng.dirichlet(np.ones(5), size=ens.n_classes)
     spec = readout_scan(ens, -80.0, 80.0, 641)
-    f0 = ens.transition_freqs()
+    f0 = ens.transition_freqs
     pops = ens.populations
     diff = pops[:, list(TransitionSet.LOWER)] - pops[:, list(TransitionSet.UPPER)]
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2

@@ -47,6 +47,24 @@ N_EXPM = {
     "stimulated_pumping": 5097,
 }
 
+# The lattice facts each manifest reports: the class step the centres use,
+# each readout pass's probe stride q on the class lattice (0 would be the
+# dense kernel) and each pumped group's residue count, the stacks of distinct
+# pump detunings it exponentiates.  The pit presets step their sweeps 0.2 MHz
+# on a 0.5 MHz grid, five residues; fig7 steps 0.5 MHz, one.  A change that
+# leaves a lattice fails here, however close its outputs stay.
+LATTICE = {
+    "baseline": ([1], []),
+    "fig3_standard_pumping": ([5], [1]),
+    "fig4_stimulation_spectrum": ([5], [1]),
+    "fig5_stimulation_rates": ([5], [1]),
+    "fig6_rf_power": ([5], [5]),
+    "fig7_tailoring": ([10], [1]),
+    "rf_pumping": ([5], [5]),
+    "standard_pumping_pit": ([5], [5]),
+    "stimulated_pumping": ([5], [5]),
+}
+
 
 def _columns(path):
     with open(path, newline="") as fh:
@@ -102,7 +120,7 @@ def golden():
 
 
 def test_golden_covers_every_preset(golden):
-    assert sorted(golden) == sorted(preset_names()) == sorted(N_EXPM)
+    assert sorted(golden) == sorted(preset_names()) == sorted(N_EXPM) == sorted(LATTICE)
     assert all(golden[name] for name in golden)
 
 
@@ -118,6 +136,16 @@ def test_preset_matches_golden(name, golden, tmp_path):
         assert np.all(dev <= ATOL + RTOL * np.abs(want)), (key, float(dev.max()))
     stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
     assert stats["n_expm_matrices"] == N_EXPM[name]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_reads_out_and_sweeps_on_the_lattice(name, tmp_path):
+    stats = run_scenario(parse_config(preset(name)), tmp_path)["stats"]
+    written = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+    readout_q, pump_residues = LATTICE[name]
+    for got in (stats, written):
+        assert (got["class_step_MHz"], got["readout_q"], got["pump_residues"]) \
+            == (0.5, readout_q, pump_residues)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from holeburn import ensemble, runner, sequence  # noqa: E402
+from holeburn import engine, ensemble, runner, sequence  # noqa: E402
 from holeburn.analysis import residual_metrics  # noqa: E402
 from holeburn.config import (  # noqa: E402
     ExperimentConfig,
@@ -29,6 +29,7 @@ from holeburn.config import (  # noqa: E402
     parse_config,
     serialize_config,
 )
+from holeburn.engine import DriveRates  # noqa: E402
 from holeburn.ensemble import (  # noqa: E402
     PROFILE_SHAPES,
     InhomogeneousProfile,
@@ -393,8 +394,9 @@ def _pumped_grid(draw):
 def test_the_lattice_index_shares_as_sorted_keys_do(case):
     ens, pump = case
     n = ens.n_classes
-    starts, first = sequence._Propagators(ens, DriveCalibration())._lattice(pump)
+    starts, first, residues = sequence._Propagators(ens, DriveCalibration())._lattice(pump)
     firsts, inverse = _sorted_key_index(pump, ens.centers_MHz)
+    assert 1 <= residues <= len(pump)
     # one slot per distinct key, every slot used, and the labels pair one to one
     slots = starts[:, None] + np.arange(n)
     assert len(first) == len(firsts)
@@ -403,6 +405,27 @@ def test_the_lattice_index_shares_as_sorted_keys_do(case):
     # each detuning is built from the sorted keys' first (row, class)
     row, cls = np.divmod(firsts, n)
     assert np.array_equal(first[starts[row] + cls], row)
+
+
+# Pump rates as a stack holds them, zeros of both signs among them.
+_pump_rate = st.sampled_from([0.0, -0.0]) | _num(0.0, 1e3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_rates, st.just(0.0) | _num(0.0, 50.0), st.just(0.0) | _num(0.0, 50.0),
+       st.lists(st.tuples(*[_pump_rate] * 4), min_size=1, max_size=8), st.integers(1, 600))
+def test_a_pumped_generator_has_the_bytes_of_its_whole_drive(params, stim, rf, rows, n):
+    # the ensemble path adds a stack of pump rates to one pump-free drive
+    # matrix; each row must write what build_rate_matrix writes for its whole
+    # drive, alone or in a stack of n rows that repeats the drawn ones
+    drive = engine.build_rate_matrix(params, DriveRates(stim_rate=stim, rf_mix_rate=rf))
+    stack = engine.add_pump_rates(drive[None], np.resize(np.array(rows), (n, 4)))
+    assert stack.shape == (n, *drive.shape)
+    for i, row in enumerate(rows):
+        whole = engine.build_rate_matrix(params, DriveRates(pump_rate=row, stim_rate=stim,
+                                                            rf_mix_rate=rf)).tobytes()
+        assert engine.add_pump_rates(drive[None], np.array([row]))[0].tobytes() == whole
+        assert all(g.tobytes() == whole for g in stack[i::len(rows)])
 
 
 @st.composite
@@ -434,7 +457,7 @@ def test_the_lattice_readout_equals_the_dense_kernel(case):
     amps = [ens.weights[:, None] * (p[:, TransitionSet.LOWER] - p[:, TransitionSet.UPPER])
             for p in snapshots]
     hw2 = (0.5 * ens.probe_linewidth_MHz) ** 2
-    ensemble._dense_depth(dense, amps, freqs, ens.transition_freqs(), hw2)
+    ensemble._dense_depth(dense, amps, freqs, ens.transition_freqs, hw2)
     # depths of either sign can cancel, so the round-off is bounded by the sum of |terms|
     scale = max(np.abs(a).sum() for a in amps)
     np.testing.assert_allclose(lattice, ens.params.sigma_scale * dense, rtol=1e-12,

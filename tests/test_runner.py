@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from holeburn import engine, runner, sequence
+from holeburn import engine, ensemble, runner, sequence
 from holeburn.analysis import residual_metrics
 from holeburn.config import ExperimentConfig, apply_override, parse_config, serialize_config
 from holeburn.ensemble import Spectrum, hole_area
@@ -219,9 +219,11 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     # the drive-free gap is shared by every point: one matrix fewer
     assert whole["stats"]["n_expm_matrices"] == near + far - 1
     # each evolved point holds 2 x 41 x 5 entries and a memo hit holds none;
-    # the store's 41 x 4 pump rates, slot start and gap add 181, so the
-    # budget is passed at point 3, not at point 2
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
+    # the store's 41 x 4 pump rates, slot start, residue count, gap and two
+    # 4 x 4 drive matrices (the pumped item's and the gap's) add 214, and
+    # point 3 adds its own drive matrix, so the budget is passed at point 3,
+    # not at point 2
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 2 * 16)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
     # the scan empties the memo and the store, so point 4 is evolved again,
     # its gap included, and point 5 reuses it
@@ -277,6 +279,35 @@ def test_a_sweep_computes_its_kernel_key_once_per_build(tmp_path, monkeypatch):
     keys = _spy(monkeypatch, sequence, "kernel_key")
     run_scenario(parse_config(preset("fig4_stimulation_spectrum")), tmp_path)
     assert len(keys) == 1
+
+
+def test_a_sweep_derives_its_transition_table_once_per_build(tmp_path, monkeypatch):
+    # fig4's 15 points, its kernel key and its target_od calibration all read
+    # the table and digest its one build derived
+    derived = _spy(monkeypatch, ensemble, "transition_set")
+    run_scenario(parse_config(preset("fig4_stimulation_spectrum")), tmp_path)
+    assert len(derived) == 1
+
+
+def test_a_sweep_builds_each_distinct_drive_matrix_once(tmp_path, monkeypatch):
+    # fig4's 15 points group 45 segments and gaps over 9 distinct drives: the
+    # stimulation rate at 8 distinct |detuning|s, and no drive in the readout gap
+    built = _spy(monkeypatch, engine, "build_rate_matrix")
+    run_scenario(parse_config(preset("fig4_stimulation_spectrum")), tmp_path)
+    assert len(built) == len({(params, drive) for params, drive in built}) == 9
+
+
+@pytest.mark.parametrize("name, snapshots", [
+    # one thermal initial state, and 8 distinct evolutions of 15 points
+    ("fig4_stimulation_spectrum", 1 + 8),
+    # one thermal initial state, and 6 points that each evolve their own voltage
+    ("fig6_rf_power", 1 + 6),
+])
+def test_a_sweep_reads_out_its_distinct_snapshots_in_one_pass(tmp_path, monkeypatch, name,
+                                                              snapshots):
+    scanned = _spy(monkeypatch, sequence, "readout_scan")
+    run_scenario(parse_config(preset(name)), tmp_path)
+    assert [len(args[4]) for args in scanned] == [snapshots]
 
 
 def test_an_rf_voltage_sweep_of_a_swept_pit_matches_its_single_runs(tmp_path):

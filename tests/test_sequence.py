@@ -120,7 +120,7 @@ def test_a_drive_too_short_to_hold_a_segment_is_a_config_error(kind, duration):
     if duration <= 2e-12:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
-        assert err.value.path == "sequence[1]"
+        assert err.value.path == "sequence[1].duration_ms"
         assert repr(duration) in str(err.value)
     else:
         items = compile_sequence(parse_config(raw).sequence).items
@@ -512,7 +512,7 @@ NARROW = DriveCalibration(pump_linewidth_MHz=0.25)
 
 def _reference_propagators(ens, cal, item):
     """Per-class propagator of an item, built class by class and step by step."""
-    trans = ens.transition_freqs()
+    trans = ens.transition_freqs
     if isinstance(item, RepeatBlock):
         segments, count = item.segments, item.count
     else:
