@@ -31,7 +31,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Entries the sweep memo's snapshots and the store's arrays may hold before a scan: 8 MiB.
+# Entries the store's arrays may hold before a scan: 8 MiB.
 SCAN_BUDGET_ENTRIES = 1 << 20
 
 
@@ -126,22 +126,18 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     artifacts: list[str] = []
     # Points are evolved before they are scanned, so points sharing a readout
     # kernel share its pass; the snapshots wait, each with its shared build
-    # for scan to key, until the memo and the store pass the budget.  The
-    # memo holds each pending point's evolution once: a point with byte-equal
-    # initial state and generators reuses an earlier one's.  The store holds
-    # the drive matrices, pump-off propagators and pump-rate stacks points
-    # share; both are emptied with the pending list.  Builds, with their
-    # transition tables, and compiles are shared for the whole run.
-    results, pending, memo, store, shared = [], [], {}, {}, {}
+    # for scan to key, until the store passes the budget.  The store holds
+    # what points share, run prefixes included (advance), and is emptied
+    # with the pending list.  Builds, with their transition tables, and
+    # compiles are shared for the whole run.
+    results, pending, store, shared = [], [], {}, {}
     for _, sub in points:
         ens, compiled = _prepare(sub, shared)
-        evolution = advance(ens, compiled, sub.drive, memo, store)
+        evolution = advance(ens, compiled, sub.drive, store)
         pending.append((_build(sub, shared), evolution))
-        held = sum(s.size for snapshots, *_ in memo.values() for s in snapshots)
-        if held + sum(numpy.size(a) for entry in store.values() for a in entry) \
-                > SCAN_BUDGET_ENTRIES:
+        if sum(numpy.size(a) for entry in store.values() for a in entry) > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
-            pending, memo, store = [], {}, {}
+            pending, store = [], {}
     results += scan(pending)
     # The work counts cover every point; other stats are the last point's.
     stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)

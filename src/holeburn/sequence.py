@@ -416,10 +416,12 @@ class _Propagators:
     class centre.  A pumped group's generators are its class-independent
     drive matrix plus the pump-rate stack of its slots (engine.add_pump_rates).
     n_expm counts the matrices exponentiated so far: 4x4, or 5x5 with a trap
-    leak; residues holds each pumped group's residue count, in run order.
+    leak.
 
     store holds, as tuples of arrays, what items and runs share, each kind
     under keys of its own length:
+    - the populations of a run prefix (advance), keyed by one field for the
+      initial state and by five past it;
     - the drive matrix of each distinct (params, stimulation rate, RF rate);
     - the propagator of an item with the pump off throughout, keyed by its
       groups;
@@ -435,7 +437,6 @@ class _Propagators:
         self.store = {} if store is None else store
         self.n_expm = 0
         self.n_rows = 0
-        self.residues: list[int] = []
 
     def _expm(self, matrices: np.ndarray, dt_ms: float) -> np.ndarray:
         self.n_expm += len(matrices)
@@ -549,10 +550,9 @@ class _Propagators:
             k = math.isqrt(len(drive) // 8)
             g, starts = np.frombuffer(drive).reshape(1, k, k), [None] * len(members)
             if pump is not None:
-                starts, rates, residues = self._pump_rates(rate, pump)
+                starts, rates, _ = self._pump_rates(rate, pump)
                 starts = starts.tolist()
                 g = engine.add_pump_rates(g, rates)
-                self.residues.append(residues)
             props = self._expm(g, dt_ms)
             for i, a in zip(members, starts):
                 factors[i] = props, a
@@ -722,86 +722,82 @@ def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
 class Evolution:
     """A run's readouts with its populations before any drive and at each readout.
 
-    keys holds an identity for each snapshot: the initial state's SHA-256
-    digest, then a token of the evolution that made the snapshot with the
-    number of propagators applied before it (the digest again while none
-    is).  Snapshots with equal keys are byte-equal, so a scan reads each
-    once: byte-equal initial states share their digest, and a memo hit takes
-    the keys of the run it reuses.
+    Each snapshot is its store's entry for the run prefix it ends, and keys
+    holds those prefix keys (advance).  Snapshots with equal keys are
+    byte-equal, so a scan reads each once: byte-equal initial states share
+    one key, and runs that share a prefix share its snapshot.
     """
 
     readouts: list[ReadoutPulse]  # by increasing delay
     snapshots: list[np.ndarray]  # the initial state, then one per readout
     stats: dict
-    keys: list  # one identity per snapshot
+    keys: list  # one prefix key per snapshot
 
 
 def advance(ens: EnsembleState,
             compiled: CompiledSequence,
             calibration: DriveCalibration | None = None,
-            memo: dict | None = None,
             store: dict | None = None) -> Evolution:
     """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
 
-    Every item and readout gap is grouped once; the groups key the run in
-    memo and build its propagators.  A run whose initial populations and
-    transition frequencies (by their SHA-256 digests; the ensemble holds the
-    second), pump linewidth, groups and readout gaps equal those of a run
-    already in memo takes that run's snapshots, snapshot keys, final
-    populations and residue counts, and exponentiates and applies nothing.
-    Without a memo the run is keyed against an empty one.  Runs given one
-    store build what they share once in it (_Propagators): drive matrices,
-    pump-off propagators and pump-rate stacks; without one a run uses a
-    fresh store, in which its equal drives and readout gaps still share.
+    A run's steps are its items, then each readout gap that is not empty,
+    each grouped once.  Prefix 0 is keyed by the initial populations'
+    SHA-256 digest, a longer prefix also by the transition digest (the
+    ensemble holds it), the pump linewidth and its steps' groups.  The store
+    (_Propagators; a fresh one without it) keeps the populations of prefix
+    0, of each readout, of the end and of each pumped step that a pump-off
+    step or the end follows.  A run resumes from its longest stored prefix
+    before the first snapshot it lacks: a pump-off step's propagator is
+    itself stored, so only pumped steps past that prefix are exponentiated.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
-    items = [props.groups(item) for item in compiled.items]
-    t = sum(item.dt_ms for item in compiled.items)
-    gaps = []  # per readout, the grouped drive-free segment before its snapshot, or None
+    steps = [props.groups(item) for item in compiled.items]
+    n, t = len(steps), sum(item.dt_ms for item in compiled.items)
+    reads = []  # per readout, the number of steps before its snapshot
     for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
-        gap = None
         if target > t + TIME_TOL_MS:
-            gap = props.groups(DriveSegment(t_start_ms=t, t_end_ms=target))
+            steps.append(props.groups(DriveSegment(t_start_ms=t, t_end_ms=target)))
             t = target
-        gaps.append(gap)
+        reads.append(len(steps))
+    steps, store = tuple(steps), props.store
+    pumped = [any(pump is not None for *_, pump in groups) for groups, _ in steps] + [False]
+    kept = {0, *reads, len(steps)} | {k + 1 for k in range(len(steps))
+                                       if pumped[k] and not pumped[k + 1]}
 
     # Digests stand in for the two arrays the size of the class grid, so a
     # key holds no copy of them; the first transition column is the class
-    # centre itself.
+    # centre itself.  A prefix key past 0 has five fields, a length of its own.
     initial = hashlib.sha256(ens.populations).digest()
-    key = (initial, ens.transition_digest, cal.pump_linewidth_MHz, tuple(items), tuple(gaps))
-    memo = {} if memo is None else memo
-    if key in memo:
-        snapshots, keys, final, residues = memo[key]
-        ens.populations[:] = final
-    else:
-        snapshots, keys, token = [ens.populations.copy()], [initial], object()
-        for grouped in items:
-            engine.apply_batch(props.propagator(grouped), ens.populations)
-        applied = len(items)
-        for gap in gaps:
-            if gap is not None:
-                engine.apply_batch(props.propagator(gap), ens.populations)
-                applied += 1
-            snapshots.append(ens.populations.copy())
-            keys.append((token, applied) if applied else initial)
-        # with a readout, the last snapshot is the final state
-        residues = props.residues
-        memo[key] = snapshots, keys, snapshots[-1] if gaps else ens.populations.copy(), residues
+    keys = {k: (initial, ens.transition_digest, cal.pump_linewidth_MHz,
+                steps[:min(k, n)], steps[n:k]) if k else (initial,) for k in sorted(kept)}
+    store.setdefault(keys[0], (ens.populations.copy(),))
+    start = 0
+    for k, key in keys.items():
+        if key in store:
+            start = k
+        elif k in reads or k == len(steps):
+            break
+    ens.populations[:] = store[keys[start]][0]
+    for k in range(start, len(steps)):
+        engine.apply_batch(props.propagator(steps[k]), ens.populations)
+        if k + 1 in keys and keys[k + 1] not in store:
+            store[keys[k + 1]] = (ens.populations.copy(),)
 
     stats = {
-        "n_items": len(compiled.items),
+        "n_items": n,
         "n_segments": compiled.n_segments,
         "n_sweep_periods": compiled.n_sweep_periods,
         "drives_end_ms": compiled.drives_end_ms,
         "n_expm_matrices": props.n_expm,
         "n_product_rows": props.n_rows,
         "class_step_MHz": ens.class_step_MHz,
-        "pump_residues": list(residues),
+        "pump_residues": [props._pump_rates(rate, pump)[2] for groups, _ in steps
+                          for _, rate, _, _, pump in groups if pump is not None],
     }
-    return Evolution(compiled.readouts, snapshots, stats, keys)
+    snaps = [keys[k] for k in (0, *reads)]
+    return Evolution(compiled.readouts, [store[key][0] for key in snaps], stats, snaps)
 
 
 def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:

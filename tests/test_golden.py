@@ -32,14 +32,17 @@ RTOL = 1e-9
 
 # The matrices each preset exponentiates (the manifest's n_expm_matrices): 4x4,
 # or 5x5 for fig5, whose generators leak into the trap state.  A repeated
-# pump-off item or readout gap is exponentiated once per run.
+# pump-off item or readout gap is exponentiated once per run, and a sweep
+# point resumes from the longest run prefix an earlier point evolved: fig5's
+# ten points share their pumped item, 1,001 matrices, and add one matrix
+# each for the stimulation tail or readout gap after it.
 # A change in which classes and steps share a propagator shows here even when
 # the outputs stay within tolerance.
 N_EXPM = {
     "baseline": 0,
     "fig3_standard_pumping": 1014,
     "fig4_stimulation_spectrum": 8017,
-    "fig5_stimulation_rates": 10020,
+    "fig5_stimulation_rates": 1011,
     "fig6_rf_power": 30572,
     "fig7_tailoring": 1103,
     "rf_pumping": 5097,

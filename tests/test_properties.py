@@ -572,11 +572,14 @@ def test_window_products_equal_the_fold(case):
 
 # Numeric paths every drawn scenario has, each with its values and whether
 # it also takes their negatives: the stimulation rate sees its detuning only
-# through the square, so a +-pair there builds byte-equal generators.
+# through the square, so a +-pair there builds byte-equal generators.  The
+# last readout's delay ({last} is its index) leaves every drive equal, so its
+# points share their drive prefix.
 _SWEPT_PATHS = (
     ("drive.stim_detuning_MHz", _num(-1e4, 1e4), True),
     ("profile.center_MHz", _num(-5.0, 5.0), True),
     ("rates.beta", _num(0.0, 1.0), False),
+    ("sequence[{last}].at_delay_ms", _num(0.0, 20.0), False),
 )
 _TRACE, _METRICS = (-3.0, 3.0), (-2.0, 2.0)
 
@@ -590,10 +593,12 @@ def _swept_scenario(draw):
     # one readout at least, so every row has its trace and metrics columns
     last = ReadoutPulse(f_start_MHz=-4.0, f_stop_MHz=4.0, n_points=41,
                         at_delay_ms=draw(_num(0.0, 20.0)))
+    pulses = draw(_pulse_list())
+    path = path.format(last=len(pulses))
     sweep = SweepSpec(path, tuple(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))))
     cfg = ExperimentConfig(
         zeeman=FIELD, rates=draw(_rates), profile=SMALL,
-        sequence=(*draw(_pulse_list()), last),
+        sequence=(*pulses, last),
         outputs=OutputSpec(trace_window_MHz=_TRACE, metrics_window_MHz=_METRICS, sweep=sweep),
         drive=draw(_drives),
     )
@@ -617,12 +622,20 @@ def test_every_sweep_row_equals_its_point_run_alone(scenario):
     raw, path = scenario
     cfg = parse_config(raw)
     alone = [_alone(raw, path, value) for value in cfg.outputs.sweep.values]
-    # a small budget holds three populations arrays of the 21 SMALL classes, so
-    # evolved points flush every one to three points and memo hits fall on
-    # both sides of a flush
-    for budget in (runner.SCAN_BUDGET_ENTRIES, 3 * 5 * 21):
-        with tempfile.TemporaryDirectory() as out, \
-                mock.patch.object(runner, "SCAN_BUDGET_ENTRIES", budget):
+    # three population arrays of the 21 SMALL classes: a point that stores a
+    # prefix past its initial state flushes.  At what the store holds after
+    # the first point (None), a later point flushes once it stores anything,
+    # so points resume from stored prefixes on both sides of a flush.
+    held, advance = [], runner.advance
+
+    def spy(*args):
+        evolution = advance(*args)
+        held.append(sum(np.size(a) for entry in args[3].values() for a in entry))
+        return evolution
+
+    for budget in (runner.SCAN_BUDGET_ENTRIES, 3 * 5 * 21, None):
+        with tempfile.TemporaryDirectory() as out, mock.patch.object(runner, "advance", spy), \
+                mock.patch.object(runner, "SCAN_BUDGET_ENTRIES", budget or held[0]):
             runner.run_scenario(cfg, out)
             rows = (Path(out) / "sweep.csv").read_text().splitlines()[1:]
         assert rows == alone

@@ -139,12 +139,18 @@ def test_sweep_points_with_different_kernels_get_their_own_passes(tmp_path):
 
 def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
     raw = _drive_sweep("sequence[0].power_rate_per_ms", [1.0, 2.0, 3.0, 4.0, 5.0])
-    run_scenario(parse_config(raw), tmp_path / "whole")
-    # each point holds its initial state and one snapshot: 2 x 41 x 5 entries
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5)
+    whole = run_scenario(parse_config(raw), tmp_path / "whole")
+    # after one point the store holds the initial state and the populations
+    # after the pump and at the readout (3 x 41 x 5 entries), the 41 x 4 pump
+    # rates with their slot start and residue count, and the drive matrix and
+    # drive-free gap's propagator (2 x 4 x 4); each later point adds its own
+    # two prefixes and pump rates, so a second point passes the budget
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 41 * 4 + 2 + 2 * 16)
     manifest = run_scenario(parse_config(raw), tmp_path / "flushed")
     # passes over points 1-2, 3-4 and 5
     assert manifest["stats"]["n_kernel_evals"] == 3 * 21 * 4 * 41
+    # each flush empties the store, so points 3 and 5 exponentiate the gap again
+    assert manifest["stats"]["n_expm_matrices"] == whole["stats"]["n_expm_matrices"] + 2
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
 
@@ -218,15 +224,17 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
     # the drive-free gap is shared by every point: one matrix fewer
     assert whole["stats"]["n_expm_matrices"] == near + far - 1
-    # each evolved point holds 2 x 41 x 5 entries and a memo hit holds none;
-    # the store's 41 x 4 pump rates, slot start, residue count, gap and two
-    # 4 x 4 drive matrices (the pumped item's and the gap's) add 214, and
-    # point 3 adds its own drive matrix, so the budget is passed at point 3,
-    # not at point 2
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 2 * 16)
+    # after point 1 the store holds the initial state and the populations
+    # after the pumped item and at the readout (3 x 41 x 5 entries), the
+    # 41 x 4 pump rates with their slot start and residue count, two 4 x 4
+    # drive matrices (the pumped item's and the gap's) and the gap's
+    # propagator; point 2 resumes from its whole run and adds nothing, and
+    # point 3 adds its drive matrix and two prefixes, so the budget is passed
+    # at point 3, not at point 2
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 41 * 4 + 2 + 3 * 16)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
-    # the scan empties the memo and the store, so point 4 is evolved again,
-    # its gap included, and point 5 reuses it
+    # the scan empties the store, so point 4 is evolved again, its gap
+    # included, and point 5 resumes from it
     assert flushed["stats"]["n_expm_matrices"] == 2 * near + far - 1
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
@@ -243,6 +251,52 @@ def test_sweep_points_with_equal_sequences_share_one_compile(tmp_path, monkeypat
     compiled = _spy(monkeypatch, runner, "compile_sequence")
     run_scenario(parse_config(preset(name)), tmp_path)
     assert len(compiled) == compiles
+
+
+def _evolutions(monkeypatch):
+    """(store, Evolution) of every point runner.advance evolves, recorded as it returns."""
+    calls, real = [], runner.advance
+
+    def spy(*args):
+        calls.append((args[3], real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(runner, "advance", spy)
+    return calls
+
+
+def test_sweep_points_resume_from_their_shared_prefix(tmp_path, monkeypatch):
+    # fig5's points share the 100 ms pump with stimulation and differ only in
+    # the stimulation tail after it: its pumped stack is exponentiated once
+    cfg = parse_config(preset("fig5_stimulation_rates"))
+    calls = _spy(monkeypatch, engine, "propagator_batch")
+    alone = []  # per point run alone: its pump residues and pumped stack sizes
+    for _, point in runner._sweep_points(cfg):
+        calls.clear()
+        _, result = runner.run_single(point)
+        alone.append((result.stats["pump_residues"], [len(g) for g, _ in calls if len(g) > 1]))
+    pumped = alone[0][1]
+    assert pumped and all(stacks == pumped for _, stacks in alone)
+    calls.clear()
+    evolved = _evolutions(monkeypatch)
+    run_scenario(cfg, tmp_path)
+    assert [len(g) for g, _ in calls if len(g) > 1] == pumped
+    # a resumed point reports the residues of the groups it skipped
+    assert [evo.stats["pump_residues"] for _, evo in evolved] == [r for r, _ in alone]
+
+
+@pytest.mark.parametrize("name, most", [
+    # the initial state, then each point's prefixes after its pumped item and at
+    # its readout, where distinct: one array more than a whole-run cache held
+    ("fig4_stimulation_spectrum", 17),
+    ("fig6_rf_power", 13),
+])
+def test_the_store_holds_few_populations(tmp_path, monkeypatch, name, most):
+    evolved = _evolutions(monkeypatch)
+    run_scenario(parse_config(preset(name)), tmp_path)
+    stores = {id(store): store for store, _ in evolved}.values()
+    # prefix keys are the store's keys of one or five fields
+    assert max(sum(len(key) in (1, 5) for key in store) for store in stores) <= most
 
 
 def test_sweep_points_share_one_pump_rate_stack(tmp_path, monkeypatch):

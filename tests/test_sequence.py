@@ -739,9 +739,9 @@ def test_the_period_search_finds_none_in_a_long_aperiodic_list():
     assert sequence._shift_period(factors[:-1]) == 1
 
 
-# ---------------------------------------------------------------- point memo
+# ---------------------------------------------------------------- stored prefixes
 
-def _memo_sequence(delays=(2.0, 0.0), center=0.0, power=20.0, duration=0.5):
+def _prefix_sequence(delays=(2.0, 0.0), center=0.0, power=20.0, duration=0.5):
     return compile_sequence([
         PumpPulse(duration_ms=duration, center_MHz=center, power_rate_per_ms=2.0,
                   sweep_span_MHz=10.0, sweep_period_ms=0.1),
@@ -751,7 +751,7 @@ def _memo_sequence(delays=(2.0, 0.0), center=0.0, power=20.0, duration=0.5):
     ])
 
 
-def _memo_ens(center=0.0, field=1.2):
+def _prefix_ens(center=0.0, field=1.2):
     prof = InhomogeneousProfile(
         center_MHz=center, shape="flat", grid_span_MHz=20.0, grid_step_MHz=1.0
     )
@@ -763,45 +763,92 @@ def _bytes(evolution):
 
 
 @pytest.mark.parametrize("delays", [(2.0, 0.0), ()])
-def test_memo_hit_matches_a_fresh_advance(delays):
-    comp = _memo_sequence(delays)
-    memo = {}
-    first = sequence.advance(_memo_ens(), comp, NARROW, memo)
-    ens, fresh_ens = _memo_ens(), _memo_ens()
-    hit = sequence.advance(ens, comp, NARROW, memo)
+def test_a_stored_run_matches_a_fresh_advance(delays):
+    comp = _prefix_sequence(delays)
+    store = {}
+    first = sequence.advance(_prefix_ens(), comp, NARROW, store)
+    ens, fresh_ens = _prefix_ens(), _prefix_ens()
+    hit = sequence.advance(ens, comp, NARROW, store)
     fresh = sequence.advance(fresh_ens, comp, NARROW)
     assert first.stats["n_expm_matrices"] > 0
+    # the whole run is a stored prefix: nothing is exponentiated or multiplied
     assert hit.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     assert _bytes(hit) == _bytes(fresh)
     # the final state is copied in, also when no readout snapshot holds it
     assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
-    assert ens.populations.tobytes() != _memo_ens().populations.tobytes()
+    assert ens.populations.tobytes() != _prefix_ens().populations.tobytes()
+
+
+def _two_pumps(delays):
+    return compile_sequence([
+        PumpPulse(duration_ms=0.5, center_MHz=0.0, power_rate_per_ms=2.0),
+        PumpPulse(start_ms=1.0, duration_ms=0.5, center_MHz=3.0, power_rate_per_ms=2.0),
+        StimulationPulse(duration_ms=2.0, power_mW=20.0),
+        *(ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=d)
+          for d in delays),
+    ])
+
+
+def test_a_run_resumes_before_the_first_snapshot_it_lacks():
+    # the first run stores the populations after each pump and at its one
+    # readout, not at the drives' end, which the second run also reads: it
+    # resumes after the second pump and applies only stored propagators
+    store = {}
+    sequence.advance(_prefix_ens(), _two_pumps((2.0,)), NARROW, store)
+    ens, fresh_ens = _prefix_ens(), _prefix_ens()
+    evolved = sequence.advance(ens, _two_pumps((2.0, 0.0)), NARROW, store)
+    fresh = sequence.advance(fresh_ens, _two_pumps((2.0, 0.0)), NARROW)
+    assert evolved.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
+    # one residue for each unswept pump, the skipped ones included
+    assert evolved.stats["pump_residues"] == [1, 1]
+    assert _bytes(evolved) == _bytes(fresh)
+    assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
+
+
+def test_a_partial_sweep_period_stores_one_population_array():
+    # a period and a half of a 50-step sweep: the half period compiles to 25
+    # pumped items, and only the last of them is stored, beside the initial
+    # state and the readout
+    comp = _prefix_sequence((1.0,), duration=0.15)
+    assert len(comp.items) > 25
+    store = {}
+    sequence.advance(_prefix_ens(), comp, NARROW, store)
+    assert sum(len(key) in (1, 5) for key in store) == 3
 
 
 def _thermal_off_balance():
-    ens = _memo_ens()
+    ens = _prefix_ens()
     ens.populations[:, :2] = [0.6, 0.4]
     return ens
 
 
-@pytest.mark.parametrize("ens, comp, cal", [
-    (_thermal_off_balance(), _memo_sequence(), NARROW),
-    (_memo_ens(center=0.3), _memo_sequence(), NARROW),
-    (_memo_ens(field=1.5), _memo_sequence(), NARROW),
-    (_memo_ens(), _memo_sequence(), DriveCalibration(pump_linewidth_MHz=0.5)),
-    (_memo_ens(), _memo_sequence((2.0, 0.5)), NARROW),
-    (_memo_ens(), _memo_sequence(center=0.25), NARROW),
-    (_memo_ens(), _memo_sequence(power=10.0), NARROW),
-    (_memo_ens(), _memo_sequence(duration=0.4), NARROW),
+@pytest.mark.parametrize("ens, comp, cal, resumes", [
+    (_thermal_off_balance(), _prefix_sequence(), NARROW, False),
+    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, False),
+    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, False),
+    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), False),
+    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, True),
+    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, False),
+    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, False),
+    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, False),
 ], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay",
         "pump centre", "stimulation power", "pump duration"])
-def test_memo_misses_when_the_run_differs(ens, comp, cal):
-    memo = {}
-    sequence.advance(_memo_ens(), _memo_sequence(), NARROW, memo)
+def test_memo_misses_when_the_run_differs(ens, comp, cal, resumes, monkeypatch):
+    store = {}
+    sequence.advance(_prefix_ens(), _prefix_sequence(), NARROW, store)
     fresh_ens = replace(ens, populations=ens.populations.copy())
+    stacks, real = [], engine.propagator_batch
+    monkeypatch.setattr(engine, "propagator_batch",
+                        lambda g, dt: stacks.append(len(g)) or real(g, dt))
     fresh = sequence.advance(fresh_ens, comp, cal)
-    evolved = sequence.advance(ens, comp, cal, memo)
-    assert evolved.stats == fresh.stats
-    assert evolved.stats["n_expm_matrices"] > 0
+    pumped, stacks[:] = [n for n in stacks if n > 1], []
+    evolved = sequence.advance(ens, comp, cal, store)
     assert _bytes(evolved) == _bytes(fresh)
-    assert len(memo) == 2
+    assert pumped
+    if resumes:
+        # the first run stored the drives' end for its readout at delay 0: only
+        # the two new gaps, 0.5 and 1.5 ms, are exponentiated
+        assert stacks == [1, 1] and evolved.stats["n_expm_matrices"] == 2
+    else:
+        # the pumped item differs, so it is exponentiated as in a fresh run
+        assert [n for n in stacks if n > 1] == pumped
