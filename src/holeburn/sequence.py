@@ -12,9 +12,10 @@ depends on the class only through the detuning of the pump from the class
 centre, so every class and sweep step with the same detuning and duration
 gets the one propagator computed for that detuning.  On the uniform class
 grid the detunings form a lattice, indexed from the pump frequencies alone,
-and a step's factor for class i + 1 is its factor for class i moved one slot:
-a run of steps that moves a fixed number of slots per step gives every class
-its product as one sliding window over the stack.
+and a step's factor for class i + 1 is its factor for class i moved one slot.
+A run of steps whose slots repeat, moved a fixed number of slots, every p
+steps gives every class its product as one sliding window over the products
+of its p-step chunks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -532,10 +532,12 @@ class _Propagators:
         with the pump off, one per distinct pump detuning with it.  A pumped
         segment's factor is the slice of its row's slots (_lattice), a
         pump-off one its single matrix, and _time_ordered multiplies them in
-        time order.  The shape is (1, k, k) when every factor is shared.  k
-        is the generator's size, and the product's columns, raised to the
-        item's count, are divided by their sums once.  An item with the pump
-        off throughout depends on its groups alone, so the store keeps it.
+        time order, each run of pumped segments with a shift period in
+        windows over its chunks' products.  The shape is (1, k, k) when every
+        factor is shared.  k is the generator's size, and the product's
+        columns, raised to the item's count, are divided by their sums once.
+        An item with the pump off throughout depends on its groups alone, so
+        the store keeps it.
         """
         if any(pump is not None for *_, pump in grouped[0]):
             return self._product(grouped)
@@ -581,21 +583,19 @@ def _periods(symbols) -> list[int]:
     return periods
 
 
-def _shift_period(factors) -> int | None:
-    """The smallest p <= K / 2 for which factor k + p is factor k moved by a fixed number of slots.
+def _shift(offsets) -> tuple[int, int] | None:
+    """The smallest p <= K / 2 with offsets[k + p] - offsets[k] one delta != 0 for all k,
+    and that delta, or None.
 
-    The stacks repeat with period p, and the steps between consecutive offsets
-    with period c, the number of offsets among the first p.
+    Such a p is a period of the steps between offsets (_periods), or their
+    whole length when K is 2; O(K) whatever the offsets.
     """
-    lit = list(accumulate(a is not None for _, a in factors))
-    offsets = [a for _, a in factors if a is not None]
     steps = [b - a for a, b in zip(offsets, offsets[1:])]
-    steady = set(_periods(steps))
-    for p in _periods([id(s) for s, _ in factors]):
-        if 2 * p > len(factors):
+    for p in _periods(steps) + [len(steps)]:
+        if 2 * p > len(offsets):
             break
-        if lit[p - 1] >= len(steps) or lit[p - 1] in steady:
-            return p
+        if offsets[p] != offsets[0]:
+            return p, offsets[p] - offsets[0]
     return None
 
 
@@ -610,24 +610,6 @@ def _fold(factors, width, rows) -> np.ndarray:
     """Left-to-right product of factors, each stack[offset:offset + width] or a shared stack."""
     return reduce(lambda acc, m: _mul(m, acc, rows),
                   (s if a is None else s[a:a + width] for s, a in factors))
-
-
-def _chunked(factors, p, n, rows) -> list:
-    """Factors with each whole chunk of p factors, a shift period, multiplied out.
-
-    Chunk j is chunk 0 moved j·delta slots, so the lowest chunk folded over
-    n + (c - 1)·|delta| slots gives each of the c chunks its product as a
-    slice.  Chunks with no pumped factor, or more than n slots apart, would
-    share nothing and are left as they are.
-    """
-    c = len(factors) // p
-    chunks = [factors[j * p:(j + 1) * p] for j in range(c)]
-    bases = [next((a for _, a in chunk if a is not None), None) for chunk in chunks]
-    if bases[0] is None or abs(bases[1] - bases[0]) > n:
-        return factors
-    low = bases.index(min(bases))
-    prod = _fold(chunks[low], n + abs(bases[-1] - bases[0]), rows)
-    return [(prod, b - bases[low]) for b in bases] + factors[c * p:]
 
 
 def _windows(stack, lo, width, size, d, rows) -> np.ndarray:
@@ -663,35 +645,49 @@ def _windows(stack, lo, width, size, d, rows) -> np.ndarray:
 
 
 def _windowed(factors, n, rows) -> list:
-    """Factors with each run of pumped factors on one stack, d != 0 slots apart, multiplied out.
+    """Factors with each run of pumped factors on one stack that has a shift period multiplied out.
 
-    A run of K such factors from lowest offset x gives class i the window of
-    K slots |d| apart from slot x + i.  Runs with equal stack, K and d share
-    one window stack (_windows) over the union of their n-slot spans, taken
-    only where it costs fewer products than folding each run, (K - 1)·n.
+    A run of K factors with shift period p and slot shift d (_shift) is
+    c = K // p chunks, chunk j being chunk 0 moved j·d slots, then the rest.
+    Runs with equal stack, chunk offsets, c and d share one product of a
+    chunk's p factors over the union of their lowest chunks' n-slot spans
+    widened by (c - 1)·|d| slots, so each chunk's product is a slice of it:
+    for p = 1, of the stack itself.  Class i's product of a run's c chunks is
+    the window of c slots |d| apart from slot x + i, x its lowest chunk's
+    offset (_windows), or where windows cost more, the fold of its c slices,
+    (c - 1)·n per run.  A group is left as it is unless that takes fewer
+    products than folding each run, (c·p - 1)·n.
     """
-    runs: dict = {}  # (stack id, K, d) -> [(first factor, lowest offset)]
+    runs: dict = {}  # (stack id, chunk offsets, c, d) -> [(first factor, chunk 0's lowest offset)]
     i = 0
     while i < len(factors):
         s, a = factors[i]
-        j, d = i + 1, None
+        j = i + 1
         while a is not None and j < len(factors) and factors[j][0] is s:
-            step = factors[j][1] - factors[j - 1][1]
-            if step == 0 or d not in (None, step):
-                break
-            d, j = step, j + 1
-        if d is not None:
-            runs.setdefault((id(s), j - i, d), []).append((i, min(a, factors[j - 1][1])))
+            j += 1
+        offsets = [a for _, a in factors[i:j]]
+        shift = _shift(offsets) if j - i > 1 else None
+        if shift:
+            p, d = shift
+            base = min(offsets[:p])
+            runs.setdefault((id(s), tuple(x - base for x in offsets[:p]), (j - i) // p, d),
+                            []).append((i, base))
         i = j
     out = list(factors)
-    for (_, size, d), members in runs.items():
-        lo = min(x for _, x in members)
-        width = max(x for _, x in members) + n - lo
-        if 3 * (-(-width // abs(d)) + size) * abs(d) >= (size - 1) * n * len(members):
+    for (_, chunk, c, d), members in runs.items():
+        e, size, m = abs(d), c * len(chunk), len(members)
+        low = [base + min(0, (c - 1) * d) for _, base in members]  # each run's lowest chunk
+        lo, width = min(low), max(low) + n - min(low)
+        span = width + (c - 1) * e  # the chunk product's slots
+        windows, slices = 3 * (-(-width // e) + c) * e, (c - 1) * n * m
+        if (len(chunk) - 1) * span + min(windows, slices) >= (size - 1) * n * m:
             continue
-        w = _windows(factors[members[0][0]][0], lo, width, size, d, rows)
-        for i, x in members:
-            out[i:i + size] = [(w, x - lo)] + [None] * (size - 1)
+        stack = factors[members[0][0]][0]
+        prod = _fold([(stack, lo + r) for r in chunk], span, rows)
+        w = _windows(prod, 0, width, c, d, rows) if windows < slices else None
+        for (i, base), x in zip(members, low):
+            new = [(w, x - lo)] if w is not None else [(prod, base + k * d - lo) for k in range(c)]
+            out[i:i + size] = new + [None] * (size - len(new))
     return [f for f in out if f is not None]
 
 
@@ -699,16 +695,13 @@ def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
     """Product F[K-1] ... F[0] of (stack, offset) factors, each stack[offset:offset + n],
     and the number of matrix products it took.
 
-    A factor with offset None is a (1, k, k) stack every class shares.  A
-    cycle with a shift period (fig6: 5 steps) first multiplies its chunks
-    (_chunked).  Each run of pumped factors on one stack that moves a fixed
-    number of slots per factor is then one sliding window (_windowed), and
-    consecutive shared factors one matrix, before the rest is folded.
+    A factor with offset None is a (1, k, k) stack every class shares.  In
+    one pass, each run of pumped factors on one stack with a shift period
+    (fig6: 5 steps moving 2 slots; fig7: 1 step moving 1) becomes a window
+    over its chunks' products or their slices (_windowed), and consecutive
+    shared factors one matrix; the rest is then folded.
     """
     rows: list = []
-    p = _shift_period(factors)
-    if p is not None and p > 1:
-        factors = _chunked(factors, p, n, rows)
     merged: list = []
     for s, a in _windowed(factors, n, rows):
         if a is None and merged and merged[-1][1] is None:

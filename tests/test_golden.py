@@ -50,6 +50,24 @@ N_EXPM = {
     "stimulated_pumping": 5097,
 }
 
+# The 4x4 products each preset's sweep cycles take (the manifest's
+# n_product_rows; constant items take none).  fig6's 50-step cycle, one per RF
+# voltage, and the pit presets' each fold 5-step chunks 2 slots apart and window
+# them, 6,812 rows; fig7's two runs on either side of its gate each take one
+# window stack.  A change to how a cycle is multiplied shows here even when
+# the outputs are byte-equal.
+N_PRODUCT_ROWS = {
+    "baseline": 0,
+    "fig3_standard_pumping": 0,
+    "fig4_stimulation_spectrum": 0,
+    "fig5_stimulation_rates": 0,
+    "fig6_rf_power": 40872,
+    "fig7_tailoring": 5200,
+    "rf_pumping": 6812,
+    "standard_pumping_pit": 6812,
+    "stimulated_pumping": 6812,
+}
+
 # The lattice facts each manifest reports: the class step the centres use,
 # each readout pass's probe stride q on the class lattice (0 would be the
 # dense kernel) and each pumped group's residue count, the stacks of distinct
@@ -139,6 +157,7 @@ def test_preset_matches_golden(name, golden, tmp_path):
         assert np.all(dev <= ATOL + RTOL * np.abs(want)), (key, float(dev.max()))
     stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
     assert stats["n_expm_matrices"] == N_EXPM[name]
+    assert stats["n_product_rows"] == N_PRODUCT_ROWS[name]
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -476,10 +476,11 @@ def _factor_list(draw):
 
     Periodic lists repeat a pattern of p factors G times, each repeat moved by
     delta slots, and keep r < p of them for a partial last group; |delta| > n
-    puts two uses of one layout more than n apart.  Aperiodic lists draw up to
-    80 factors from one or two pumped stacks over a narrow or wide spread of
-    offsets, so layouts recur with their uses near or far apart.  Both kinds
-    mix in pump-off factors, at the ends too.
+    puts a repeat's slots more than n from the last one's.  Aperiodic lists
+    draw up to 80 factors from one or two pumped stacks over a narrow or wide
+    spread of offsets, so runs on one stack are short or long, with or
+    without a shift period.  Both kinds mix in pump-off factors, at the ends
+    too.
     """
     n = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["periodic", "aperiodic"] * 3 + ["single"]))
@@ -534,14 +535,19 @@ def _counted_product(factors, n):
 def test_the_shared_product_equals_the_fold(case):
     factors, n, kind = case
     _counted_product(factors, n)
-    # a period found is one: factor k + p is factor k moved by one delta
-    p = sequence._shift_period(factors)
-    assert p is not None or kind != "periodic"
-    if p is not None:
-        pairs = list(zip(factors, factors[p:]))
-        assert 2 * p <= len(factors)
-        assert all(s is t for (s, _), (t, _) in pairs)
-        assert len({b - a for (_, a), (_, b) in pairs if a is not None}) <= 1
+    # each run of pumped factors on one stack has as its shift the smallest
+    # p <= K / 2 for which offset k + p is offset k moved by one delta != 0
+    i = 0
+    while i < len(factors):
+        j = i + 1
+        while factors[i][1] is not None and j < len(factors) and factors[j][0] is factors[i][0]:
+            j += 1
+        offsets = [a for _, a in factors[i:j]]
+        moves = [{b - a for a, b in zip(offsets, offsets[p:])} for p in range(1, (j - i) // 2 + 1)]
+        shifts = [(p, *m) for p, m in enumerate(moves, 1) if len(m) == 1 and m != {0}]
+        if j - i > 1:
+            assert sequence._shift(offsets) == (shifts[0] if shifts else None)
+        i = j
 
 
 @st.composite

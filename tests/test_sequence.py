@@ -675,19 +675,19 @@ def test_propagator_memory_of_an_ungated_sweep_cycle():
 
 
 def _counting_products(monkeypatch):
-    """Record each shift period found and the 4x4 products each _mul call takes."""
+    """Record each run's shift period and slot shift, and the 4x4 products each _mul call takes."""
     seen = {"periods": [], "rows": 0}
-    period, mul = sequence._shift_period, sequence._mul
+    shift, mul = sequence._shift, sequence._mul
 
-    def shift_period(factors):
-        seen["periods"].append(period(factors))
+    def shifting(offsets):
+        seen["periods"].append(shift(offsets))
         return seen["periods"][-1]
 
     def counting(later, earlier, rows):
         seen["rows"] += math.prod(np.broadcast_shapes(later.shape[:-2], earlier.shape[:-2]))
         return mul(later, earlier, rows)
 
-    monkeypatch.setattr(sequence, "_shift_period", shift_period)
+    monkeypatch.setattr(sequence, "_shift", shifting)
     monkeypatch.setattr(sequence, "_mul", counting)
     return seen
 
@@ -704,16 +704,18 @@ def _sweep_cycle_rows(monkeypatch, name):
     return block, seen, props
 
 
-@pytest.mark.parametrize("name, steps, period, most_rows", [
-    # 0.2 MHz steps on a 0.5 MHz grid: the residues repeat every 5 steps, 2 slots on
-    ("fig6_rf_power", 50, 5, 10_000),
-    # 0.5 MHz steps on the 0.5 MHz grid, the 6 gated ones in mid-cycle
-    ("fig7_tailoring", 100, None, 20_000),
-])
-def test_a_sweep_cycle_multiplies_each_layout_once(monkeypatch, name, steps, period, most_rows):
+@pytest.mark.parametrize("name, steps, periods, most_rows", [
+    # 0.2 MHz steps on a 0.5 MHz grid: the residues repeat every 5 steps, 2 slots on,
+    # and the stack's slots run down as the pump sweeps up
+    ("fig6_rf_power", 50, [(5, -2)], 10_000),
+    # 0.5 MHz steps on the 0.5 MHz grid: one slot a step, on both sides of the 6
+    # gated ones in mid-cycle
+    ("fig7_tailoring", 100, [(1, -1), (1, -1)], 20_000),
+], ids=["fig6_rf_power", "fig7_tailoring"])
+def test_a_sweep_cycle_multiplies_each_layout_once(monkeypatch, name, steps, periods, most_rows):
     block, seen, _ = _sweep_cycle_rows(monkeypatch, name)
     assert len(block.segments) == steps
-    assert seen["periods"] == [period]
+    assert seen["periods"] == periods
     # the step-by-step fold took (steps - 1) x 1,001: 49,049 and 99,099; the
     # shared product takes 8,104 and 18,382
     assert seen["rows"] <= most_rows
@@ -726,17 +728,58 @@ def test_a_sweep_cycle_multiplies_each_layout_once(monkeypatch, name, steps, per
 def test_a_sweep_cycle_takes_few_row_products(monkeypatch, name, most_rows):
     _, seen, props = _sweep_cycle_rows(monkeypatch, name)
     # pairwise layout passes took 8,104 and 18,382; fig6's 5-step chunks and then
-    # windows 2 slots apart take 6,710, fig7's shared window stack and gate 5,149
+    # windows 2 slots apart take 6,812, fig7's shared window stack and gate 5,200
     assert seen["rows"] == props.n_rows <= most_rows
+
+
+def test_a_gated_multi_residue_cycle_is_chunked(monkeypatch):
+    # stimulated_pumping's 0.2 MHz steps on a 0.5 MHz grid take 5 residues; a 1 MHz
+    # gate cuts each cycle into two runs, each with the 5-step, 2-slot shift
+    cfg = preset("stimulated_pumping")
+    cfg["sequence"][0]["gate_gap_MHz"] = 1.0
+    cycles, time_ordered = [], sequence._time_ordered
+
+    def recording(factors, n):
+        cycles.append((factors, n, time_ordered(factors, n)))
+        return cycles[-1][2]
+
+    seen = _counting_products(monkeypatch)
+    monkeypatch.setattr(sequence, "_time_ordered", recording)
+    _, result = runner.run_single(parse_config(cfg))
+    assert seen["periods"] == [(5, -2), (5, -2)]
+    # the step-by-step fold took 45,049
+    assert result.stats["n_product_rows"] <= 22_000
+    for factors, n, (got, _) in cycles:
+        ref = np.eye(4)
+        for s, a in factors:
+            ref = (s if a is None else s[a:a + n]) @ ref
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_runs_far_apart_share_a_chunk_product_only_where_it_pays():
+    # six runs on one class of offsets 0, 2, 1, 3 (2 steps move 1 slot), each 5
+    # slots past the last: their shared chunk product would span 27 slots where
+    # the step-by-step fold takes one row per product
+    rng = np.random.default_rng(0)
+    # column-stochastic, so products keep entries in [0, 1]
+    stack, shared = (m / m.sum(axis=1, keepdims=True)
+                     for m in (rng.random((29, 4, 4)), rng.random((1, 4, 4))))
+    factors = [f for g in range(6) for f in [(stack, a + 5 * g) for a in (0, 2, 1, 3)]
+               + [(shared, None)]]
+    got, rows = sequence._time_ordered(factors, 1)
+    ref = np.eye(4)
+    for s, a in factors:
+        ref = (s if a is None else s[a:a + 1]) @ ref
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
+    assert rows <= len(factors) - 1
 
 
 def test_the_period_search_finds_none_in_a_long_aperiodic_list():
     # every step moves one slot but the last: a scan of each candidate p <= K / 2
-    # would compare about 3 K^2 / 8 factors before it gave up
-    stack = np.zeros((1, 4, 4))
-    factors = [(stack, k) for k in range(sequence.MAX_SWEEP_STEPS - 1)] + [(stack, 0)]
-    assert sequence._shift_period(factors) is None
-    assert sequence._shift_period(factors[:-1]) == 1
+    # would compare about 3 K^2 / 8 offsets before it gave up
+    offsets = list(range(sequence.MAX_SWEEP_STEPS - 1)) + [0]
+    assert sequence._shift(offsets) is None
+    assert sequence._shift(offsets[:-1]) == (1, 1)
 
 
 # ---------------------------------------------------------------- stored prefixes
