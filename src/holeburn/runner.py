@@ -21,7 +21,8 @@ from .analysis import residual_metrics
 from .config import (ExperimentConfig, _parse_field, apply_override, parse_config,
                      serialize_config)
 from .ensemble import build_ensemble, hole_area, readout_scan, readout_stride, write_spectra
-from .sequence import ReadoutPulse, advance, compile_sequence, run, scan, write_trace_csv
+from .sequence import (ReadoutPulse, Store, advance, compile_sequence, run, scan,
+                       write_trace_csv)
 
 __all__ = ["run_scenario", "run_single", "config_hash"]
 
@@ -121,46 +122,37 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     # of a sweep is built before any runs, so a bad value fails first.
     points = [(None, cfg)] if sweep is None else _sweep_points(cfg)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
     # Points are evolved before they are scanned, so points sharing a readout
     # kernel share its pass; the snapshots wait, each with its shared build
     # for scan to key, until the store passes the budget.  The store holds
     # what points share, run prefixes included (advance), and is emptied
     # with the pending list.  Builds, with their transition tables, and
     # compiles are shared for the whole run.
-    results, pending, store, shared = [], [], {}, {}
+    results, pending, store, shared = [], [], Store(), {}
     for _, sub in points:
         ens, compiled = _prepare(sub, shared)
         evolution = advance(ens, compiled, sub.drive, store)
         pending.append((_build(sub, shared), evolution))
-        if sum(numpy.size(a) for entry in store.values() for a in entry) > SCAN_BUDGET_ENTRIES:
+        if store.entries > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
-            pending, store = [], {}
+            pending, store = [], Store()
     results += scan(pending)
     # The work counts cover every point; other stats are the last point's.
     stats = dict(results[-1].stats, **{k: sum(r.stats[k] for r in results)
                                        for k in ("n_expm_matrices", "n_product_rows",
                                                  "n_kernel_evals")})
 
+    rows, named, trace, metrics = [], [], [], None
     if sweep is not None:
-        rows = []
         for (value, sub), result in zip(points, results):
             row = {"value": value}
-            trace = _trace(result, sub)
-            if trace:
-                row["hole_area"] = trace[-1][1]
-            metrics = _last_metrics(result, sub)
-            if metrics is not None:
-                row.update(asdict(metrics))
+            point_trace = _trace(result, sub)
+            if point_trace:
+                row["hole_area"] = point_trace[-1][1]
+            point_metrics = _last_metrics(result, sub)
+            if point_metrics is not None:
+                row.update(asdict(point_metrics))
             rows.append(row)
-        cols = list(rows[0].keys())
-        with open(out / "sweep.csv", "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(row[c]) for c in cols) + "\n")
-        artifacts.append("sweep.csv")
     else:
         (result,) = results
         if cfg.outputs.spectra:
@@ -177,19 +169,28 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             named = [("baseline.csv" if i == 0 else f"baseline_{i}.csv", base)
                      for i, base in enumerate(bases)]
             named += [(f"spectrum_{i:03d}.csv", r.spectrum) for i, r in enumerate(result.readouts)]
-            write_spectra([(out / name, spectrum) for name, spectrum in named])
-            artifacts += [name for name, _ in named]
+        trace, metrics = _trace(result, cfg), _last_metrics(result, cfg)
 
-        trace = _trace(result, cfg)
-        if trace:
-            write_trace_csv(trace, out / "trace.csv")
-            artifacts.append("trace.csv")
-
-        metrics = _last_metrics(result, cfg)
-        if metrics is not None:
-            with open(out / "metrics.json", "w") as fh:
-                fh.write(json.dumps(asdict(metrics), indent=2, sort_keys=True))
-            artifacts.append("metrics.json")
+    # Every result exists before the first file is written: a run that fails writes nothing.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts: list[str] = []
+    if rows:
+        cols = list(rows[0].keys())
+        with open(out / "sweep.csv", "w") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+        artifacts.append("sweep.csv")
+    write_spectra([(out / name, spectrum) for name, spectrum in named])
+    artifacts += [name for name, _ in named]
+    if trace:
+        write_trace_csv(trace, out / "trace.csv")
+        artifacts.append("trace.csv")
+    if metrics is not None:
+        with open(out / "metrics.json", "w") as fh:
+            fh.write(json.dumps(asdict(metrics), indent=2, sort_keys=True))
+        artifacts.append("metrics.json")
 
     manifest = {
         "config_hash": config_hash(cfg),

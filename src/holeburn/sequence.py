@@ -45,6 +45,7 @@ __all__ = [
     "Readout",
     "RunResult",
     "Evolution",
+    "Store",
     "compile_sequence",
     "advance",
     "scan",
@@ -284,11 +285,16 @@ def _channel_pulses(pulses, kind):
     return active
 
 
-def _active(pulses, t):
-    for p in pulses:
-        if p.start_ms - TIME_TOL_MS <= t < p.start_ms + p.duration_ms - TIME_TOL_MS:
-            return p
-    return None
+def _active(pulses, times):
+    """The first of pulses active at each of times, or None, both pulse edges shifted by
+    -TIME_TOL_MS.  With times not decreasing and pulses sorted by start, one pass finds
+    them all: a pulse ended at one time is ended at every later one, and when the first
+    pulse not ended has not started, no later one has."""
+    i = 0
+    for t in times:
+        while i < len(pulses) and t >= pulses[i].start_ms + pulses[i].duration_ms - TIME_TOL_MS:
+            i += 1
+        yield pulses[i] if i < len(pulses) and pulses[i].start_ms - TIME_TOL_MS <= t else None
 
 
 def _sweep_steps(pump: PumpPulse, n_steps: int, base: DriveSegment,
@@ -347,14 +353,10 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
         cuts.add(p.start_ms + p.duration_ms)
     cuts = sorted(c for c in cuts if 0.0 <= c <= drives_end)
 
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > TIME_TOL_MS]
+    mids = [0.5 * (a + b) for a, b in spans]
     items: list = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a <= TIME_TOL_MS:
-            continue
-        mid = 0.5 * (a + b)
-        pump = _active(pumps, mid)
-        stim = _active(stims, mid)
-        rf = _active(rfs, mid)
+    for (a, b), pump, stim, rf in zip(spans, *(_active(ch, mids) for ch in (pumps, stims, rfs))):
         base = DriveSegment(
             t_start_ms=a,
             t_end_ms=b,
@@ -408,6 +410,25 @@ class RunResult:
     stats: dict
 
 
+class Store:
+    """What the runs of one scan share: the populations of run prefixes (advance), drive
+    matrices, item propagators and pump-rate stacks (_Propagators), each kind in a map of
+    its own, and the number of array entries they hold, for the scan budget."""
+
+    def __init__(self):
+        self.prefixes, self.drives, self.items, self.pumps = {}, {}, {}, {}
+        self.entries = 0
+
+    def get(self, kind: str, key, build):
+        """The value of the map kind under key, from build() the first time it is asked for."""
+        values = getattr(self, kind)
+        value = values.get(key)  # a stored key is hashed once: a prefix key holds its steps
+        if value is None:
+            value = values[key] = build()
+            self.entries += sum(map(np.size, value)) if isinstance(value, tuple) else value.size
+        return value
+
+
 class _Propagators:
     """Propagators of drive items, one matrix exponential per distinct generator.
 
@@ -416,25 +437,14 @@ class _Propagators:
     class centre.  A pumped group's generators are its class-independent
     drive matrix plus the pump-rate stack of its slots (engine.add_pump_rates).
     n_expm counts the matrices exponentiated so far: 4x4, or 5x5 with a trap
-    leak.
-
-    store holds, as tuples of arrays, what items and runs share, each kind
-    under keys of its own length:
-    - the populations of a run prefix (advance), keyed by one field for the
-      initial state and by five past it;
-    - the drive matrix of each distinct (params, stimulation rate, RF rate);
-    - the propagator of an item with the pump off throughout, keyed by its
-      groups;
-    - a pumped group's lattice slot starts, slot pump rates and residue
-      count, keyed by the ensemble's transition digest, pump linewidth, pump
-      rate and pump frequencies.
-    An entry counts in n_expm only where it is built.
+    leak.  What items and runs share is kept in store (Store), and an entry
+    counts in n_expm only where it is built.
     """
 
-    def __init__(self, ens: EnsembleState, cal: DriveCalibration, store: dict | None = None):
+    def __init__(self, ens: EnsembleState, cal: DriveCalibration, store: Store | None = None):
         self.ens = ens
         self.cal = cal
-        self.store = {} if store is None else store
+        self.store = Store() if store is None else store
         self.n_expm = 0
         self.n_rows = 0
 
@@ -448,22 +458,21 @@ class _Propagators:
         stim = self.cal.stim_rate(seg.stim_power_mW)
         in_band = abs(self.ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
         rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, self.cal.rf_coupling_per_V2_ms) if in_band else 0.0
-        key = (self.ens.params, stim, rf)
-        if key not in self.store:
-            drive = engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)
-            self.store[key] = (engine.build_rate_matrix(self.ens.params, drive),)
-        return self.store[key][0]
+        return self.store.get("drives", (self.ens.params, stim, rf), lambda: engine.build_rate_matrix(
+            self.ens.params, engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)))
 
-    def groups(self, item) -> tuple[tuple, int | None]:
-        """An item's segments grouped for shared exponentials, and its repeat count.
+    def groups(self, item) -> tuple:
+        """An item's key: the transition digest, the pump linewidth, its segments grouped
+        for shared exponentials, and its repeat count.
 
         Segments whose drive settings are equal and whose durations agree to
         TIME_TOL_MS form one group (drive, rate, dt_ms, members, pump): the
         calibrated drive matrix's bytes, the pump rate (0 with the pump off),
         the first member's duration, the member indices in time order and
         their pump frequencies (None with the pump off).  The count is None
-        for a single segment.  The result is its own key: with the class grid
-        and pump linewidth, equal keys build equal generators, also when a
+        for a single segment.  The digest stands in for the class centres (the
+        first transition column) and transitions, so a key holds no copy of
+        them.  Equal keys build equal generators, also when a
         pump frequency is -0.0 in one and 0.0 in the other, as a detuning
         enters only squared and the lattice takes the two zeros as one.
         """
@@ -483,7 +492,7 @@ class _Propagators:
             pump = tuple(segments[i].pump_freq_MHz for i in members) if rate > 0.0 else None
             groups.append((self._drive_matrix(first).tobytes(), rate, first.dt_ms,
                            tuple(members), pump))
-        return tuple(groups), count
+        return self.ens.transition_digest, self.cal.pump_linewidth_MHz, tuple(groups), count
 
     def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Each row's first slot in the stack of distinct detunings, each slot's first row,
@@ -515,18 +524,18 @@ class _Propagators:
     def _pump_rates(self, rate: float, pump: tuple) -> tuple[np.ndarray, np.ndarray, int]:
         """A pumped group's slot starts on the lattice, the pump rates of its slots and
         its residue count."""
-        key = (self.ens.transition_digest, self.cal.pump_linewidth_MHz, rate, pump)
-        if key not in self.store:
+        def build():
             freqs = np.array(pump)
             starts, first, residues = self._lattice(freqs)
             trans = self.ens.transition_freqs[np.arange(len(first)) - starts[first]]
-            rates = engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz,
-                                             freqs[first, None] - trans)
-            self.store[key] = starts, rates, residues
-        return self.store[key]
+            return starts, engine.pump_rate_profile(rate, self.cal.pump_linewidth_MHz,
+                                                    freqs[first, None] - trans), residues
+        return self.store.get("pumps", (self.ens.transition_digest, self.cal.pump_linewidth_MHz,
+                                        rate, pump), build)
 
-    def propagator(self, grouped) -> np.ndarray:
-        """Per-class propagator of a grouped item, shape (n_classes, k, k).
+    def propagator(self, key) -> np.ndarray:
+        """Per-class propagator of an item by its key (groups), shape (n_classes, k, k),
+        built once per store.
 
         Each group is exponentiated in one batch: one matrix for every class
         with the pump off, one per distinct pump detuning with it.  A pumped
@@ -536,17 +545,10 @@ class _Propagators:
         windows over its chunks' products.  The shape is (1, k, k) when every
         factor is shared.  k is the generator's size, and the product's
         columns, raised to the item's count, are divided by their sums once.
-        An item with the pump off throughout depends on its groups alone, so
-        the store keeps it.
         """
-        if any(pump is not None for *_, pump in grouped[0]):
-            return self._product(grouped)
-        if grouped not in self.store:
-            self.store[grouped] = (self._product(grouped),)
-        return self.store[grouped][0]
+        return self.store.get("items", key, lambda: self._product(*key[2:]))
 
-    def _product(self, grouped) -> np.ndarray:
-        groups, count = grouped
+    def _product(self, groups, count) -> np.ndarray:
         factors: list = [None] * sum(len(group[3]) for group in groups)
         for drive, rate, dt_ms, members, pump in groups:
             k = math.isqrt(len(drive) // 8)
@@ -730,18 +732,18 @@ class Evolution:
 def advance(ens: EnsembleState,
             compiled: CompiledSequence,
             calibration: DriveCalibration | None = None,
-            store: dict | None = None) -> Evolution:
+            store: Store | None = None) -> Evolution:
     """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
 
     A run's steps are its items, then each readout gap that is not empty,
-    each grouped once.  Prefix 0 is keyed by the initial populations'
-    SHA-256 digest, a longer prefix also by the transition digest (the
-    ensemble holds it), the pump linewidth and its steps' groups.  The store
-    (_Propagators; a fresh one without it) keeps the populations of prefix
-    0, of each readout, of the end and of each pumped step that a pump-off
-    step or the end follows.  A run resumes from its longest stored prefix
-    before the first snapshot it lacks: a pump-off step's propagator is
-    itself stored, so only pumped steps past that prefix are exponentiated.
+    each keyed once (_Propagators.groups).  Prefix k is keyed by the initial
+    populations' SHA-256 digest and the keys of its first k steps, the
+    items' apart from the gaps'.  The store (a fresh one without it) keeps the populations of
+    prefix 0, of each readout, of the end and of each pumped step that a
+    pump-off step or the end follows, and the propagator of every step.  A
+    run resumes from its longest stored prefix before the first snapshot it
+    lacks, so only steps past that prefix whose propagators the store lacks
+    are exponentiated.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
@@ -755,28 +757,24 @@ def advance(ens: EnsembleState,
             t = target
         reads.append(len(steps))
     steps, store = tuple(steps), props.store
-    pumped = [any(pump is not None for *_, pump in groups) for groups, _ in steps] + [False]
+    pumped = [any(pump is not None for *_, pump in groups) for _, _, groups, _ in steps] + [False]
     kept = {0, *reads, len(steps)} | {k + 1 for k in range(len(steps))
                                        if pumped[k] and not pumped[k + 1]}
 
-    # Digests stand in for the two arrays the size of the class grid, so a
-    # key holds no copy of them; the first transition column is the class
-    # centre itself.  A prefix key past 0 has five fields, a length of its own.
     initial = hashlib.sha256(ens.populations).digest()
-    keys = {k: (initial, ens.transition_digest, cal.pump_linewidth_MHz,
-                steps[:min(k, n)], steps[n:k]) if k else (initial,) for k in sorted(kept)}
-    store.setdefault(keys[0], (ens.populations.copy(),))
+    keys = {k: (initial, steps[:min(k, n)], steps[n:k]) for k in sorted(kept)}
+    store.get("prefixes", keys[0], ens.populations.copy)
     start = 0
     for k, key in keys.items():
-        if key in store:
+        if key in store.prefixes:
             start = k
         elif k in reads or k == len(steps):
             break
-    ens.populations[:] = store[keys[start]][0]
+    ens.populations[:] = store.prefixes[keys[start]]
     for k in range(start, len(steps)):
         engine.apply_batch(props.propagator(steps[k]), ens.populations)
-        if k + 1 in keys and keys[k + 1] not in store:
-            store[keys[k + 1]] = (ens.populations.copy(),)
+        if k + 1 in keys:
+            store.get("prefixes", keys[k + 1], ens.populations.copy)
 
     stats = {
         "n_items": n,
@@ -786,11 +784,11 @@ def advance(ens: EnsembleState,
         "n_expm_matrices": props.n_expm,
         "n_product_rows": props.n_rows,
         "class_step_MHz": ens.class_step_MHz,
-        "pump_residues": [props._pump_rates(rate, pump)[2] for groups, _ in steps
+        "pump_residues": [props._pump_rates(rate, pump)[2] for _, _, groups, _ in steps
                           for _, rate, _, _, pump in groups if pump is not None],
     }
     snaps = [keys[k] for k in (0, *reads)]
-    return Evolution(compiled.readouts, [store[key][0] for key in snaps], stats, snaps)
+    return Evolution(compiled.readouts, [store.prefixes[key] for key in snaps], stats, snaps)
 
 
 def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:

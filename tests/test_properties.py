@@ -341,6 +341,35 @@ def test_compiled_steps_tile_the_drives_on_the_pump_grid(pulses):
         assert seg.pump_rate_per_ms == rate
 
 
+_TICK = sequence.TIME_TOL_MS / 2
+
+
+def _scanned_active(pulses, t):
+    """The first pulse active at t by a scan of every pulse, edges shifted by -TIME_TOL_MS."""
+    return next((p for p in pulses if p.start_ms - sequence.TIME_TOL_MS <= t
+                 < p.start_ms + p.duration_ms - sequence.TIME_TOL_MS), None)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 4), st.integers(1, 3),
+                          st.integers(-3, 3)), max_size=6))
+def test_the_active_pulses_are_those_a_scan_of_every_pulse_finds(layout):
+    # edges whole milliseconds apart, each moved a few half tolerances: pulses
+    # that touch or overlap by less than TIME_TOL_MS, read at times around
+    # every edge and at every pulse's middle
+    pulses, end = [], 0.0
+    for gap, gap_ticks, length, length_ticks in layout:
+        start = max(0.0, end + gap + gap_ticks * _TICK)
+        pulses.append(StimulationPulse(start_ms=start, duration_ms=length + length_ticks * _TICK,
+                                       power_mW=1.0))
+        end = start + pulses[-1].duration_ms
+    pulses = sequence._channel_pulses(pulses, StimulationPulse)
+    times = sorted([p.start_ms + p.duration_ms / 2 for p in pulses]
+                   + [edge + k * _TICK for p in pulses
+                      for edge in (p.start_ms, p.start_ms + p.duration_ms) for k in range(-4, 5)])
+    assert list(sequence._active(pulses, times)) == [_scanned_active(pulses, t) for t in times]
+
+
 def _sorted_key_index(pump, centers):
     """Sharing by sorted detuning keys, the rule the lattice index reproduces.
 
@@ -628,15 +657,16 @@ def test_every_sweep_row_equals_its_point_run_alone(scenario):
     raw, path = scenario
     cfg = parse_config(raw)
     alone = [_alone(raw, path, value) for value in cfg.outputs.sweep.values]
-    # three population arrays of the 21 SMALL classes: a point that stores a
-    # prefix past its initial state flushes.  At what the store holds after
-    # the first point (None), a later point flushes once it stores anything,
-    # so points resume from stored prefixes on both sides of a flush.
+    # three population arrays of the 21 SMALL classes: a point with a pumped
+    # item flushes, as its propagator alone holds 21 x 4 x 4 entries.  At what
+    # the store holds after the first point (None), a later point flushes once
+    # it stores anything, so points resume from stored prefixes on both sides
+    # of a flush.
     held, advance = [], runner.advance
 
     def spy(*args):
         evolution = advance(*args)
-        held.append(sum(np.size(a) for entry in args[3].values() for a in entry))
+        held.append(args[3].entries)
         return evolution
 
     for budget in (runner.SCAN_BUDGET_ENTRIES, 3 * 5 * 21, None):

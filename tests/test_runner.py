@@ -10,7 +10,7 @@ from holeburn.analysis import residual_metrics
 from holeburn.config import ExperimentConfig, apply_override, parse_config, serialize_config
 from holeburn.ensemble import Spectrum, hole_area
 from holeburn.errors import ConfigError
-from holeburn.presets import preset
+from holeburn.presets import preset, preset_names
 from holeburn.runner import run_scenario
 
 
@@ -139,13 +139,17 @@ def test_sweep_points_with_different_kernels_get_their_own_passes(tmp_path):
 
 def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
     raw = _drive_sweep("sequence[0].power_rate_per_ms", [1.0, 2.0, 3.0, 4.0, 5.0])
+    evolved = _evolutions(monkeypatch)
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
-    # after one point the store holds the initial state and the populations
-    # after the pump and at the readout (3 x 41 x 5 entries), the 41 x 4 pump
-    # rates with their slot start and residue count, and the drive matrix and
-    # drive-free gap's propagator (2 x 4 x 4); each later point adds its own
-    # two prefixes and pump rates, so a second point passes the budget
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 41 * 4 + 2 + 2 * 16)
+    # after one point the store holds, by map: the initial state and the
+    # populations after the pump and at the readout (prefixes, 3 x 41 x 5), the
+    # drive matrix (drives, 4 x 4), the pumped item's and the drive-free gap's
+    # propagators (items, 41 x 4 x 4 + 4 x 4), and the 41 x 4 pump rates with
+    # their slot start and residue count (pumps); each later point adds its own
+    # two prefixes, pumped propagator and pump rates, so a second point passes
+    budget = 3 * 41 * 5 + 16 + (41 * 16 + 16) + (41 * 4 + 2)
+    assert evolved[0][1] == budget < evolved[1][1]
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
     manifest = run_scenario(parse_config(raw), tmp_path / "flushed")
     # passes over points 1-2, 3-4 and 5
     assert manifest["stats"]["n_kernel_evals"] == 3 * 21 * 4 * 41
@@ -221,17 +225,21 @@ def test_sweep_points_with_equal_generators_share_one_evolution(tmp_path):
 def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     raw = _stim_detuning_sweep([-3000.0, 3000.0, 7000.0, -3000.0, 3000.0])
     near, far = _single_expm(raw, 3000.0), _single_expm(raw, 7000.0)
+    evolved = _evolutions(monkeypatch)
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
     # the drive-free gap is shared by every point: one matrix fewer
     assert whole["stats"]["n_expm_matrices"] == near + far - 1
-    # after point 1 the store holds the initial state and the populations
-    # after the pumped item and at the readout (3 x 41 x 5 entries), the
-    # 41 x 4 pump rates with their slot start and residue count, two 4 x 4
-    # drive matrices (the pumped item's and the gap's) and the gap's
-    # propagator; point 2 resumes from its whole run and adds nothing, and
-    # point 3 adds its drive matrix and two prefixes, so the budget is passed
-    # at point 3, not at point 2
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", 3 * 41 * 5 + 41 * 4 + 2 + 3 * 16)
+    # after point 1 the store holds, by map: the initial state and the
+    # populations after the pumped item and at the readout (prefixes,
+    # 3 x 41 x 5), two drive matrices, the pumped item's and the gap's
+    # (drives, 2 x 4 x 4), their propagators (items, 41 x 4 x 4 + 4 x 4) and
+    # the 41 x 4 pump rates with their slot start and residue count (pumps);
+    # point 2 resumes from its whole run and adds nothing, and point 3 adds
+    # its drive matrix, pumped propagator and two prefixes, so the budget is
+    # passed at point 3, not at point 2
+    budget = 3 * 41 * 5 + 2 * 16 + (41 * 16 + 16) + (41 * 4 + 2)
+    assert evolved[0][1] == evolved[1][1] == budget < evolved[2][1]
+    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
     # the scan empties the store, so point 4 is evolved again, its gap
     # included, and point 5 resumes from it
@@ -254,12 +262,14 @@ def test_sweep_points_with_equal_sequences_share_one_compile(tmp_path, monkeypat
 
 
 def _evolutions(monkeypatch):
-    """(store, Evolution) of every point runner.advance evolves, recorded as it returns."""
+    """(store, its entries, Evolution) of every point runner.advance evolves, recorded as
+    it returns."""
     calls, real = [], runner.advance
 
     def spy(*args):
-        calls.append((args[3], real(*args)))
-        return calls[-1][1]
+        evolution = real(*args)
+        calls.append((args[3], args[3].entries, evolution))
+        return evolution
 
     monkeypatch.setattr(runner, "advance", spy)
     return calls
@@ -282,7 +292,7 @@ def test_sweep_points_resume_from_their_shared_prefix(tmp_path, monkeypatch):
     run_scenario(cfg, tmp_path)
     assert [len(g) for g, _ in calls if len(g) > 1] == pumped
     # a resumed point reports the residues of the groups it skipped
-    assert [evo.stats["pump_residues"] for _, evo in evolved] == [r for r, _ in alone]
+    assert [evo.stats["pump_residues"] for *_, evo in evolved] == [r for r, _ in alone]
 
 
 @pytest.mark.parametrize("name, most", [
@@ -294,9 +304,20 @@ def test_sweep_points_resume_from_their_shared_prefix(tmp_path, monkeypatch):
 def test_the_store_holds_few_populations(tmp_path, monkeypatch, name, most):
     evolved = _evolutions(monkeypatch)
     run_scenario(parse_config(preset(name)), tmp_path)
-    stores = {id(store): store for store, _ in evolved}.values()
-    # prefix keys are the store's keys of one or five fields
-    assert max(sum(len(key) in (1, 5) for key in store) for store in stores) <= most
+    stores = {id(store): store for store, *_ in evolved}.values()
+    assert max(len(store.prefixes) for store in stores) <= most
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_the_store_counts_every_entry_it_holds(tmp_path, monkeypatch, name):
+    evolved = _evolutions(monkeypatch)
+    run_scenario(parse_config(preset(name)), tmp_path)
+    assert evolved
+    for store in {id(store): store for store, *_ in evolved}.values():
+        values = [v for kind in (store.prefixes, store.drives, store.items, store.pumps)
+                  for v in kind.values()]
+        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
+        assert store.entries == sum(np.size(a) for a in arrays)
 
 
 def test_sweep_points_share_one_pump_rate_stack(tmp_path, monkeypatch):
@@ -571,3 +592,35 @@ def test_a_fine_sweep_step_puts_nothing_in_the_trap():
     assert ens.n_classes == 61
     assert np.all(ens.populations[:, 4] == 0.0)
     assert np.abs(ens.populations.sum(axis=1) - 1.0).max() <= 1e-15
+
+
+def test_a_run_that_fails_after_its_evolution_writes_nothing(tmp_path):
+    # the readout grid now starts at 0 MHz, above the metrics window of
+    # -20 to -5 MHz, which is read only after the evolution
+    raw = preset("fig7_tailoring")
+    raw["sequence"][3]["f_start_MHz"] = 0.0
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="window contains no grid points"):
+        run_scenario(parse_config(raw), out)
+    assert not out.exists()
+
+
+def _pulse_train(n):
+    """standard_pumping_pit on 101 classes, its pump n unswept 1 ms pulses 2 ms apart."""
+    raw = preset("standard_pumping_pit")
+    pump, *rest = raw["sequence"]
+    pump = {k: v for k, v in pump.items() if not k.startswith("sweep_")}
+    raw["sequence"] = [dict(pump, start_ms=2.0 * i, duration_ms=1.0) for i in range(n)] + rest
+    raw["profile"] = {"grid_span_MHz": 50.0}
+    return raw
+
+
+def test_a_pulse_train_exponentiates_each_distinct_item_once(tmp_path):
+    cfg = parse_config(_pulse_train(100))
+    first, second = (run_scenario(cfg, tmp_path / name) for name in ("first", "second"))
+    # one pumped stack of the 101 classes, one gap between pulses, one readout gap
+    assert first["stats"]["n_expm_matrices"] <= 2 * 101
+    assert first["stats"]["n_items"] == 199
+    assert first["artifacts"] == second["artifacts"]
+    for name in first["artifacts"]:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()

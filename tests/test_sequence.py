@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from holeburn.sequence import (
     ReadoutPulse,
     RepeatBlock,
     StimulationPulse,
+    Store,
     WaitPulse,
     compile_sequence,
     run,
@@ -291,6 +293,18 @@ def test_compile_wait_extends_horizon():
     assert comp.drives_end_ms == 25.0
     assert comp.items[-1].pump_freq_MHz is None
     assert comp.items[-1].pump_rate_per_ms == 0.0
+
+
+def test_a_long_pulse_train_compiles_in_linear_time():
+    # each cut finds its channels' active pulses in one pass over them, not a
+    # scan of every pulse: 5,000 pulses and 10,000 cuts
+    pulses = [PumpPulse(start_ms=2.0 * i, duration_ms=1.0, center_MHz=0.0, power_rate_per_ms=1.6)
+              for i in range(5000)]
+    t0 = time.perf_counter()
+    comp = compile_sequence(pulses)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(comp.items) == 2 * 5000 - 1
+    assert [it.pump_freq_MHz for it in comp.items[:3]] == [0.0, None, 0.0]
 
 
 def test_compile_bad_dt_max():
@@ -808,7 +822,7 @@ def _bytes(evolution):
 @pytest.mark.parametrize("delays", [(2.0, 0.0), ()])
 def test_a_stored_run_matches_a_fresh_advance(delays):
     comp = _prefix_sequence(delays)
-    store = {}
+    store = Store()
     first = sequence.advance(_prefix_ens(), comp, NARROW, store)
     ens, fresh_ens = _prefix_ens(), _prefix_ens()
     hit = sequence.advance(ens, comp, NARROW, store)
@@ -832,14 +846,18 @@ def _two_pumps(delays):
     ])
 
 
-def test_a_run_resumes_before_the_first_snapshot_it_lacks():
+def test_a_run_resumes_before_the_first_snapshot_it_lacks(monkeypatch):
     # the first run stores the populations after each pump and at its one
     # readout, not at the drives' end, which the second run also reads: it
     # resumes after the second pump and applies only stored propagators
-    store = {}
+    store = Store()
     sequence.advance(_prefix_ens(), _two_pumps((2.0,)), NARROW, store)
     ens, fresh_ens = _prefix_ens(), _prefix_ens()
+    applied, real = [], engine.apply_batch
+    monkeypatch.setattr(engine, "apply_batch", lambda p, pops: applied.append(p) or real(p, pops))
     evolved = sequence.advance(ens, _two_pumps((2.0, 0.0)), NARROW, store)
+    # the stimulation tail after the second pump, then the drive-free gap
+    assert len(applied) == 2
     fresh = sequence.advance(fresh_ens, _two_pumps((2.0, 0.0)), NARROW)
     assert evolved.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     # one residue for each unswept pump, the skipped ones included
@@ -854,9 +872,9 @@ def test_a_partial_sweep_period_stores_one_population_array():
     # state and the readout
     comp = _prefix_sequence((1.0,), duration=0.15)
     assert len(comp.items) > 25
-    store = {}
+    store = Store()
     sequence.advance(_prefix_ens(), comp, NARROW, store)
-    assert sum(len(key) in (1, 5) for key in store) == 3
+    assert len(store.prefixes) == 3
 
 
 def _thermal_off_balance():
@@ -865,19 +883,19 @@ def _thermal_off_balance():
     return ens
 
 
-@pytest.mark.parametrize("ens, comp, cal, resumes", [
-    (_thermal_off_balance(), _prefix_sequence(), NARROW, False),
-    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, False),
-    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, False),
-    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), False),
-    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, True),
-    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, False),
-    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, False),
-    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, False),
+@pytest.mark.parametrize("ens, comp, cal, stored", [
+    (_thermal_off_balance(), _prefix_sequence(), NARROW, "items"),
+    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, None),
+    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, None),
+    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), None),
+    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, "prefix"),
+    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, None),
+    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, None),
+    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, None),
 ], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay",
         "pump centre", "stimulation power", "pump duration"])
-def test_memo_misses_when_the_run_differs(ens, comp, cal, resumes, monkeypatch):
-    store = {}
+def test_memo_misses_when_the_run_differs(ens, comp, cal, stored, monkeypatch):
+    store = Store()
     sequence.advance(_prefix_ens(), _prefix_sequence(), NARROW, store)
     fresh_ens = replace(ens, populations=ens.populations.copy())
     stacks, real = [], engine.propagator_batch
@@ -888,10 +906,13 @@ def test_memo_misses_when_the_run_differs(ens, comp, cal, resumes, monkeypatch):
     evolved = sequence.advance(ens, comp, cal, store)
     assert _bytes(evolved) == _bytes(fresh)
     assert pumped
-    if resumes:
+    if stored == "prefix":
         # the first run stored the drives' end for its readout at delay 0: only
         # the two new gaps, 0.5 and 1.5 ms, are exponentiated
         assert stacks == [1, 1] and evolved.stats["n_expm_matrices"] == 2
+    elif stored == "items":
+        # only the populations differ: every item's propagator is the stored one
+        assert stacks == [] and evolved.stats["n_expm_matrices"] == 0
     else:
         # the pumped item differs, so it is exponentiated as in a fresh run
         assert [n for n in stacks if n > 1] == pumped
