@@ -177,10 +177,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     artifacts: list[str] = []
     if rows:
         cols = list(rows[0].keys())
-        with open(out / "sweep.csv", "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+        lines = [",".join(cols)] + [",".join(repr(row[c]) for c in cols) for row in rows]
+        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
         artifacts.append("sweep.csv")
     write_spectra([(out / name, spectrum) for name, spectrum in named])
     artifacts += [name for name, _ in named]
@@ -188,8 +186,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         write_trace_csv(trace, out / "trace.csv")
         artifacts.append("trace.csv")
     if metrics is not None:
-        with open(out / "metrics.json", "w") as fh:
-            fh.write(json.dumps(asdict(metrics), indent=2, sort_keys=True))
+        (out / "metrics.json").write_text(json.dumps(asdict(metrics), indent=2, sort_keys=True))
         artifacts.append("metrics.json")
 
     manifest = {
@@ -207,6 +204,5 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             p.at_delay_ms for p in cfg.sequence if isinstance(p, ReadoutPulse)
         ),
     }
-    with open(out / "manifest.json", "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

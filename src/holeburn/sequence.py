@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -419,14 +420,14 @@ class Store:
         self.prefixes, self.drives, self.items, self.pumps = {}, {}, {}, {}
         self.entries = 0
 
-    def get(self, kind: str, key, build):
-        """The value of the map kind under key, from build() the first time it is asked for."""
+    def get(self, kind: str, key, build, keep: bool = True):
+        """The value of the map kind under key, else build()'s, stored only when keep."""
         values = getattr(self, kind)
         value = values.get(key)  # a stored key is hashed once: a prefix key holds its steps
-        if value is None:
+        if value is None and keep:
             value = values[key] = build()
             self.entries += sum(map(np.size, value)) if isinstance(value, tuple) else value.size
-        return value
+        return build() if value is None else value
 
 
 class _Propagators:
@@ -462,8 +463,8 @@ class _Propagators:
             self.ens.params, engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)))
 
     def groups(self, item) -> tuple:
-        """An item's key: the transition digest, the pump linewidth, its segments grouped
-        for shared exponentials, and its repeat count.
+        """An item's key: (transition digest, pump linewidth) where a group is pumped, else
+        None, its segments grouped for shared exponentials, and its repeat count.
 
         Segments whose drive settings are equal and whose durations agree to
         TIME_TOL_MS form one group (drive, rate, dt_ms, members, pump): the
@@ -472,9 +473,10 @@ class _Propagators:
         their pump frequencies (None with the pump off).  The count is None
         for a single segment.  The digest stands in for the class centres (the
         first transition column) and transitions, so a key holds no copy of
-        them.  Equal keys build equal generators, also when a
-        pump frequency is -0.0 in one and 0.0 in the other, as a detuning
-        enters only squared and the lattice takes the two zeros as one.
+        them; a pump-off item depends on its drive matrices alone.  Equal keys
+        build equal generators, also when a pump frequency is -0.0 in one and
+        0.0 in the other, as a detuning enters only squared and the lattice
+        takes the two zeros as one.
         """
         if isinstance(item, RepeatBlock):
             segments, count = item.segments, item.count
@@ -492,7 +494,9 @@ class _Propagators:
             pump = tuple(segments[i].pump_freq_MHz for i in members) if rate > 0.0 else None
             groups.append((self._drive_matrix(first).tobytes(), rate, first.dt_ms,
                            tuple(members), pump))
-        return self.ens.transition_digest, self.cal.pump_linewidth_MHz, tuple(groups), count
+        pumped = any(pump is not None for *_, pump in groups)
+        ensemble = (self.ens.transition_digest, self.cal.pump_linewidth_MHz) if pumped else None
+        return ensemble, tuple(groups), count
 
     def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Each row's first slot in the stack of distinct detunings, each slot's first row,
@@ -533,9 +537,9 @@ class _Propagators:
         return self.store.get("pumps", (self.ens.transition_digest, self.cal.pump_linewidth_MHz,
                                         rate, pump), build)
 
-    def propagator(self, key) -> np.ndarray:
+    def propagator(self, key, keep: bool = True) -> np.ndarray:
         """Per-class propagator of an item by its key (groups), shape (n_classes, k, k),
-        built once per store.
+        from the store, or built and stored there when keep.
 
         Each group is exponentiated in one batch: one matrix for every class
         with the pump off, one per distinct pump detuning with it.  A pumped
@@ -546,7 +550,7 @@ class _Propagators:
         factor is shared.  k is the generator's size, and the product's
         columns, raised to the item's count, are divided by their sums once.
         """
-        return self.store.get("items", key, lambda: self._product(*key[2:]))
+        return self.store.get("items", key, lambda: self._product(*key[1:]), keep)
 
     def _product(self, groups, count) -> np.ndarray:
         factors: list = [None] * sum(len(group[3]) for group in groups)
@@ -737,13 +741,12 @@ def advance(ens: EnsembleState,
 
     A run's steps are its items, then each readout gap that is not empty,
     each keyed once (_Propagators.groups).  Prefix k is keyed by the initial
-    populations' SHA-256 digest and the keys of its first k steps, the
-    items' apart from the gaps'.  The store (a fresh one without it) keeps the populations of
-    prefix 0, of each readout, of the end and of each pumped step that a
-    pump-off step or the end follows, and the propagator of every step.  A
-    run resumes from its longest stored prefix before the first snapshot it
-    lacks, so only steps past that prefix whose propagators the store lacks
-    are exponentiated.
+    populations' SHA-256 digest and its first k steps' keys.  The store (a
+    fresh one without it) keeps the propagator of each step that is pump-off
+    or recurs in the run, and the populations of prefix 0, of each readout,
+    of the end and after each step whose propagator it does not keep that a
+    kept step or the end follows.  A run resumes from its longest stored
+    prefix before the first snapshot it lacks.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
@@ -757,9 +760,10 @@ def advance(ens: EnsembleState,
             t = target
         reads.append(len(steps))
     steps, store = tuple(steps), props.store
-    pumped = [any(pump is not None for *_, pump in groups) for _, _, groups, _ in steps] + [False]
+    uses = Counter(steps)
+    shared = [key[0] is None or uses[key] > 1 for key in steps] + [True]
     kept = {0, *reads, len(steps)} | {k + 1 for k in range(len(steps))
-                                       if pumped[k] and not pumped[k + 1]}
+                                       if shared[k + 1] and not shared[k]}
 
     initial = hashlib.sha256(ens.populations).digest()
     keys = {k: (initial, steps[:min(k, n)], steps[n:k]) for k in sorted(kept)}
@@ -772,7 +776,7 @@ def advance(ens: EnsembleState,
             break
     ens.populations[:] = store.prefixes[keys[start]]
     for k in range(start, len(steps)):
-        engine.apply_batch(props.propagator(steps[k]), ens.populations)
+        engine.apply_batch(props.propagator(steps[k], shared[k]), ens.populations)
         if k + 1 in keys:
             store.get("prefixes", keys[k + 1], ens.populations.copy)
 
@@ -784,7 +788,7 @@ def advance(ens: EnsembleState,
         "n_expm_matrices": props.n_expm,
         "n_product_rows": props.n_rows,
         "class_step_MHz": ens.class_step_MHz,
-        "pump_residues": [props._pump_rates(rate, pump)[2] for _, _, groups, _ in steps
+        "pump_residues": [props._pump_rates(rate, pump)[2] for _, groups, _ in steps
                           for _, rate, _, _, pump in groups if pump is not None],
     }
     snaps = [keys[k] for k in (0, *reads)]

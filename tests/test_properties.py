@@ -657,11 +657,10 @@ def test_every_sweep_row_equals_its_point_run_alone(scenario):
     raw, path = scenario
     cfg = parse_config(raw)
     alone = [_alone(raw, path, value) for value in cfg.outputs.sweep.values]
-    # three population arrays of the 21 SMALL classes: a point with a pumped
-    # item flushes, as its propagator alone holds 21 x 4 x 4 entries.  At what
-    # the store holds after the first point (None), a later point flushes once
-    # it stores anything, so points resume from stored prefixes on both sides
-    # of a flush.
+    # three population arrays of the 21 SMALL classes: a point that stores a
+    # prefix past its initial state flushes.  At what the store holds after
+    # the first point (None), a later point flushes once it stores anything,
+    # so points resume from stored prefixes on both sides of a flush.
     held, advance = [], runner.advance
 
     def spy(*args):

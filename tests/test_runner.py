@@ -143,11 +143,11 @@ def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
     # after one point the store holds, by map: the initial state and the
     # populations after the pump and at the readout (prefixes, 3 x 41 x 5), the
-    # drive matrix (drives, 4 x 4), the pumped item's and the drive-free gap's
-    # propagators (items, 41 x 4 x 4 + 4 x 4), and the 41 x 4 pump rates with
-    # their slot start and residue count (pumps); each later point adds its own
-    # two prefixes, pumped propagator and pump rates, so a second point passes
-    budget = 3 * 41 * 5 + 16 + (41 * 16 + 16) + (41 * 4 + 2)
+    # drive matrix (drives, 4 x 4), the drive-free gap's propagator (items,
+    # 4 x 4; the pumped item's is used once and not kept), and the 41 x 4 pump
+    # rates with their slot start and residue count (pumps); each later point
+    # adds its own two prefixes and pump rates, so a second point passes
+    budget = 3 * 41 * 5 + 16 + 16 + (41 * 4 + 2)
     assert evolved[0][1] == budget < evolved[1][1]
     monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
     manifest = run_scenario(parse_config(raw), tmp_path / "flushed")
@@ -232,12 +232,12 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     # after point 1 the store holds, by map: the initial state and the
     # populations after the pumped item and at the readout (prefixes,
     # 3 x 41 x 5), two drive matrices, the pumped item's and the gap's
-    # (drives, 2 x 4 x 4), their propagators (items, 41 x 4 x 4 + 4 x 4) and
-    # the 41 x 4 pump rates with their slot start and residue count (pumps);
-    # point 2 resumes from its whole run and adds nothing, and point 3 adds
-    # its drive matrix, pumped propagator and two prefixes, so the budget is
-    # passed at point 3, not at point 2
-    budget = 3 * 41 * 5 + 2 * 16 + (41 * 16 + 16) + (41 * 4 + 2)
+    # (drives, 2 x 4 x 4), the gap's propagator (items, 4 x 4; the pumped
+    # item's is used once and not kept) and the 41 x 4 pump rates with their
+    # slot start and residue count (pumps); point 2 resumes from its whole run
+    # and adds nothing, and point 3 adds its drive matrix and two prefixes, so
+    # the budget is passed at point 3, not at point 2
+    budget = 3 * 41 * 5 + 2 * 16 + 16 + (41 * 4 + 2)
     assert evolved[0][1] == evolved[1][1] == budget < evolved[2][1]
     monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")

@@ -846,18 +846,14 @@ def _two_pumps(delays):
     ])
 
 
-def test_a_run_resumes_before_the_first_snapshot_it_lacks(monkeypatch):
+def test_a_run_resumes_before_the_first_snapshot_it_lacks():
     # the first run stores the populations after each pump and at its one
     # readout, not at the drives' end, which the second run also reads: it
     # resumes after the second pump and applies only stored propagators
     store = Store()
     sequence.advance(_prefix_ens(), _two_pumps((2.0,)), NARROW, store)
     ens, fresh_ens = _prefix_ens(), _prefix_ens()
-    applied, real = [], engine.apply_batch
-    monkeypatch.setattr(engine, "apply_batch", lambda p, pops: applied.append(p) or real(p, pops))
     evolved = sequence.advance(ens, _two_pumps((2.0, 0.0)), NARROW, store)
-    # the stimulation tail after the second pump, then the drive-free gap
-    assert len(applied) == 2
     fresh = sequence.advance(fresh_ens, _two_pumps((2.0, 0.0)), NARROW)
     assert evolved.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     # one residue for each unswept pump, the skipped ones included
@@ -877,24 +873,45 @@ def test_a_partial_sweep_period_stores_one_population_array():
     assert len(store.prefixes) == 3
 
 
+def test_a_partial_sweep_period_holds_no_propagator_per_step():
+    # 0.55 ms of a 100-step, 0.1 ms sweep on standard_pumping_pit's 1,001
+    # classes: five periods in one repeat block, then 50 single-step items,
+    # each used once, so each 1,001 x 4 x 4 propagator is applied and dropped
+    raw = preset("standard_pumping_pit")
+    raw["sequence"][0]["duration_ms"] = 0.55
+    cfg = parse_config(dict(raw, dt_max_ms=1e-3))
+    ens, comp = runner._prepare(cfg)
+    assert (len(comp.items), ens.n_classes) == (51, 1001)
+    store = Store()
+    tracemalloc.start()
+    try:
+        sequence.advance(ens, comp, cfg.drive, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ensemble is None for ensemble, *_ in store.items)
+    # storing every step's propagator would hold 50 of them
+    assert peak < 30 * ens.n_classes * 4 * 4 * 8
+
+
 def _thermal_off_balance():
     ens = _prefix_ens()
     ens.populations[:, :2] = [0.6, 0.4]
     return ens
 
 
-@pytest.mark.parametrize("ens, comp, cal, stored", [
-    (_thermal_off_balance(), _prefix_sequence(), NARROW, "items"),
-    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, None),
-    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, None),
-    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), None),
-    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, "prefix"),
-    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, None),
-    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, None),
-    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, None),
+@pytest.mark.parametrize("ens, comp, cal, again", [
+    (_thermal_off_balance(), _prefix_sequence(), NARROW, 0),
+    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, 0),
+    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, 0),
+    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), 0),
+    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, None),
+    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, 0),
+    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, 1),
+    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, 1),
 ], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay",
         "pump centre", "stimulation power", "pump duration"])
-def test_memo_misses_when_the_run_differs(ens, comp, cal, stored, monkeypatch):
+def test_memo_misses_when_the_run_differs(ens, comp, cal, again, monkeypatch):
     store = Store()
     sequence.advance(_prefix_ens(), _prefix_sequence(), NARROW, store)
     fresh_ens = replace(ens, populations=ens.populations.copy())
@@ -906,13 +923,12 @@ def test_memo_misses_when_the_run_differs(ens, comp, cal, stored, monkeypatch):
     evolved = sequence.advance(ens, comp, cal, store)
     assert _bytes(evolved) == _bytes(fresh)
     assert pumped
-    if stored == "prefix":
+    if again is None:
         # the first run stored the drives' end for its readout at delay 0: only
         # the two new gaps, 0.5 and 1.5 ms, are exponentiated
         assert stacks == [1, 1] and evolved.stats["n_expm_matrices"] == 2
-    elif stored == "items":
-        # only the populations differ: every item's propagator is the stored one
-        assert stacks == [] and evolved.stats["n_expm_matrices"] == 0
     else:
-        # the pumped item differs, so it is exponentiated as in a fresh run
-        assert [n for n in stacks if n > 1] == pumped
+        # the pumped item is used once in a run, so its propagator is not kept
+        # and it is exponentiated as in a fresh run; a pump-off item depends on
+        # its drive matrices alone, so only the again ones that differ are
+        assert stacks == pumped + [1] * again
