@@ -15,7 +15,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
-from .ensemble import InhomogeneousProfile
+from .ensemble import InhomogeneousProfile, line_error
 from .errors import ConfigError
 from .levels import RateParams, ZeemanConfig
 from .sequence import (
@@ -80,8 +80,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.target_od is not None and self.target_od <= 0:
             raise ConfigError("target_od", "must be > 0")
-        if self.probe_linewidth_MHz <= 0:
-            raise ConfigError("probe_linewidth_MHz", "must be > 0")
+        if error := line_error("probe_linewidth_MHz", self.probe_linewidth_MHz):
+            raise ConfigError("probe_linewidth_MHz", error)
         if self.dt_max_ms is not None and self.dt_max_ms <= 0:
             raise ConfigError("dt_max_ms", "must be > 0")
 

@@ -55,6 +55,14 @@ _BLOCK_ENTRIES = 1 << 16
 DETUNING_KEY_MHZ = 1e-11
 
 
+def line_error(name: str, value: float, width: bool = True) -> str | None:
+    """Why a Lorentzian line refuses value as its width (or, without width, detuning), else
+    None: it squares a detuning and half a width, and a width is > 0."""
+    if not np.isfinite(value * value) or width and not (value > 0 and (0.5 * value) ** 2 > 0):
+        return (f"{name} must {'be > 0 and ' * width}square to a finite number"
+                f"{', its half to > 0' * width}, got {value!r}")
+
+
 class GridResolutionWarning(UserWarning):
     """The class grid is too coarse to resolve the level splittings."""
 
@@ -84,8 +92,8 @@ class InhomogeneousProfile:
         if not abs(self.grid_span_MHz - np.rint(steps) * self.grid_step_MHz) <= DETUNING_KEY_MHZ:
             raise ValueError(f"grid_span_MHz must be a whole number of grid steps to "
                              f"{DETUNING_KEY_MHZ} MHz, got {steps!r} steps")
-        if self.shape != "flat" and self.fwhm_MHz <= 0:
-            raise ValueError("fwhm_MHz must be > 0")
+        if self.shape != "flat" and (error := line_error("fwhm_MHz", self.fwhm_MHz)):
+            raise ValueError(error)
 
     def weights(self, centers_MHz: np.ndarray) -> np.ndarray:
         x = np.asarray(centers_MHz, dtype=float) - self.center_MHz
@@ -178,11 +186,8 @@ class EnsembleState:
     DriveCalibration.pump_linewidth_MHz.
 
     transition_freqs, shape (n_classes, 4), and its SHA-256
-    transition_digest are derived from centers_MHz and config where they are
-    None, as when build_ensemble builds the state, and a table derived anew
-    gets its digest anew.  replace() hands both on, so the points of a sweep
-    read one table and one digest; a replace that changes centers_MHz or
-    config must pass transition_freqs=None.
+    transition_digest are no arguments: each state derives them from its own
+    centers_MHz and config, a replace() included.
     """
 
     config: ZeemanConfig
@@ -191,16 +196,13 @@ class EnsembleState:
     weights: np.ndarray
     populations: np.ndarray
     probe_linewidth_MHz: float = 1.0
-    transition_freqs: np.ndarray | None = field(default=None, repr=False)
-    transition_digest: bytes | None = field(default=None, repr=False)
+    transition_freqs: np.ndarray = field(init=False, repr=False)
+    transition_digest: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.transition_freqs is None:
-            ts = transition_set(self.centers_MHz, self.config)
-            self.transition_freqs = np.stack(ts.as_tuple(), axis=1)
-            self.transition_digest = None
-        if self.transition_digest is None:
-            self.transition_digest = hashlib.sha256(self.transition_freqs).digest()
+        ts = transition_set(self.centers_MHz, self.config)
+        self.transition_freqs = np.stack(ts.as_tuple(), axis=1)
+        self.transition_digest = hashlib.sha256(self.transition_freqs).digest()
 
     @property
     def n_classes(self) -> int:

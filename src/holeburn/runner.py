@@ -36,31 +36,25 @@ def config_hash(cfg: ExperimentConfig) -> str:
 SCAN_BUDGET_ENTRIES = 1 << 20
 
 
-def _build(cfg: ExperimentConfig, shared: dict):
-    """The ensemble of the config's ensemble fields, built once per distinct fields in shared."""
-    key = (cfg.profile, cfg.zeeman, cfg.rates, cfg.target_od, cfg.probe_linewidth_MHz)
-    if key not in shared:
-        shared[key] = build_ensemble(cfg.profile, cfg.zeeman, cfg.rates,
-                                     target_od=cfg.target_od,
-                                     probe_linewidth_MHz=cfg.probe_linewidth_MHz)
-    return shared[key]
-
-
 def _prepare(cfg: ExperimentConfig, shared: dict | None = None):
     """The configured ensemble and compiled sequence.
 
     Through shared, configs whose ensemble fields are equal share one
     build_ensemble call, its target_od calibration included, and configs
     whose sequence and dt_max_ms are equal share one compile_sequence call.
-    Each still gets its own populations, which advance mutates; nothing
-    mutates a compiled sequence.
+    Points get the shared objects themselves: advance leaves an ensemble as
+    it is, and nothing mutates a compiled sequence.
     """
     shared = {} if shared is None else shared
-    ens = _build(cfg, shared)
-    key = (cfg.sequence, cfg.dt_max_ms)
+    key = (cfg.profile, cfg.zeeman, cfg.rates, cfg.target_od, cfg.probe_linewidth_MHz)
     if key not in shared:
-        shared[key] = compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
-    return replace(ens, populations=ens.populations.copy()), shared[key]
+        shared[key] = build_ensemble(cfg.profile, cfg.zeeman, cfg.rates,
+                                     target_od=cfg.target_od,
+                                     probe_linewidth_MHz=cfg.probe_linewidth_MHz)
+    seq = (cfg.sequence, cfg.dt_max_ms)
+    if seq not in shared:
+        shared[seq] = compile_sequence(cfg.sequence, dt_max_ms=cfg.dt_max_ms)
+    return shared[key], shared[seq]
 
 
 def run_single(cfg: ExperimentConfig):
@@ -131,8 +125,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     results, pending, store, shared = [], [], Store(), {}
     for _, sub in points:
         ens, compiled = _prepare(sub, shared)
-        evolution = advance(ens, compiled, sub.drive, store)
-        pending.append((_build(sub, shared), evolution))
+        pending.append((ens, advance(ens, compiled, sub.drive, store)))
         if store.entries > SCAN_BUDGET_ENTRIES:
             results += scan(pending)
             pending, store = [], Store()
@@ -157,13 +150,12 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         (result,) = results
         if cfg.outputs.spectra:
             # One baseline per readout grid, numbered in order of first use;
-            # without readouts, the unpumped spectrum on the class grid, read
-            # from the initial state the one point's evolution kept.
+            # without readouts, the unpumped spectrum of the build on its class grid.
             bases = list({id(r.baseline): r.baseline for r in result.readouts}.values())
             if not bases:
                 n = ens.n_classes
                 lo, hi = float(ens.centers_MHz[0]), float(ens.centers_MHz[-1])
-                bases = readout_scan(ens, lo, hi, n, evolution.snapshots[:1])
+                bases = [readout_scan(ens, lo, hi, n)]
                 stats = dict(stats, n_kernel_evals=stats["n_kernel_evals"] + n * 4 * n,
                              readout_q=[readout_stride(ens, lo, hi, n)])
             named = [("baseline.csv" if i == 0 else f"baseline_{i}.csv", base)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import engine
 from .ensemble import (DETUNING_KEY_MHZ, EnsembleState, Spectrum, kernel_key, on_lattice,
-                       readout_scan, readout_stride)
+                       line_error, readout_scan, readout_stride)
 from .errors import SequenceError
 
 __all__ = [
@@ -262,10 +262,9 @@ class DriveCalibration:
     rf_coupling_per_V2_ms: float = engine.DEFAULT_RF_COUPLING_PER_V2_MS
 
     def __post_init__(self):
-        if self.pump_linewidth_MHz <= 0:
-            raise ValueError("pump_linewidth_MHz must be > 0")
-        if self.stim_response_fwhm_MHz <= 0:
-            raise ValueError("stim_response_fwhm_MHz must be > 0")
+        for name in ("pump_linewidth_MHz", "stim_response_fwhm_MHz", "stim_detuning_MHz"):
+            if error := line_error(name, getattr(self, name), name != "stim_detuning_MHz"):
+                raise ValueError(error)
         if self.stim_slope_per_mW_ms < 0 or self.rf_coupling_per_V2_ms < 0:
             raise ValueError("calibration rates must be >= 0")
 
@@ -719,34 +718,37 @@ def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
 
 @dataclass
 class Evolution:
-    """A run's readouts with its populations before any drive and at each readout.
+    """A run's readouts with its populations before any drive, at each readout and at its end.
 
-    Each snapshot is its store's entry for the run prefix it ends, and keys
-    holds those prefix keys (advance).  Snapshots with equal keys are
-    byte-equal, so a scan reads each once: byte-equal initial states share
-    one key, and runs that share a prefix share its snapshot.
+    Each snapshot and final is its store's entry for the run prefix it ends,
+    and keys holds the snapshots' prefix keys (advance).  Snapshots with
+    equal keys are byte-equal, so a scan reads each once: byte-equal initial
+    states share one key, and runs that share a prefix share its snapshot.
     """
 
     readouts: list[ReadoutPulse]  # by increasing delay
     snapshots: list[np.ndarray]  # the initial state, then one per readout
     stats: dict
     keys: list  # one prefix key per snapshot
+    final: np.ndarray  # the populations at the end of the run
 
 
 def advance(ens: EnsembleState,
             compiled: CompiledSequence,
             calibration: DriveCalibration | None = None,
             store: Store | None = None) -> Evolution:
-    """Evolve an ensemble (mutated in place) to each readout's drives_end + at_delay_ms.
+    """Evolve a copy of an ensemble's populations to each readout's drives_end + at_delay_ms.
 
-    A run's steps are its items, then each readout gap that is not empty,
-    each keyed once (_Propagators.groups).  Prefix k is keyed by the initial
-    populations' SHA-256 digest and its first k steps' keys.  The store (a
-    fresh one without it) keeps the propagator of each step that is pump-off
-    or recurs in the run, and the populations of prefix 0, of each readout,
-    of the end and after each step whose propagator it does not keep that a
-    kept step or the end follows.  A run resumes from its longest stored
-    prefix before the first snapshot it lacks.
+    The ensemble is left as it is, and Evolution.final is the end state.  A
+    run's steps are its items, then each readout gap that is not empty, each
+    keyed once (_Propagators.groups), so a drive-free item and an equal gap
+    are one step.  Prefix k is keyed by the initial populations' SHA-256
+    digest and its first k steps' keys.  The store (a fresh one without it)
+    keeps the propagator of each step that is pump-off or recurs in the run,
+    and the populations of prefix 0, of each readout, of the end and after
+    each step whose propagator it does not keep that a kept step or the end
+    follows.  A run resumes from its longest stored prefix before the first
+    snapshot it lacks.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
@@ -766,7 +768,7 @@ def advance(ens: EnsembleState,
                                        if shared[k + 1] and not shared[k]}
 
     initial = hashlib.sha256(ens.populations).digest()
-    keys = {k: (initial, steps[:min(k, n)], steps[n:k]) for k in sorted(kept)}
+    keys = {k: (initial, steps[:k]) for k in sorted(kept)}
     store.get("prefixes", keys[0], ens.populations.copy)
     start = 0
     for k, key in keys.items():
@@ -774,11 +776,11 @@ def advance(ens: EnsembleState,
             start = k
         elif k in reads or k == len(steps):
             break
-    ens.populations[:] = store.prefixes[keys[start]]
+    pops = store.prefixes[keys[start]].copy()
     for k in range(start, len(steps)):
-        engine.apply_batch(props.propagator(steps[k], shared[k]), ens.populations)
+        engine.apply_batch(props.propagator(steps[k], shared[k]), pops)
         if k + 1 in keys:
-            store.get("prefixes", keys[k + 1], ens.populations.copy)
+            store.get("prefixes", keys[k + 1], pops.copy)
 
     stats = {
         "n_items": n,
@@ -792,7 +794,8 @@ def advance(ens: EnsembleState,
                           for _, rate, _, _, pump in groups if pump is not None],
     }
     snaps = [keys[k] for k in (0, *reads)]
-    return Evolution(compiled.readouts, [store.prefixes[key] for key in snaps], stats, snaps)
+    return Evolution(compiled.readouts, [store.prefixes[key] for key in snaps], stats, snaps,
+                     store.prefixes[keys[len(steps)]])
 
 
 def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
@@ -839,8 +842,10 @@ def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:
 def run(ens: EnsembleState,
         compiled: CompiledSequence,
         calibration: DriveCalibration | None = None) -> RunResult:
-    """Execute a compiled sequence on an ensemble (mutated in place): scan its advance."""
-    return scan([(ens, advance(ens, compiled, calibration))])[0]
+    """Execute a compiled sequence on an ensemble, left at its end state: scan its advance."""
+    evolution = advance(ens, compiled, calibration)
+    ens.populations[:] = evolution.final
+    return scan([(ens, evolution)])[0]
 
 
 def write_trace_csv(trace, path) -> None:

@@ -12,7 +12,7 @@ from holeburn.config import (
 )
 from holeburn.errors import ConfigError
 from holeburn.presets import preset, preset_names
-from holeburn.runner import config_hash
+from holeburn.runner import config_hash, run_scenario
 
 
 def _minimal():
@@ -175,6 +175,34 @@ def test_a_time_too_large_to_count_is_a_config_error(pulse, key):
         parse_config(raw)
     assert err.value.path == f"sequence[1].{key}"
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("drive.pump_linewidth_MHz", 1e300),
+    ("drive.pump_linewidth_MHz", 1e-300),
+    ("drive.stim_response_fwhm_MHz", 1e300),
+    ("drive.stim_response_fwhm_MHz", 1e-300),
+    ("drive.stim_detuning_MHz", 1e300),
+    ("probe_linewidth_MHz", 1e300),
+    ("probe_linewidth_MHz", 1e-300),
+    ("profile.fwhm_MHz", 1e300),
+])
+def test_a_width_or_detuning_that_cannot_be_squared_is_a_config_error(path, value, tmp_path):
+    # each is finite, but a line shape squares it and overflows, or squares its
+    # half and underflows to 0; set alone or swept, it fails before any point runs
+    raw = dict(preset("rf_pumping"), profile={"shape": "lorentzian", "fwhm_MHz": 1000.0},
+               drive={"pump_linewidth_MHz": 1.0, "stim_response_fwhm_MHz": 14000.0,
+                      "stim_detuning_MHz": 0.0})
+    parse_config(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(apply_override(raw, path, value))
+    assert err.value.path == path
+    assert path.split(".")[-1] in err.value.message
+    swept = dict(raw, outputs=dict(raw["outputs"], sweep={"path": path, "values": [1.0, value]}))
+    with pytest.raises(ConfigError) as err:
+        run_scenario(parse_config(swept), tmp_path / "out")
+    assert err.value.path == path
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("target_od", [0.0, -1.0])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from holeburn.ensemble import (
 from holeburn.errors import ConfigError, GridMismatchError
 from holeburn.levels import RateParams, TransitionSet, ZeemanConfig
 from holeburn.presets import preset, preset_names
-from holeburn.runner import run_scenario
+from holeburn.runner import _prepare, run_scenario
 
 COLD = RateParams(t1_ms=11.0, tz_ms=100.0, beta=0.9)
 FIELD = ZeemanConfig(field_mT=1.2)
@@ -101,6 +102,30 @@ def test_profile_validation():
         InhomogeneousProfile(center_MHz=0.0, shape="flat", grid_span_MHz=1.0, grid_step_MHz=0.5)
     with pytest.raises(ValueError):
         InhomogeneousProfile(center_MHz=0.0, shape="boxcar")
+
+
+def test_a_replaced_field_derives_its_own_transition_table():
+    # stimulated_pumping's 1.2 mT build moved to 2 mT reads out as a fresh 2 mT
+    # build with the same rates does, not with the table it was replaced from
+    cfg = parse_config(preset("stimulated_pumping"))
+    ens = _prepare(cfg)[0]
+    moved = replace(ens, config=ZeemanConfig(field_mT=2.0))
+    fresh = build_ensemble(cfg.profile, ZeemanConfig(field_mT=2.0), ens.params, target_od=None,
+                           probe_linewidth_MHz=cfg.probe_linewidth_MHz)
+    assert moved.transition_digest == fresh.transition_digest != ens.transition_digest
+    scans = [readout_scan(e, -20.0, 20.0, 81).optical_depth for e in (moved, fresh, ens)]
+    assert scans[0].tobytes() == scans[1].tobytes()
+    assert np.abs(scans[0] - scans[2]).max() > 0.1
+
+
+@pytest.mark.parametrize("name", ["transition_freqs", "transition_digest"])
+def test_the_transition_table_is_no_argument(name):
+    ens = build_ensemble(_flat(20.0, 1.0), FIELD, COLD)
+    with pytest.raises(ValueError, match=name):
+        replace(ens, **{name: getattr(ens, name)})
+    with pytest.raises(TypeError, match=name):
+        EnsembleState(FIELD, COLD, ens.centers_MHz, ens.weights, ens.populations,
+                      **{name: getattr(ens, name)})
 
 
 def test_inverted_class_shows_gain():

@@ -193,6 +193,16 @@ def test_sweep_points_with_other_rates_get_their_own_builds(tmp_path, monkeypatc
     assert rows[0] == rows[2] != rows[1]
 
 
+def test_sweep_points_read_their_one_build_uncopied(tmp_path, monkeypatch):
+    # tz_ms 50, 100, 50: the first and last points evolve the one 50 ms build
+    # itself, and no point moves a build's thermal populations
+    evolved = _spy(monkeypatch, runner, "advance")
+    run_scenario(parse_config(_drive_sweep("rates.tz_ms", [50.0, 100.0, 50.0])), tmp_path)
+    builds = [args[0] for args in evolved]
+    assert builds[0] is builds[2] and builds[1] is not builds[0]
+    assert all(np.all(b.populations == [0.5, 0.5, 0.0, 0.0, 0.0]) for b in builds)
+
+
 _DETUNING = "drive.stim_detuning_MHz"
 
 

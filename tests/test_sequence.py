@@ -831,9 +831,47 @@ def test_a_stored_run_matches_a_fresh_advance(delays):
     # the whole run is a stored prefix: nothing is exponentiated or multiplied
     assert hit.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     assert _bytes(hit) == _bytes(fresh)
-    # the final state is copied in, also when no readout snapshot holds it
-    assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
-    assert ens.populations.tobytes() != _prefix_ens().populations.tobytes()
+    # the final state is the stored one, also when no readout snapshot holds it,
+    # and neither run moves its ensemble
+    assert hit.final.tobytes() == fresh.final.tobytes()
+    initial = _prefix_ens().populations.tobytes()
+    assert hit.final.tobytes() != initial and fresh.final.tobytes() != initial
+    assert ens.populations.tobytes() == fresh_ens.populations.tobytes() == initial
+
+
+def test_advance_leaves_its_ensemble_as_it_found_it():
+    ens = _prefix_ens()
+    pops, before = ens.populations, ens.populations.tobytes()
+    evolution = sequence.advance(ens, _prefix_sequence(), NARROW)
+    assert ens.populations is pops and pops.tobytes() == before
+    assert evolution.final.tobytes() != before
+    # run alone writes the end state back
+    run(ens, _prefix_sequence(), NARROW)
+    assert ens.populations is pops and pops.tobytes() == evolution.final.tobytes()
+
+
+def test_a_wait_item_and_an_equal_readout_gap_are_one_step(monkeypatch):
+    # a 10 ms pump, then a 1 ms wait and a readout at delay 0, and the same pump
+    # read out at delay 1 ms: both runs end on one prefix, so the scan reads
+    # the initial state and that one snapshot
+    pump = PumpPulse(duration_ms=10.0, center_MHz=0.0, power_rate_per_ms=2.0)
+
+    def readout(delay):
+        return ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=delay)
+
+    waited = compile_sequence([pump, WaitPulse(start_ms=10.0, duration_ms=1.0), readout(0.0)])
+    delayed = compile_sequence([pump, readout(1.0)])
+    ens, store = _prefix_ens(), Store()
+    runs = [(ens, sequence.advance(ens, comp, NARROW, store)) for comp in (waited, delayed)]
+    assert runs[0][1].keys == runs[1][1].keys
+    assert runs[1][1].stats["n_expm_matrices"] == 0
+    scanned, real = [], sequence.readout_scan
+    monkeypatch.setattr(sequence, "readout_scan",
+                        lambda *args: scanned.append(len(args[-1])) or real(*args))
+    first, second = sequence.scan(runs)
+    assert scanned == [2]
+    assert first.readouts[0].spectrum.optical_depth.tobytes() == \
+        second.readouts[0].spectrum.optical_depth.tobytes()
 
 
 def _two_pumps(delays):
@@ -852,14 +890,13 @@ def test_a_run_resumes_before_the_first_snapshot_it_lacks():
     # resumes after the second pump and applies only stored propagators
     store = Store()
     sequence.advance(_prefix_ens(), _two_pumps((2.0,)), NARROW, store)
-    ens, fresh_ens = _prefix_ens(), _prefix_ens()
-    evolved = sequence.advance(ens, _two_pumps((2.0, 0.0)), NARROW, store)
-    fresh = sequence.advance(fresh_ens, _two_pumps((2.0, 0.0)), NARROW)
+    evolved = sequence.advance(_prefix_ens(), _two_pumps((2.0, 0.0)), NARROW, store)
+    fresh = sequence.advance(_prefix_ens(), _two_pumps((2.0, 0.0)), NARROW)
     assert evolved.stats == dict(fresh.stats, n_expm_matrices=0, n_product_rows=0)
     # one residue for each unswept pump, the skipped ones included
     assert evolved.stats["pump_residues"] == [1, 1]
     assert _bytes(evolved) == _bytes(fresh)
-    assert ens.populations.tobytes() == fresh_ens.populations.tobytes()
+    assert evolved.final.tobytes() == fresh.final.tobytes()
 
 
 def test_a_partial_sweep_period_stores_one_population_array():
@@ -914,11 +951,10 @@ def _thermal_off_balance():
 def test_memo_misses_when_the_run_differs(ens, comp, cal, again, monkeypatch):
     store = Store()
     sequence.advance(_prefix_ens(), _prefix_sequence(), NARROW, store)
-    fresh_ens = replace(ens, populations=ens.populations.copy())
     stacks, real = [], engine.propagator_batch
     monkeypatch.setattr(engine, "propagator_batch",
                         lambda g, dt: stacks.append(len(g)) or real(g, dt))
-    fresh = sequence.advance(fresh_ens, comp, cal)
+    fresh = sequence.advance(ens, comp, cal)
     pumped, stacks[:] = [n for n in stacks if n > 1], []
     evolved = sequence.advance(ens, comp, cal, store)
     assert _bytes(evolved) == _bytes(fresh)
