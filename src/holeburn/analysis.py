@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ensemble import Spectrum
+from .ensemble import Spectrum, window_mask
 
 __all__ = [
     "FitResult",
@@ -295,10 +295,7 @@ def residual_metrics(spectrum: Spectrum, baseline: Spectrum,
                      window_MHz: tuple[float, float]) -> ResidualMetrics:
     """Compare mean optical depth in a window before and after pumping."""
     spectrum.check_grid(baseline)
-    lo, hi = window_MHz
-    mask = (spectrum.freqs_MHz >= lo) & (spectrum.freqs_MHz <= hi)
-    if mask.sum() < 1:
-        raise ValueError("window contains no grid points")
+    mask = window_mask(spectrum.freqs_MHz, window_MHz, 1)
     base = float(baseline.optical_depth[mask].mean())
     if abs(base) < 1e-9:
         raise ValueError("baseline optical depth vanishes in the window")

@@ -15,7 +15,9 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
-from .ensemble import InhomogeneousProfile, line_error
+import numpy as np
+
+from .ensemble import InhomogeneousProfile, line_error, window_mask
 from .errors import ConfigError
 from .levels import RateParams, ZeemanConfig
 from .sequence import (
@@ -84,7 +86,40 @@ class ExperimentConfig:
             raise ConfigError("probe_linewidth_MHz", error)
         if self.dt_max_ms is not None and self.dt_max_ms <= 0:
             raise ConfigError("dt_max_ms", "must be > 0")
+        self._check_rates()
+        self._check_windows()
 
+    def _check_rates(self):
+        """Each stimulation and RF pulse's calibrated rate is finite."""
+        for i, p in enumerate(self.sequence):
+            if type(p) in _RATES:
+                field, rate, inputs = _RATES[type(p)]
+                if not np.isfinite(value := rate(self.drive, getattr(p, field))):
+                    raise ConfigError(f"sequence[{i}].{field}", f"gives a rate of {value} per "
+                                      f"ms with {inputs}; it must be finite")
+
+    def _check_windows(self):
+        """The trace window holds two points of every readout grid, and the metrics window
+        one point of the last grid read (readouts run by delay, ties in sequence order)."""
+        readouts = sorted(((i, p) for i, p in enumerate(self.sequence)
+                           if isinstance(p, ReadoutPulse)), key=lambda r: r[1].at_delay_ms)
+        for name, least, reads in (("trace", 2, readouts), ("metrics", 1, readouts[-1:])):
+            window = getattr(self.outputs, f"{name}_window_MHz")
+            for i, p in reads if window else ():
+                try:
+                    window_mask(np.linspace(p.f_start_MHz, p.f_stop_MHz, p.n_points), window,
+                                least)
+                except ValueError as exc:
+                    raise ConfigError(f"outputs.{name}_window_MHz",
+                                      f"on the readout grid of sequence[{i}], {exc}") from exc
+
+
+# Per pulse kind with a calibrated rate: the field the rate reads, the rate and its drive fields.
+_RATES = {
+    StimulationPulse: ("power_mW", DriveCalibration.stim_rate, "drive.stim_slope_per_mW_ms, "
+                       "drive.stim_response_fwhm_MHz and drive.stim_detuning_MHz"),
+    RFPulse: ("voltage_Vpp", DriveCalibration.rf_rate, "drive.rf_coupling_per_V2_ms"),
+}
 
 _PULSE_KINDS = {
     "pump": PumpPulse,

@@ -41,6 +41,7 @@ __all__ = [
     "write_spectra",
     "kernel_key",
     "hole_area",
+    "window_mask",
     "predicted_features",
 ]
 
@@ -401,15 +402,20 @@ def hole_area(spectrum: Spectrum, baseline: Spectrum,
     the same frequency grid.
     """
     spectrum.check_grid(baseline)
-    lo, hi = window_MHz
-    if not hi > lo:
-        raise ValueError("window must satisfy hi > lo")
-    mask = (spectrum.freqs_MHz >= lo) & (spectrum.freqs_MHz <= hi)
-    if mask.sum() < 2:
-        raise ValueError("window contains fewer than two grid points")
+    mask = window_mask(spectrum.freqs_MHz, window_MHz, 2)
     f = spectrum.freqs_MHz[mask]
     d = baseline.optical_depth[mask] - spectrum.optical_depth[mask]
     return float(np.trapezoid(d, f))
+
+
+def window_mask(freqs_MHz: np.ndarray, window_MHz: tuple[float, float],
+                least: int) -> np.ndarray:
+    """Which grid points lie in the closed window; ValueError when fewer than least do."""
+    lo, hi = window_MHz
+    mask = (freqs_MHz >= lo) & (freqs_MHz <= hi)
+    if (count := np.count_nonzero(mask)) < least:
+        raise ValueError(f"window [{lo}, {hi}] MHz contains {count} grid points; it needs {least}")
+    return mask
 
 
 def predicted_features(pump_MHz: float, config: ZeemanConfig) -> list[SpectralFeature]:

@@ -2,10 +2,10 @@
 
 A sequence is a list of pulses on three drive channels (pump, stimulation,
 RF mixing) plus snapshot readouts taken after the drives end.  The compiler
-flattens the channels into piecewise-constant drive segments; a repeated
-frequency sweep becomes a repeat block so the executor can build the
-propagator of one sweep cycle and raise it to the repetition count instead
-of stepping through every period.
+flattens the channels into repeat blocks of piecewise-constant drive
+segments; the whole periods of a frequency sweep are one block, so the
+executor can build the propagator of one sweep cycle and raise it to the
+repetition count instead of stepping through every period.
 
 Sharing propagators between ion classes is exact: a segment's generator
 depends on the class only through the detuning of the pump from the class
@@ -137,6 +137,8 @@ class RFPulse:
             raise ValueError("bandwidth_MHz must be > 0")
         if self.voltage_Vpp < 0:
             raise ValueError("voltage_Vpp must be >= 0")
+        if error := line_error("voltage_Vpp", self.voltage_Vpp, False):  # the rate squares it
+            raise ValueError(error)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -212,10 +214,10 @@ class DriveSegment:
 
 @dataclass(frozen=True)
 class RepeatBlock:
-    """``count`` identical repetitions of a sweep cycle."""
+    """The one compiled item: ``count`` back-to-back repetitions of ``segments``."""
 
     segments: tuple[DriveSegment, ...]
-    count: int
+    count: int = 1
 
     @property
     def dt_ms(self) -> float:
@@ -224,9 +226,10 @@ class RepeatBlock:
 
 @dataclass
 class CompiledSequence:
-    items: list  # DriveSegment | RepeatBlock, in time order
+    items: list[RepeatBlock]  # in time order
     readouts: list[ReadoutPulse]
     drives_end_ms: float
+    n_sweep_periods: int = 0  # whole periods in blocks; a partial head or tail is none
 
     def __post_init__(self):
         # run scans in this order, and the state only moves forward in time
@@ -235,15 +238,7 @@ class CompiledSequence:
     @property
     def n_segments(self) -> int:
         """Unrolled segment count."""
-        return sum(
-            it.count * len(it.segments) if isinstance(it, RepeatBlock) else 1
-            for it in self.items
-        )
-
-    @property
-    def n_sweep_periods(self) -> int:
-        """Full sweep repetitions executed through repeat blocks."""
-        return sum(it.count for it in self.items if isinstance(it, RepeatBlock))
+        return sum(it.count * len(it.segments) for it in self.items)
 
 
 @dataclass(frozen=True)
@@ -272,6 +267,9 @@ class DriveCalibration:
         base = engine.stimulation_rate(power_mW, self.stim_slope_per_mW_ms)
         hw2 = (0.5 * self.stim_response_fwhm_MHz) ** 2
         return base * hw2 / (self.stim_detuning_MHz ** 2 + hw2)
+
+    def rf_rate(self, voltage_Vpp: float) -> float:
+        return engine.rf_mix_rate(voltage_Vpp, self.rf_coupling_per_V2_ms)
 
 
 def _channel_pulses(pulses, kind):
@@ -327,13 +325,13 @@ def _sweep_steps(pump: PumpPulse, n_steps: int, base: DriveSegment,
 
 
 def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence:
-    """Flatten a pulse list into time-ordered drive segments.
+    """Flatten a pulse list into time-ordered repeat blocks of drive segments.
 
-    Swept pumps are discretised into at most dt_max_ms steps (default one
-    fiftieth of the sweep period); whole sweep periods under unchanged
-    stimulation and RF settings are folded into repeat blocks.  dt_max_ms
-    bounds only the sweep step: a constant interval stays one segment,
-    because its propagation is exact whatever its length.
+    A swept span is cut into at most dt_max_ms steps (default one fiftieth of
+    the sweep period) and is at most three blocks: a partial head period, one
+    period's steps times its whole periods, and a partial tail period, each
+    block's steps once.  A constant span is one segment once: dt_max_ms bounds
+    only the sweep step, as a constant interval's propagation is exact.
     """
     if dt_max_ms is not None and dt_max_ms <= 0:
         raise ValueError("dt_max_ms must be > 0")
@@ -355,7 +353,7 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
 
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > TIME_TOL_MS]
     mids = [0.5 * (a + b) for a, b in spans]
-    items: list = []
+    items, periods = [], 0  # periods: the whole sweep periods folded into blocks
     for (a, b), pump, stim, rf in zip(spans, *(_active(ch, mids) for ch in (pumps, stims, rfs))):
         base = DriveSegment(
             t_start_ms=a,
@@ -367,10 +365,10 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
         )
 
         if pump is None or pump.power_rate_per_ms == 0.0:
-            items.append(base)
+            items.append(RepeatBlock((base,)))
         elif pump.sweep_span_MHz == 0.0:
-            items.append(replace(base, pump_freq_MHz=pump.center_MHz,
-                                 pump_rate_per_ms=pump.power_rate_per_ms))
+            items.append(RepeatBlock((replace(base, pump_freq_MHz=pump.center_MHz,
+                                              pump_rate_per_ms=pump.power_rate_per_ms),)))
         else:
             period = pump.sweep_period_ms
             dt_eff = dt_max_ms if dt_max_ms is not None else period / SWEEP_STEPS_PER_PERIOD
@@ -386,13 +384,13 @@ def compile_sequence(pulses, dt_max_ms: float | None = None) -> CompiledSequence
             k0 = math.ceil((a - pump.start_ms - TIME_TOL_MS) / period)
             head_end = min(pump.start_ms + k0 * period, b)
             n_full = math.floor((b - head_end + TIME_TOL_MS) / period)
-            items += _sweep_steps(pump, n_steps, base, a, head_end)
-            if n_full > 0:
-                cycle = _sweep_steps(pump, n_steps, base, head_end, head_end + period)
-                items.append(RepeatBlock(segments=tuple(cycle), count=n_full))
-            items += _sweep_steps(pump, n_steps, base, head_end + n_full * period, b)
+            blocks = [(a, head_end, 1), (head_end, head_end + period, n_full),
+                      (head_end + n_full * period, b, 1)]
+            items += [RepeatBlock(tuple(_sweep_steps(pump, n_steps, base, t0, t1)), count)
+                      for t0, t1, count in blocks if count and t0 < t1 - TIME_TOL_MS]
+            periods += n_full
 
-    return CompiledSequence(items=items, readouts=readouts, drives_end_ms=drives_end)
+    return CompiledSequence(items, readouts, drives_end, periods)
 
 
 @dataclass(frozen=True)
@@ -457,11 +455,11 @@ class _Propagators:
         each distinct (params, stimulation rate, RF rate)."""
         stim = self.cal.stim_rate(seg.stim_power_mW)
         in_band = abs(self.ens.config.delta_e_MHz - seg.rf_center_MHz) <= seg.rf_bandwidth_MHz / 2.0
-        rf = engine.rf_mix_rate(seg.rf_voltage_Vpp, self.cal.rf_coupling_per_V2_ms) if in_band else 0.0
+        rf = self.cal.rf_rate(seg.rf_voltage_Vpp) if in_band else 0.0
         return self.store.get("drives", (self.ens.params, stim, rf), lambda: engine.build_rate_matrix(
             self.ens.params, engine.DriveRates(stim_rate=stim, rf_mix_rate=rf)))
 
-    def groups(self, item) -> tuple:
+    def groups(self, item: RepeatBlock) -> tuple:
         """An item's key: (transition digest, pump linewidth) where a group is pumped, else
         None, its segments grouped for shared exponentials, and its repeat count.
 
@@ -469,33 +467,28 @@ class _Propagators:
         TIME_TOL_MS form one group (drive, rate, dt_ms, members, pump): the
         calibrated drive matrix's bytes, the pump rate (0 with the pump off),
         the first member's duration, the member indices in time order and
-        their pump frequencies (None with the pump off).  The count is None
-        for a single segment.  The digest stands in for the class centres (the
-        first transition column) and transitions, so a key holds no copy of
-        them; a pump-off item depends on its drive matrices alone.  Equal keys
-        build equal generators, also when a pump frequency is -0.0 in one and
-        0.0 in the other, as a detuning enters only squared and the lattice
-        takes the two zeros as one.
+        their pump frequencies (None with the pump off).  The digest stands in
+        for the class centres (the first transition column) and transitions,
+        so a key holds no copy of them; a pump-off item depends on its drive
+        matrices alone.  Equal keys build equal generators, also when a pump
+        frequency is -0.0 in one and 0.0 in the other, as a detuning enters
+        only squared and the lattice takes the two zeros as one.
         """
-        if isinstance(item, RepeatBlock):
-            segments, count = item.segments, item.count
-        else:
-            segments, count = (item,), None
         keyed: dict = {}
-        for i, seg in enumerate(segments):
+        for i, seg in enumerate(item.segments):
             rate = seg.pump_rate_per_ms if seg.pump_freq_MHz is not None else 0.0
             key = (rate, seg.stim_power_mW, seg.rf_voltage_Vpp, seg.rf_center_MHz,
                    seg.rf_bandwidth_MHz, round(seg.dt_ms / TIME_TOL_MS))
             keyed.setdefault(key, []).append(i)
         groups = []
         for (rate, *_), members in keyed.items():
-            first = segments[members[0]]
-            pump = tuple(segments[i].pump_freq_MHz for i in members) if rate > 0.0 else None
+            first = item.segments[members[0]]
+            pump = tuple(item.segments[i].pump_freq_MHz for i in members) if rate > 0.0 else None
             groups.append((self._drive_matrix(first).tobytes(), rate, first.dt_ms,
                            tuple(members), pump))
         pumped = any(pump is not None for *_, pump in groups)
         ensemble = (self.ens.transition_digest, self.cal.pump_linewidth_MHz) if pumped else None
-        return ensemble, tuple(groups), count
+        return ensemble, tuple(groups), item.count
 
     def _lattice(self, pump: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Each row's first slot in the stack of distinct detunings, each slot's first row,
@@ -565,7 +558,7 @@ class _Propagators:
                 factors[i] = props, a
         acc, rows = _time_ordered(factors, self.ens.n_classes)
         self.n_rows += rows
-        acc = acc if count is None else engine.matrix_power_batch(acc, count)
+        acc = engine.matrix_power_batch(acc, count) if count > 1 else acc
         return engine.normalise_columns(acc)
 
 
@@ -740,10 +733,10 @@ def advance(ens: EnsembleState,
     """Evolve a copy of an ensemble's populations to each readout's drives_end + at_delay_ms.
 
     The ensemble is left as it is, and Evolution.final is the end state.  A
-    run's steps are its items, then each readout gap that is not empty, each
-    keyed once (_Propagators.groups), so a drive-free item and an equal gap
-    are one step.  Prefix k is keyed by the initial populations' SHA-256
-    digest and its first k steps' keys.  The store (a fresh one without it)
+    run's steps are its items, then each readout gap that is not empty as a
+    one-segment item, each keyed once (_Propagators.groups), so a drive-free
+    item and an equal gap are one step.  Prefix k is keyed by the initial
+    populations' SHA-256 digest and its first k steps' keys.  The store (a fresh one without it)
     keeps the propagator of each step that is pump-off or recurs in the run,
     and the populations of prefix 0, of each readout, of the end and after
     each step whose propagator it does not keep that a kept step or the end
@@ -758,7 +751,7 @@ def advance(ens: EnsembleState,
     for r in compiled.readouts:
         target = compiled.drives_end_ms + r.at_delay_ms
         if target > t + TIME_TOL_MS:
-            steps.append(props.groups(DriveSegment(t_start_ms=t, t_end_ms=target)))
+            steps.append(props.groups(RepeatBlock((DriveSegment(t, target),))))
             t = target
         reads.append(len(steps))
     steps, store = tuple(steps), props.store

@@ -205,6 +205,41 @@ def test_a_width_or_detuning_that_cannot_be_squared_is_a_config_error(path, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path, value, field, names", [
+    ("drive.stim_response_fwhm_MHz", 1e154, "sequence[1].power_mW", "stim_response_fwhm_MHz"),
+    ("drive.stim_slope_per_mW_ms", 1e300, "sequence[1].power_mW", "stim_slope_per_mW_ms"),
+    ("sequence[1].power_mW", 1e307, "sequence[1].power_mW", "stim_detuning_MHz"),
+    ("sequence[2].voltage_Vpp", 1e160, "sequence[2].voltage_Vpp", "voltage_Vpp"),
+])
+def test_a_stimulation_or_rf_rate_that_overflows_is_a_config_error(path, value, field, names):
+    # each value squares or multiplies to a finite number alone, but the calibrated
+    # rate it enters overflows; the run would fail with non-finite rates or (34, ...)
+    raw = serialize_config(parse_config(preset("rf_pumping")))  # every drive field stated
+    with pytest.raises(ConfigError) as err:
+        parse_config(apply_override(raw, path, value))
+    assert err.value.path == field
+    assert names in err.value.message
+
+
+@pytest.mark.parametrize("preset_name, path, value, window", [
+    # the readout grid moved above fig7's metrics window of -20 to -5 MHz
+    ("fig7_tailoring", "sequence[3].f_start_MHz", 0.0, "outputs.metrics_window_MHz"),
+    # a trace window past the end of fig3's 17 grids, and one holding a single point
+    # of fig4's grid, which every sweep point reads
+    ("fig3_standard_pumping", "outputs.trace_window_MHz", [12.0, 13.0],
+     "outputs.trace_window_MHz"),
+    ("fig4_stimulation_spectrum", "outputs.trace_window_MHz", [-8.05, -7.95],
+     "outputs.trace_window_MHz"),
+])
+def test_a_window_that_misses_its_readout_grid_is_a_config_error(preset_name, path, value,
+                                                                 window):
+    raw = apply_override(preset(preset_name), path, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == window
+    assert "readout grid of sequence[" in err.value.message
+
+
 @pytest.mark.parametrize("target_od", [0.0, -1.0])
 def test_nonpositive_target_od_is_a_config_error(target_od):
     raw = _minimal()

@@ -605,12 +605,13 @@ def test_a_fine_sweep_step_puts_nothing_in_the_trap():
 
 
 def test_a_run_that_fails_after_its_evolution_writes_nothing(tmp_path):
-    # the readout grid now starts at 0 MHz, above the metrics window of
-    # -20 to -5 MHz, which is read only after the evolution
+    # the readout grid and metrics window moved 1 THz off the 500 MHz line: the
+    # baseline there, read only after the evolution, has no absorption to refer to
     raw = preset("fig7_tailoring")
-    raw["sequence"][3]["f_start_MHz"] = 0.0
+    raw["sequence"][3].update(f_start_MHz=1e6 - 45.0, f_stop_MHz=1e6 + 45.0)
+    raw["outputs"]["metrics_window_MHz"] = [1e6 - 20.0, 1e6 - 5.0]
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="window contains no grid points"):
+    with pytest.raises(ValueError, match="baseline optical depth vanishes"):
         run_scenario(parse_config(raw), out)
     assert not out.exists()
 

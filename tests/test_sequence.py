@@ -125,9 +125,9 @@ def test_a_drive_too_short_to_hold_a_segment_is_a_config_error(kind, duration):
         assert err.value.path == "sequence[1].duration_ms"
         assert repr(duration) in str(err.value)
     else:
-        items = compile_sequence(parse_config(raw).sequence).items
-        assert items[-1].t_start_ms == 1.0
-        assert driven(items[-1])
+        (seg,) = compile_sequence(parse_config(raw).sequence).items[-1].segments
+        assert seg.t_start_ms == 1.0
+        assert driven(seg)
 
 
 def _cap_segments(monkeypatch):
@@ -171,14 +171,13 @@ def test_a_late_swept_pump_compiles_every_step_once(monkeypatch, start, period):
                      power_rate_per_ms=1.0, sweep_span_MHz=10.0, sweep_period_ms=period)
     comp = compile_sequence([WaitPulse(duration_ms=start), pump])
     wait, *swept = comp.items
-    assert wait.t_end_ms == start
+    assert wait.segments[0].t_end_ms == start
     assert comp.n_segments - 1 == 8 * 50
-    segments = [s for it in swept for s in (it.segments if isinstance(it, RepeatBlock) else [it])]
-    assert all(s.dt_ms > sequence.TIME_TOL_MS for s in segments)
+    assert all(s.dt_ms > sequence.TIME_TOL_MS for it in swept for s in it.segments)
     assert comp.drives_end_ms == start + 8 * period
     # whole periods counted to TIME_TOL_MS, not to 1e-9 of a period, make one block
     (block,) = swept
-    assert isinstance(block, RepeatBlock) and block.count == 8
+    assert block.count == 8 and comp.n_sweep_periods == 8
 
 
 # ------------------------------------------------------------------- compile
@@ -188,9 +187,9 @@ def test_compile_single_constant_pump():
         [PumpPulse(start_ms=0.0, duration_ms=10.0, center_MHz=2.0, power_rate_per_ms=1.5)]
     )
     assert comp.drives_end_ms == 10.0
-    assert len(comp.items) == 1
-    seg = comp.items[0]
-    assert isinstance(seg, DriveSegment)
+    (item,) = comp.items
+    assert item.count == 1
+    (seg,) = item.segments
     assert seg.pump_freq_MHz == 2.0
     assert seg.pump_rate_per_ms == 1.5
     assert seg.stim_power_mW == 0.0
@@ -210,11 +209,10 @@ def test_compile_folds_sweeps_into_repeat_block():
                    power_rate_per_ms=2.0, sweep_span_MHz=10.0, sweep_period_ms=0.1)]
     )
     assert comp.n_sweep_periods == 2000
-    blocks = [it for it in comp.items if isinstance(it, RepeatBlock)]
-    assert len(blocks) == 1
-    assert blocks[0].count == 2000
+    (block,) = comp.items
+    assert block.count == 2000
     # the block's cycle covers exactly one period
-    assert sum(s.dt_ms for s in blocks[0].segments) == pytest.approx(0.1, rel=1e-9)
+    assert sum(s.dt_ms for s in block.segments) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_compile_gate_blanks_center_steps():
@@ -223,10 +221,8 @@ def test_compile_gate_blanks_center_steps():
                    sweep_span_MHz=10.0, sweep_period_ms=0.1, gate_gap_MHz=3.0)],
         dt_max_ms=0.001,
     )
-    segs = [it for it in comp.items if isinstance(it, DriveSegment)]
-    blocks = [it for it in comp.items if isinstance(it, RepeatBlock)]
-    if blocks:
-        segs = list(blocks[0].segments)
+    (block,) = comp.items
+    segs = block.segments
     gated = [s for s in segs if s.pump_freq_MHz is None]
     lit = [s for s in segs if s.pump_freq_MHz is not None]
     assert gated and lit
@@ -260,7 +256,7 @@ def test_compile_stim_overhang_gets_own_segment():
     ])
     assert comp.drives_end_ms == 30.0
     assert len(comp.items) == 2
-    first, second = comp.items
+    first, second = (it.segments[0] for it in comp.items)
     assert first.pump_freq_MHz == 0.0 and first.stim_power_mW == 50.0
     assert second.pump_freq_MHz is None and second.stim_power_mW == 50.0
     assert second.t_start_ms == 10.0 and second.t_end_ms == 30.0
@@ -273,7 +269,8 @@ def test_dt_max_bounds_only_the_sweep_step():
         dt_max_ms=1.0,
     )
     assert comp.n_segments == 1
-    assert (comp.items[0].t_start_ms, comp.items[0].t_end_ms) == (0.0, 10.0)
+    (seg,) = comp.items[0].segments
+    assert (seg.t_start_ms, seg.t_end_ms) == (0.0, 10.0)
     # while a swept pump is still cut into period / dt_max_ms steps
     comp = compile_sequence(
         [PumpPulse(duration_ms=1.0, center_MHz=0.0, power_rate_per_ms=1.0,
@@ -281,7 +278,7 @@ def test_dt_max_bounds_only_the_sweep_step():
         dt_max_ms=0.01,
     )
     (block,) = comp.items
-    assert isinstance(block, RepeatBlock) and block.count == 10
+    assert block.count == 10
     assert len(block.segments) == 10
 
 
@@ -291,8 +288,9 @@ def test_compile_wait_extends_horizon():
         WaitPulse(start_ms=5.0, duration_ms=20.0),
     ])
     assert comp.drives_end_ms == 25.0
-    assert comp.items[-1].pump_freq_MHz is None
-    assert comp.items[-1].pump_rate_per_ms == 0.0
+    (wait,) = comp.items[-1].segments
+    assert wait.pump_freq_MHz is None
+    assert wait.pump_rate_per_ms == 0.0
 
 
 def test_a_long_pulse_train_compiles_in_linear_time():
@@ -304,7 +302,7 @@ def test_a_long_pulse_train_compiles_in_linear_time():
     comp = compile_sequence(pulses)
     assert time.perf_counter() - t0 < 1.0
     assert len(comp.items) == 2 * 5000 - 1
-    assert [it.pump_freq_MHz for it in comp.items[:3]] == [0.0, None, 0.0]
+    assert [it.segments[0].pump_freq_MHz for it in comp.items[:3]] == [0.0, None, 0.0]
 
 
 def test_compile_bad_dt_max():
@@ -338,9 +336,10 @@ def test_run_is_deterministic():
 
 
 def _split(seg, cuts):
-    """seg cut at the given times into back-to-back pieces of equal drive."""
+    """seg cut at the given times into back-to-back one-segment items of equal drive."""
     edges = [seg.t_start_ms, *cuts, seg.t_end_ms]
-    return [replace(seg, t_start_ms=a, t_end_ms=b) for a, b in zip(edges, edges[1:])]
+    return [RepeatBlock((replace(seg, t_start_ms=a, t_end_ms=b),))
+            for a, b in zip(edges, edges[1:])]
 
 
 def test_run_constant_segments_refinement_invariant():
@@ -351,7 +350,7 @@ def test_run_constant_segments_refinement_invariant():
         ReadoutPulse(f_start_MHz=-15.0, f_stop_MHz=15.0, n_points=121, at_delay_ms=1.0),
     ]
     coarse = compile_sequence(seq)
-    (seg,) = coarse.items
+    ((seg,),) = (it.segments for it in coarse.items)
     fine = replace(coarse, items=_split(seg, [0.5 * k for k in range(1, 20)]))
     assert len(fine.items) == 20
     d = np.abs(run(_ens(), coarse).readouts[0].spectrum.optical_depth
@@ -489,8 +488,9 @@ def test_hand_built_readouts_run_in_delay_order():
     seg = DriveSegment(t_start_ms=0.0, t_end_ms=10.0, pump_freq_MHz=0.0, pump_rate_per_ms=2.0)
     late, early = (ReadoutPulse(f_start_MHz=-5.0, f_stop_MHz=5.0, n_points=11, at_delay_ms=d)
                    for d in (5.0, 1.0))
-    both = run(_ens(), CompiledSequence(items=[seg], readouts=[late, early], drives_end_ms=10.0))
-    alone = run(_ens(), CompiledSequence(items=[seg], readouts=[early], drives_end_ms=10.0))
+    item = RepeatBlock((seg,))
+    both = run(_ens(), CompiledSequence(items=[item], readouts=[late, early], drives_end_ms=10.0))
+    alone = run(_ens(), CompiledSequence(items=[item], readouts=[early], drives_end_ms=10.0))
     assert [r.delay_ms for r in both.readouts] == [1.0, 5.0]
     assert np.array_equal(both.readouts[0].spectrum.optical_depth,
                           alone.readouts[0].spectrum.optical_depth)
@@ -527,14 +527,10 @@ NARROW = DriveCalibration(pump_linewidth_MHz=0.25)
 def _reference_propagators(ens, cal, item):
     """Per-class propagator of an item, built class by class and step by step."""
     trans = ens.transition_freqs
-    if isinstance(item, RepeatBlock):
-        segments, count = item.segments, item.count
-    else:
-        segments, count = (item,), 1
     out = []
     for i in range(ens.n_classes):
         acc = np.eye(4)
-        for seg in segments:
+        for seg in item.segments:
             pump = (0.0, 0.0, 0.0, 0.0)
             if seg.pump_freq_MHz is not None:
                 pump = tuple(engine.pump_rate_profile(
@@ -545,13 +541,13 @@ def _reference_propagators(ens, cal, item):
             drive = DriveRates(pump_rate=pump, stim_rate=stim,
                                rf_mix_rate=rf if in_band else 0.0)
             acc = engine.propagator(engine.build_rate_matrix(ens.params, drive), seg.dt_ms) @ acc
-        out.append(np.linalg.matrix_power(acc, count))
+        out.append(np.linalg.matrix_power(acc, item.count))
     return np.array(out)
 
 
 def _gated_rf_sequence():
-    # swept, gated, stimulated and RF-mixed, then a pump-off stimulation tail
-    # split by hand into ten pieces
+    # swept, gated, stimulated and RF-mixed for three periods and a half, then a
+    # pump-off stimulation tail split by hand into ten pieces
     comp = compile_sequence([
         PumpPulse(start_ms=0.0, duration_ms=0.35, center_MHz=0.0, power_rate_per_ms=2.0,
                   sweep_span_MHz=10.0, sweep_period_ms=0.1, gate_gap_MHz=3.0),
@@ -559,7 +555,7 @@ def _gated_rf_sequence():
         RFPulse(start_ms=0.0, duration_ms=0.35, center_MHz=FIELD.delta_e_MHz,
                 bandwidth_MHz=15.0, voltage_Vpp=5.0),
     ], dt_max_ms=0.01)
-    tail = comp.items.pop()
+    (tail,) = comp.items.pop().segments
     assert tail.pump_freq_MHz is None and tail.dt_ms == pytest.approx(0.1)
     comp.items += _split(tail, [0.35 + 0.01 * k for k in range(1, 10)])
     return comp
@@ -588,7 +584,7 @@ def _uneven_cycle():
 @pytest.mark.parametrize("make", [_gated_rf_sequence, _off_lattice_sequence, _uneven_cycle])
 def test_shared_propagators_match_per_class_reference(make):
     comp = make()
-    assert any(isinstance(it, RepeatBlock) for it in comp.items)
+    assert any(it.count > 1 for it in comp.items)
     ens = _ens(span=20.0, step=1.0)
     props = sequence._Propagators(ens, NARROW)
     for item in comp.items:
@@ -621,7 +617,7 @@ def test_pump_off_item_costs_one_matrix(monkeypatch):
 
 def test_sweep_cycle_costs_one_matrix_per_distinct_detuning(monkeypatch):
     comp = _gated_rf_sequence()
-    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    block = next(it for it in comp.items if it.count > 1)
     ens = _ens(span=20.0, step=1.0)
     counted = _count_matrices(monkeypatch)
     props = sequence._Propagators(ens, NARROW)
@@ -639,13 +635,13 @@ def test_a_pumped_item_needs_a_uniform_class_grid():
     centers = ens.centers_MHz.copy()
     centers[7] += 1e-9
     jittered = replace(ens, centers_MHz=centers)
-    block = next(it for it in _gated_rf_sequence().items if isinstance(it, RepeatBlock))
+    block = next(it for it in _gated_rf_sequence().items if it.count > 1)
     props = sequence._Propagators(jittered, NARROW)
     with pytest.raises(ValueError, match="centers_MHz"):
         props.propagator(props.groups(block))
     # without the pump no lattice is read
     off = DriveSegment(t_start_ms=0.0, t_end_ms=1.0, stim_power_mW=20.0)
-    assert props.propagator(props.groups(off)).shape == (1, 4, 4)
+    assert props.propagator(props.groups(RepeatBlock((off,)))).shape == (1, 4, 4)
 
 
 def test_propagator_memory_of_a_gated_sweep_cycle():
@@ -653,7 +649,7 @@ def test_propagator_memory_of_a_gated_sweep_cycle():
     # sorting its 94 x 1,001 detuning keys would peak at 4.4 MiB
     cfg = parse_config(preset("fig7_tailoring"))
     ens, comp = runner._prepare(cfg)
-    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    block = next(it for it in comp.items if it.count > 1)
     lit = sum(s.pump_freq_MHz is not None for s in block.segments)
     assert (lit, len(block.segments) - lit, ens.n_classes, block.count) == (94, 6, 1001, 2000)
     props = sequence._Propagators(ens, cfg.drive)
@@ -674,7 +670,7 @@ def test_propagator_memory_of_an_ungated_sweep_cycle():
     # one more product stack as wide as the exponentials would add 0.62 MiB
     cfg = parse_config(preset("fig6_rf_power"))
     ens, comp = runner._prepare(cfg)
-    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    block = next(it for it in comp.items if it.count > 1)
     assert (len(block.segments), ens.n_classes, block.count) == (50, 1001, 2000)
     props = sequence._Propagators(ens, cfg.drive)
     grouped = props.groups(block)
@@ -710,7 +706,7 @@ def _sweep_cycle_rows(monkeypatch, name):
     """Multiply a preset's sweep cycle; return its block, the counts and the builder."""
     cfg = parse_config(preset(name))
     ens, comp = runner._prepare(cfg)
-    block = next(it for it in comp.items if isinstance(it, RepeatBlock))
+    block = next(it for it in comp.items if it.count > 1)
     props = sequence._Propagators(ens, cfg.drive)
     grouped = props.groups(block)
     seen = _counting_products(monkeypatch)
@@ -900,11 +896,11 @@ def test_a_run_resumes_before_the_first_snapshot_it_lacks():
 
 
 def test_a_partial_sweep_period_stores_one_population_array():
-    # a period and a half of a 50-step sweep: the half period compiles to 25
-    # pumped items, and only the last of them is stored, beside the initial
-    # state and the readout
+    # a period and a half of a 50-step sweep: the whole period and the half
+    # period are one pumped item each, and only the populations after the half
+    # period are stored, beside the initial state and the readout
     comp = _prefix_sequence((1.0,), duration=0.15)
-    assert len(comp.items) > 25
+    assert [(len(it.segments), it.count) for it in comp.items] == [(50, 1), (25, 1), (1, 1)]
     store = Store()
     sequence.advance(_prefix_ens(), comp, NARROW, store)
     assert len(store.prefixes) == 3
@@ -912,13 +908,15 @@ def test_a_partial_sweep_period_stores_one_population_array():
 
 def test_a_partial_sweep_period_holds_no_propagator_per_step():
     # 0.55 ms of a 100-step, 0.1 ms sweep on standard_pumping_pit's 1,001
-    # classes: five periods in one repeat block, then 50 single-step items,
-    # each used once, so each 1,001 x 4 x 4 propagator is applied and dropped
+    # classes: five periods in one repeat block, then the 50 steps of the half
+    # period in one more, each used once, so each 1,001 x 4 x 4 propagator is
+    # applied and dropped
     raw = preset("standard_pumping_pit")
     raw["sequence"][0]["duration_ms"] = 0.55
     cfg = parse_config(dict(raw, dt_max_ms=1e-3))
     ens, comp = runner._prepare(cfg)
-    assert (len(comp.items), ens.n_classes) == (51, 1001)
+    assert [(len(it.segments), it.count) for it in comp.items] == [(100, 5), (50, 1)]
+    assert ens.n_classes == 1001
     store = Store()
     tracemalloc.start()
     try:
@@ -929,6 +927,46 @@ def test_a_partial_sweep_period_holds_no_propagator_per_step():
     assert all(ensemble is None for ensemble, *_ in store.items)
     # storing every step's propagator would hold 50 of them
     assert peak < 30 * ens.n_classes * 4 * 4 * 8
+
+
+def test_a_swept_span_compiles_to_at_most_three_items():
+    # a 1 ms sweep of 0.1 ms periods cut at 0.234 and 0.734 ms by a stimulation
+    # pulse: each of the three spans is a head period, whole periods and a tail
+    # period, as far as it has them, each one item of 2 us steps
+    comp = compile_sequence([
+        PumpPulse(duration_ms=1.0, center_MHz=0.0, power_rate_per_ms=2.0,
+                  sweep_span_MHz=10.0, sweep_period_ms=0.1),
+        StimulationPulse(start_ms=0.234, duration_ms=0.5, power_mW=20.0),
+    ])
+    assert [(len(it.segments), it.count) for it in comp.items] == [
+        (50, 2), (17, 1), (33, 1), (50, 4), (17, 1), (33, 1), (50, 2)]
+    assert comp.n_sweep_periods == 8
+    assert comp.n_segments == 500
+
+
+def test_a_partial_sweep_period_costs_at_most_one_more_cycle():
+    # fig7 with 0.05 ms more pump: the tail half period shares the cycle's lattice
+    # stack instead of exponentiating a stack per step (48,151 matrices)
+    raw = preset("fig7_tailoring")
+    raw["sequence"][0]["duration_ms"] = 200.05
+    _, result = runner.run_single(parse_config(raw))
+    assert result.stats["n_items"] == 3
+    assert result.stats["n_expm_matrices"] <= 2 * 1_103
+
+
+def test_a_partial_sweep_period_keeps_one_pump_rate_stack():
+    # half a 0.1 ms period of 1,000 steps on standard_pumping_pit's 1,001 classes is
+    # one item and one pump-rate stack: a stack per step held 500 stacks, 15.3 MiB,
+    # and put the store at twice the scan budget after one point
+    raw = preset("standard_pumping_pit")
+    raw["sequence"][0]["duration_ms"] = 0.05
+    cfg = parse_config(dict(raw, dt_max_ms=1e-4))
+    ens, comp = runner._prepare(cfg)
+    store = Store()
+    evolution = sequence.advance(ens, comp, cfg.drive, store)
+    assert len(comp.items) == 1 and len(store.pumps) == 1
+    assert evolution.stats["n_expm_matrices"] < 51_000
+    assert store.entries < runner.SCAN_BUDGET_ENTRIES
 
 
 def _thermal_off_balance():
