@@ -21,6 +21,7 @@ from .ensemble import InhomogeneousProfile, line_error, window_mask
 from .errors import ConfigError
 from .levels import RateParams, ZeemanConfig
 from .sequence import (
+    MAX_PUMP_STEPS,
     DriveCalibration,
     Pulse,
     PumpPulse,
@@ -87,6 +88,7 @@ class ExperimentConfig:
         if self.dt_max_ms is not None and self.dt_max_ms <= 0:
             raise ConfigError("dt_max_ms", "must be > 0")
         self._check_rates()
+        self._check_pumps()
         self._check_windows()
 
     def _check_rates(self):
@@ -97,6 +99,18 @@ class ExperimentConfig:
                 if not np.isfinite(value := rate(self.drive, getattr(p, field))):
                     raise ConfigError(f"sequence[{i}].{field}", f"gives a rate of {value} per "
                                       f"ms with {inputs}; it must be finite")
+
+    def _check_pumps(self):
+        """Each pump frequency lies within MAX_PUMP_STEPS class steps of the profile centre."""
+        for i, p in enumerate(self.sequence):
+            if isinstance(p, PumpPulse):
+                far = abs(p.center_MHz - self.profile.center_MHz)
+                reaches = {"center_MHz": far, "sweep_span_MHz": far + p.sweep_span_MHz / 2}
+                for field, reach in reaches.items():
+                    if not reach / self.profile.grid_step_MHz <= MAX_PUMP_STEPS:
+                        raise ConfigError(f"sequence[{i}].{field}", f"{field} puts the pump "
+                                          f"{reach} MHz from profile.center_MHz, more than "
+                                          f"{MAX_PUMP_STEPS} steps of profile.grid_step_MHz")
 
     def _check_windows(self):
         """The trace window holds two points of every readout grid, and the metrics window

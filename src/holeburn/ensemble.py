@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GridMismatchError
-from .levels import RateParams, TransitionSet, ZeemanConfig, transition_set
+from .levels import RateParams, TransitionSet, ZeemanConfig, line_error, transition_set
 
 __all__ = [
     "InhomogeneousProfile",
@@ -54,14 +54,6 @@ _BLOCK_ENTRIES = 1 << 16
 # residues modulo the class step closer than this share a propagator.  Rounding of
 # both is about 1e-14 MHz on the bundled grids; the narrowest pump line is 0.25 MHz wide.
 DETUNING_KEY_MHZ = 1e-11
-
-
-def line_error(name: str, value: float, width: bool = True) -> str | None:
-    """Why a Lorentzian line refuses value as its width (or, without width, detuning), else
-    None: it squares a detuning and half a width, and a width is > 0."""
-    if not np.isfinite(value * value) or width and not (value > 0 and (0.5 * value) ** 2 > 0):
-        return (f"{name} must {'be > 0 and ' * width}square to a finite number"
-                f"{', its half to > 0' * width}, got {value!r}")
 
 
 class GridResolutionWarning(UserWarning):
@@ -95,6 +87,22 @@ class InhomogeneousProfile:
                              f"{DETUNING_KEY_MHZ} MHz, got {steps!r} steps")
         if self.shape != "flat" and (error := line_error("fwhm_MHz", self.fwhm_MHz)):
             raise ValueError(error)
+        # a class centre is center_MHz + its offset, rounded to the float spacing there;
+        # every lattice path takes the centres as uniform to DETUNING_KEY_MHZ, so where
+        # half that spacing can exceed it, each centre's rounding is checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.spacing(abs(self.center_MHz) + self.grid_span_MHz) <= 2 * DETUNING_KEY_MHZ:
+                x = self.offsets()
+                moved = np.abs(self.center_MHz + x - self.center_MHz - x).max()
+                if not moved <= DETUNING_KEY_MHZ:
+                    raise ValueError(f"center_MHz moves class centres up to {moved} MHz off "
+                                     f"their uniform grid, more than {DETUNING_KEY_MHZ} MHz; "
+                                     f"got {self.center_MHz!r}")
+
+    def offsets(self) -> np.ndarray:
+        """The class centres' offsets from center_MHz: -span/2 to span/2, grid_step apart."""
+        half = self.grid_span_MHz / 2.0
+        return np.linspace(-half, half, int(round(self.grid_span_MHz / self.grid_step_MHz)) + 1)
 
     def weights(self, centers_MHz: np.ndarray) -> np.ndarray:
         x = np.asarray(centers_MHz, dtype=float) - self.center_MHz
@@ -230,9 +238,8 @@ def build_ensemble(profile: InhomogeneousProfile,
     """
     if probe_linewidth_MHz <= 0:
         raise ValueError("probe_linewidth_MHz must be > 0")
-    half = profile.grid_span_MHz / 2.0
-    n = int(round(profile.grid_span_MHz / profile.grid_step_MHz)) + 1
-    centers = profile.center_MHz + np.linspace(-half, half, n)
+    centers = profile.center_MHz + profile.offsets()
+    n = len(centers)
     weights = profile.weights(centers)
 
     pops = np.zeros((n, 5))

@@ -22,6 +22,14 @@ BOHR_MHZ_PER_MT = 13.996
 PERSISTENT_LEAK_SCALE = 0.0262
 
 
+def line_error(name: str, value: float, width: bool = True) -> str | None:
+    """Why a Lorentzian line refuses value as its width (or, without width, detuning), else
+    None: it squares a detuning and half a width, and a width is > 0."""
+    if not math.isfinite(value * value) or width and not (value > 0 and (0.5 * value) ** 2 > 0):
+        return (f"{name} must {'be > 0 and ' * width}square to a finite number"
+                f"{', its half to > 0' * width}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ZeemanConfig:
     """Magnetic configuration defining the level splittings.
@@ -39,6 +47,13 @@ class ZeemanConfig:
             raise ValueError(f"field_mT must be >= 0, got {self.field_mT}")
         if self.g_ground <= 0 or self.g_excited <= 0:
             raise ValueError("g factors must be > 0")
+        # a line shape squares a detuning across a splitting, which is field times g:
+        # the error names the larger factor
+        for g in ("g_ground", "g_excited"):
+            name = g if getattr(self, g) > self.field_mT else "field_mT"
+            if error := line_error(f"{name} sets the {g[2:]} splitting, which",
+                                   zeeman_splitting(getattr(self, g), self), False):
+                raise ValueError(error)
 
     @property
     def delta_g_MHz(self) -> float:

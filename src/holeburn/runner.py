@@ -32,10 +32,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Entries the store's arrays may hold before a scan: 8 MiB.
-SCAN_BUDGET_ENTRIES = 1 << 20
-
-
 def _prepare(cfg: ExperimentConfig, shared: dict | None = None):
     """The configured ensemble and compiled sequence.
 
@@ -118,15 +114,15 @@ def run_scenario(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     # Points are evolved before they are scanned, so points sharing a readout
     # kernel share its pass; the snapshots wait, each with its shared build
-    # for scan to key, until the store passes the budget.  The store holds
-    # what points share, run prefixes included (advance), and is emptied
-    # with the pending list.  Builds, with their transition tables, and
-    # compiles are shared for the whole run.
+    # for scan to key, until the store is full.  The store holds what points
+    # share, run prefixes included (advance), and is emptied with the
+    # pending list.  Builds, with their transition tables, and compiles are
+    # shared for the whole run.
     results, pending, store, shared = [], [], Store(), {}
     for _, sub in points:
         ens, compiled = _prepare(sub, shared)
         pending.append((ens, advance(ens, compiled, sub.drive, store)))
-        if store.entries > SCAN_BUDGET_ENTRIES:
+        if store.full:
             results += scan(pending)
             pending, store = [], Store()
     results += scan(pending)

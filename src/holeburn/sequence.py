@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -62,6 +61,10 @@ SWEEP_STEPS_PER_PERIOD = 50
 # 285 MiB, and a dt_max_ms of 1e-11 on a 0.1 ms period would ask for 1e10.
 # fig7 takes 100 steps per period, stimulated_pumping at dt_max_ms 1e-5 takes 1e4.
 MAX_SWEEP_STEPS = 100_000
+
+# Most class steps a pump frequency may lie from the class grid: _lattice counts them
+# in a float, which holds every whole number up to 2**53.
+MAX_PUMP_STEPS = 2 ** 52
 
 # Times closer than this are one time: edges and cuts this close coincide, and
 # durations this close share a propagator (sweep steps differ only by rounding).
@@ -408,23 +411,33 @@ class RunResult:
     stats: dict
 
 
+# Array entries a store holds before it is full: 8 MiB of float64.
+STORE_BUDGET_ENTRIES = 1 << 20
+
+
 class Store:
     """What the runs of one scan share: the populations of run prefixes (advance), drive
     matrices, item propagators and pump-rate stacks (_Propagators), each kind in a map of
-    its own, and the number of array entries they hold, for the scan budget."""
+    its own, and the number of array entries they hold.  Every entry built while they are
+    fewer than STORE_BUDGET_ENTRIES is stored, so a store passes it by at most one entry."""
 
     def __init__(self):
         self.prefixes, self.drives, self.items, self.pumps = {}, {}, {}, {}
         self.entries = 0
 
-    def get(self, kind: str, key, build, keep: bool = True):
-        """The value of the map kind under key, else build()'s, stored only when keep."""
+    @property
+    def full(self) -> bool:
+        return self.entries >= STORE_BUDGET_ENTRIES
+
+    def get(self, kind: str, key, build):
+        """The value of the map kind under key, else build()'s, stored unless full."""
         values = getattr(self, kind)
-        value = values.get(key)  # a stored key is hashed once: a prefix key holds its steps
-        if value is None and keep:
-            value = values[key] = build()
-            self.entries += sum(map(np.size, value)) if isinstance(value, tuple) else value.size
-        return build() if value is None else value
+        if (value := values.get(key)) is None:
+            value = build()  # which may store entries of its own first
+            if not self.full:
+                values[key] = value
+                self.entries += sum(map(np.size, value)) if isinstance(value, tuple) else value.size
+        return value
 
 
 class _Propagators:
@@ -529,9 +542,9 @@ class _Propagators:
         return self.store.get("pumps", (self.ens.transition_digest, self.cal.pump_linewidth_MHz,
                                         rate, pump), build)
 
-    def propagator(self, key, keep: bool = True) -> np.ndarray:
+    def propagator(self, key) -> np.ndarray:
         """Per-class propagator of an item by its key (groups), shape (n_classes, k, k),
-        from the store, or built and stored there when keep.
+        from the store, or built (and stored there unless it is full).
 
         Each group is exponentiated in one batch: one matrix for every class
         with the pump off, one per distinct pump detuning with it.  A pumped
@@ -542,7 +555,7 @@ class _Propagators:
         factor is shared.  k is the generator's size, and the product's
         columns, raised to the item's count, are divided by their sums once.
         """
-        return self.store.get("items", key, lambda: self._product(*key[1:]), keep)
+        return self.store.get("items", key, lambda: self._product(*key[1:]))
 
     def _product(self, groups, count) -> np.ndarray:
         factors: list = [None] * sum(len(group[3]) for group in groups)
@@ -713,10 +726,10 @@ def _time_ordered(factors, n) -> tuple[np.ndarray, int]:
 class Evolution:
     """A run's readouts with its populations before any drive, at each readout and at its end.
 
-    Each snapshot and final is its store's entry for the run prefix it ends,
-    and keys holds the snapshots' prefix keys (advance).  Snapshots with
-    equal keys are byte-equal, so a scan reads each once: byte-equal initial
-    states share one key, and runs that share a prefix share its snapshot.
+    Each snapshot and final holds the populations of the run prefix it ends (the store's
+    entry where it holds one), and keys the snapshots' prefix keys (advance).  Snapshots
+    with equal keys are byte-equal, so a scan reads each once: byte-equal initial states
+    share one key, and runs that share a prefix share its snapshot.
     """
 
     readouts: list[ReadoutPulse]  # by increasing delay
@@ -736,12 +749,10 @@ def advance(ens: EnsembleState,
     run's steps are its items, then each readout gap that is not empty as a
     one-segment item, each keyed once (_Propagators.groups), so a drive-free
     item and an equal gap are one step.  Prefix k is keyed by the initial
-    populations' SHA-256 digest and its first k steps' keys.  The store (a fresh one without it)
-    keeps the propagator of each step that is pump-off or recurs in the run,
-    and the populations of prefix 0, of each readout, of the end and after
-    each step whose propagator it does not keep that a kept step or the end
-    follows.  A run resumes from its longest stored prefix before the first
-    snapshot it lacks.
+    populations' SHA-256 digest and its first k steps' keys, for k at 0, at
+    each readout and at the end.  A run resumes from the last of these the
+    store (a fresh one without it) holds before the first it lacks, and
+    offers the store every propagator and prefix it builds.
     """
     cal = calibration or DriveCalibration()
     props = _Propagators(ens, cal, store)
@@ -755,25 +766,20 @@ def advance(ens: EnsembleState,
             t = target
         reads.append(len(steps))
     steps, store = tuple(steps), props.store
-    uses = Counter(steps)
-    shared = [key[0] is None or uses[key] > 1 for key in steps] + [True]
-    kept = {0, *reads, len(steps)} | {k + 1 for k in range(len(steps))
-                                       if shared[k + 1] and not shared[k]}
 
     initial = hashlib.sha256(ens.populations).digest()
-    keys = {k: (initial, steps[:k]) for k in sorted(kept)}
-    store.get("prefixes", keys[0], ens.populations.copy)
-    start = 0
-    for k, key in keys.items():
-        if key in store.prefixes:
-            start = k
-        elif k in reads or k == len(steps):
+    keys = {k: (initial, steps[:k]) for k in (0, *reads, len(steps))}
+    held = {0: store.get("prefixes", keys[0], ens.populations.copy)}
+    for k in list(keys)[1:]:
+        if (value := store.prefixes.get(keys[k])) is None:
             break
-    pops = store.prefixes[keys[start]].copy()
+        held[k] = value
+    start = max(held)
+    pops = held[start].copy()
     for k in range(start, len(steps)):
-        engine.apply_batch(props.propagator(steps[k], shared[k]), pops)
+        engine.apply_batch(props.propagator(steps[k]), pops)
         if k + 1 in keys:
-            store.get("prefixes", keys[k + 1], pops.copy)
+            held[k + 1] = store.get("prefixes", keys[k + 1], pops.copy)
 
     stats = {
         "n_items": n,
@@ -786,9 +792,9 @@ def advance(ens: EnsembleState,
         "pump_residues": [props._pump_rates(rate, pump)[2] for _, groups, _ in steps
                           for _, rate, _, _, pump in groups if pump is not None],
     }
-    snaps = [keys[k] for k in (0, *reads)]
-    return Evolution(compiled.readouts, [store.prefixes[key] for key in snaps], stats, snaps,
-                     store.prefixes[keys[len(steps)]])
+    snaps = (0, *reads)
+    return Evolution(compiled.readouts, [held[k] for k in snaps], stats,
+                     [keys[k] for k in snaps], held[len(steps)])
 
 
 def scan(runs: list[tuple[EnsembleState, Evolution]]) -> list[RunResult]:

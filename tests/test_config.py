@@ -221,6 +221,49 @@ def test_a_stimulation_or_rf_rate_that_overflows_is_a_config_error(path, value, 
     assert names in err.value.message
 
 
+_FAR_GRID = {"profile.center_MHz": 1e12, "profile.grid_step_MHz": 0.3,
+             "profile.grid_span_MHz": 300.0}
+
+
+@pytest.mark.parametrize("name, overrides, field", [
+    ("fig3_standard_pumping", {"profile.center_MHz": 1e20}, "profile.center_MHz"),
+    ("fig3_standard_pumping", {"profile.center_MHz": 1e300}, "profile.center_MHz"),
+    ("fig3_standard_pumping", _FAR_GRID, "profile.center_MHz"),
+    ("rf_pumping", {"sequence[0].center_MHz": 1e19}, "sequence[0].center_MHz"),
+    ("rf_pumping", {"sequence[0].center_MHz": 1e150}, "sequence[0].center_MHz"),
+    ("rf_pumping", {"sequence[0].center_MHz": 1e300}, "sequence[0].center_MHz"),
+    ("rf_pumping", {"sequence[0].sweep_span_MHz": 1e300}, "sequence[0].sweep_span_MHz"),
+    ("stimulated_pumping", {"zeeman.field_mT": 1e154}, "zeeman.field_mT"),
+    ("stimulated_pumping", {"zeeman.field_mT": 1e300}, "zeeman.field_mT"),
+    ("stimulated_pumping", {"zeeman.g_ground": 1e300}, "zeeman.g_ground"),
+    ("stimulated_pumping", {"zeeman.g_excited": 1e300}, "zeeman.g_excited"),
+], ids=["centre 1e20", "centre 1e300", "step 0.3 at centre 1e12", "pump 1e19", "pump 1e150",
+        "pump 1e300", "pump span 1e300", "field 1e154", "field 1e300", "g_ground 1e300",
+        "g_excited 1e300"])
+def test_a_grid_pump_or_splitting_the_lattice_cannot_hold_is_a_config_error(name, overrides,
+                                                                           field):
+    # each passed parse and then ran with RuntimeWarnings: class centres rounded
+    # to one frequency or off their uniform grid, a pump more class steps away
+    # than the lattice counts exactly, or a splitting whose square overflows
+    raw = serialize_config(parse_config(preset(name)))  # every field stated
+    for path, value in overrides.items():
+        raw = apply_override(raw, path, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == field
+    assert field.split(".")[-1] in err.value.message
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("fig3_standard_pumping", "profile.center_MHz", 1e12),  # 0.5 MHz steps are exact there
+    ("rf_pumping", "sequence[0].center_MHz", 2e15),
+    ("stimulated_pumping", "zeeman.field_mT", 5e151),
+])
+def test_a_far_grid_pump_or_splitting_the_lattice_holds_runs(name, path, value, tmp_path):
+    raw = apply_override(serialize_config(parse_config(preset(name))), path, value)
+    run_scenario(parse_config(raw), tmp_path)
+
+
 @pytest.mark.parametrize("preset_name, path, value, window", [
     # the readout grid moved above fig7's metrics window of -20 to -5 MHz
     ("fig7_tailoring", "sequence[3].f_start_MHz", 0.0, "outputs.metrics_window_MHz"),

@@ -668,9 +668,9 @@ def test_every_sweep_row_equals_its_point_run_alone(scenario):
     raw, path = scenario
     cfg = parse_config(raw)
     alone = [_alone(raw, path, value) for value in cfg.outputs.sweep.values]
-    # three population arrays of the 21 SMALL classes: a point that stores a
-    # prefix past its initial state flushes.  At what the store holds after
-    # the first point (None), a later point flushes once it stores anything,
+    # three population arrays of the 21 SMALL classes: the store can fill
+    # within a point's run.  At one entry more than the store holds after
+    # the first point (None), a later point fills it once it stores anything,
     # so points resume from stored prefixes on both sides of a flush.
     held, advance = [], runner.advance
 
@@ -679,9 +679,9 @@ def test_every_sweep_row_equals_its_point_run_alone(scenario):
         held.append(args[3].entries)
         return evolution
 
-    for budget in (runner.SCAN_BUDGET_ENTRIES, 3 * 5 * 21, None):
+    for budget in (sequence.STORE_BUDGET_ENTRIES, 3 * 5 * 21, None):
         with tempfile.TemporaryDirectory() as out, mock.patch.object(runner, "advance", spy), \
-                mock.patch.object(runner, "SCAN_BUDGET_ENTRIES", budget or held[0]):
+                mock.patch.object(sequence, "STORE_BUDGET_ENTRIES", budget or held[0] + 1):
             runner.run_scenario(cfg, out)
             rows = (Path(out) / "sweep.csv").read_text().splitlines()[1:]
         assert rows == alone

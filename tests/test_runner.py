@@ -142,14 +142,15 @@ def test_sweep_scans_flush_past_the_budget(tmp_path, monkeypatch):
     evolved = _evolutions(monkeypatch)
     whole = run_scenario(parse_config(raw), tmp_path / "whole")
     # after one point the store holds, by map: the initial state and the
-    # populations after the pump and at the readout (prefixes, 3 x 41 x 5), the
-    # drive matrix (drives, 4 x 4), the drive-free gap's propagator (items,
-    # 4 x 4; the pumped item's is used once and not kept), and the 41 x 4 pump
-    # rates with their slot start and residue count (pumps); each later point
-    # adds its own two prefixes and pump rates, so a second point passes
-    budget = 3 * 41 * 5 + 16 + 16 + (41 * 4 + 2)
+    # populations at the readout (prefixes, 2 x 41 x 5), the drive matrix
+    # (drives, 4 x 4), the pumped item's and the drive-free gap's propagators
+    # (items, 41 x 4 x 4 and 4 x 4), and the 41 x 4 pump rates with their slot
+    # start and residue count (pumps); each later point adds its own readout
+    # prefix, pumped propagator and pump rates, so a store of one entry more
+    # is full once a second point stores anything
+    budget = 2 * 41 * 5 + 16 + (41 * 16 + 16) + (41 * 4 + 2)
     assert evolved[0][1] == budget < evolved[1][1]
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
+    monkeypatch.setattr(sequence, "STORE_BUDGET_ENTRIES", budget + 1)
     manifest = run_scenario(parse_config(raw), tmp_path / "flushed")
     # passes over points 1-2, 3-4 and 5
     assert manifest["stats"]["n_kernel_evals"] == 3 * 21 * 4 * 41
@@ -212,8 +213,8 @@ def _stim_detuning_sweep(values):
     return raw
 
 
-def _single_expm(raw, value):
-    point = apply_override(raw, _DETUNING, value)
+def _single_expm(raw, value, path=_DETUNING):
+    point = apply_override(raw, path, value)
     point["outputs"] = dict(point["outputs"], sweep=None)
     return runner.run_single(parse_config(point))[1].stats["n_expm_matrices"]
 
@@ -240,22 +241,41 @@ def test_no_evolution_is_reused_across_a_scan_flush(tmp_path, monkeypatch):
     # the drive-free gap is shared by every point: one matrix fewer
     assert whole["stats"]["n_expm_matrices"] == near + far - 1
     # after point 1 the store holds, by map: the initial state and the
-    # populations after the pumped item and at the readout (prefixes,
-    # 3 x 41 x 5), two drive matrices, the pumped item's and the gap's
-    # (drives, 2 x 4 x 4), the gap's propagator (items, 4 x 4; the pumped
-    # item's is used once and not kept) and the 41 x 4 pump rates with their
-    # slot start and residue count (pumps); point 2 resumes from its whole run
-    # and adds nothing, and point 3 adds its drive matrix and two prefixes, so
-    # the budget is passed at point 3, not at point 2
-    budget = 3 * 41 * 5 + 2 * 16 + 16 + (41 * 4 + 2)
+    # populations at the readout (prefixes, 2 x 41 x 5), two drive matrices,
+    # the pumped item's and the gap's (drives, 2 x 4 x 4), the pumped item's
+    # and the gap's propagators (items, 41 x 4 x 4 and 4 x 4) and the 41 x 4
+    # pump rates with their slot start and residue count (pumps); point 2
+    # resumes from its whole run and adds nothing, and point 3 adds its drive
+    # matrix, readout prefix and pumped propagator, so a store of one entry
+    # more is full at point 3, not at point 2
+    budget = 2 * 41 * 5 + 2 * 16 + (41 * 16 + 16) + (41 * 4 + 2)
     assert evolved[0][1] == evolved[1][1] == budget < evolved[2][1]
-    monkeypatch.setattr(runner, "SCAN_BUDGET_ENTRIES", budget)
+    monkeypatch.setattr(sequence, "STORE_BUDGET_ENTRIES", budget + 1)
     flushed = run_scenario(parse_config(raw), tmp_path / "flushed")
     # the scan empties the store, so point 4 is evolved again, its gap
     # included, and point 5 resumes from it
     assert flushed["stats"]["n_expm_matrices"] == 2 * near + far - 1
     assert ((tmp_path / "flushed" / "sweep.csv").read_bytes()
             == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
+
+def test_sweep_points_that_differ_before_a_pumped_item_share_its_propagator(tmp_path,
+                                                                          monkeypatch):
+    # a 1 ms stimulation pulse before the 10 ms pump, swept over its power: the
+    # points differ from their first step, so none resumes from another's
+    # prefix, but the first stores the pumped item's propagator and the others
+    # reuse it, so each later point exponentiates only its stimulation item
+    path, values = "sequence[0].power_mW", [10.0, 20.0, 30.0]
+    raw = _drive_sweep(path, values)
+    raw["sequence"][0]["start_ms"] = 1.0
+    raw["sequence"].insert(0, {"kind": "stimulation", "duration_ms": 1.0, "power_mW": 10.0})
+    alone = _single_expm(raw, values[0], path)
+    stacks = _spy(monkeypatch, engine, "propagator_batch")
+    manifest = run_scenario(parse_config(raw), tmp_path)
+    assert [len(g) for g, _ in stacks if len(g) > 1] == [41]
+    assert manifest["stats"]["n_expm_matrices"] == alone + len(values) - 1
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines == _single_rows(raw, path, values)
 
 
 @pytest.mark.parametrize("name, compiles", [
@@ -306,10 +326,10 @@ def test_sweep_points_resume_from_their_shared_prefix(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, most", [
-    # the initial state, then each point's prefixes after its pumped item and at
-    # its readout, where distinct: one array more than a whole-run cache held
-    ("fig4_stimulation_spectrum", 17),
-    ("fig6_rf_power", 13),
+    # the initial state, then each point's readout prefix, where distinct: as
+    # many arrays as the snapshots the scan reads
+    ("fig4_stimulation_spectrum", 9),
+    ("fig6_rf_power", 7),
 ])
 def test_the_store_holds_few_populations(tmp_path, monkeypatch, name, most):
     evolved = _evolutions(monkeypatch)

@@ -881,9 +881,9 @@ def _two_pumps(delays):
 
 
 def test_a_run_resumes_before_the_first_snapshot_it_lacks():
-    # the first run stores the populations after each pump and at its one
-    # readout, not at the drives' end, which the second run also reads: it
-    # resumes after the second pump and applies only stored propagators
+    # the first run stores the populations at its one readout, not at the
+    # drives' end, which the second run reads first: it resumes from the
+    # initial state and applies only stored propagators
     store = Store()
     sequence.advance(_prefix_ens(), _two_pumps((2.0,)), NARROW, store)
     evolved = sequence.advance(_prefix_ens(), _two_pumps((2.0, 0.0)), NARROW, store)
@@ -897,20 +897,20 @@ def test_a_run_resumes_before_the_first_snapshot_it_lacks():
 
 def test_a_partial_sweep_period_stores_one_population_array():
     # a period and a half of a 50-step sweep: the whole period and the half
-    # period are one pumped item each, and only the populations after the half
-    # period are stored, beside the initial state and the readout
+    # period are one pumped item each, and no populations between items are
+    # stored, only the initial state and the readout's
     comp = _prefix_sequence((1.0,), duration=0.15)
     assert [(len(it.segments), it.count) for it in comp.items] == [(50, 1), (25, 1), (1, 1)]
     store = Store()
     sequence.advance(_prefix_ens(), comp, NARROW, store)
-    assert len(store.prefixes) == 3
+    assert len(store.prefixes) == 2
 
 
 def test_a_partial_sweep_period_holds_no_propagator_per_step():
     # 0.55 ms of a 100-step, 0.1 ms sweep on standard_pumping_pit's 1,001
     # classes: five periods in one repeat block, then the 50 steps of the half
-    # period in one more, each used once, so each 1,001 x 4 x 4 propagator is
-    # applied and dropped
+    # period in one more, so the store holds one 1,001 x 4 x 4 propagator per
+    # item, not one per step
     raw = preset("standard_pumping_pit")
     raw["sequence"][0]["duration_ms"] = 0.55
     cfg = parse_config(dict(raw, dt_max_ms=1e-3))
@@ -924,7 +924,8 @@ def test_a_partial_sweep_period_holds_no_propagator_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(ensemble is None for ensemble, *_ in store.items)
+    # the two items, then the readout gap's one shared matrix
+    assert [len(p) for p in store.items.values()] == [ens.n_classes, ens.n_classes, 1]
     # storing every step's propagator would hold 50 of them
     assert peak < 30 * ens.n_classes * 4 * 4 * 8
 
@@ -957,7 +958,7 @@ def test_a_partial_sweep_period_costs_at_most_one_more_cycle():
 def test_a_partial_sweep_period_keeps_one_pump_rate_stack():
     # half a 0.1 ms period of 1,000 steps on standard_pumping_pit's 1,001 classes is
     # one item and one pump-rate stack: a stack per step held 500 stacks, 15.3 MiB,
-    # and put the store at twice the scan budget after one point
+    # and put the store at twice its budget after one point
     raw = preset("standard_pumping_pit")
     raw["sequence"][0]["duration_ms"] = 0.05
     cfg = parse_config(dict(raw, dt_max_ms=1e-4))
@@ -966,7 +967,30 @@ def test_a_partial_sweep_period_keeps_one_pump_rate_stack():
     evolution = sequence.advance(ens, comp, cfg.drive, store)
     assert len(comp.items) == 1 and len(store.pumps) == 1
     assert evolution.stats["n_expm_matrices"] < 51_000
-    assert store.entries < runner.SCAN_BUDGET_ENTRIES
+    assert store.entries < sequence.STORE_BUDGET_ENTRIES
+
+
+def test_a_run_fills_its_store_to_the_budget_and_no_further(monkeypatch):
+    # 100 unswept 1 ms pumps 2 ms apart at distinct centres on standard_pumping_pit's
+    # 1,001 classes: every pulse builds its own pump rates and propagator, so the
+    # store fills within the run, passes the budget by at most its last entry
+    # and then stores nothing more, however many pulses are left
+    raw = preset("standard_pumping_pit")
+    pump = {k: v for k, v in raw["sequence"][0].items() if not k.startswith("sweep_")}
+    raw["sequence"][:1] = [dict(pump, start_ms=2.0 * i, duration_ms=1.0, center_MHz=0.01 * i)
+                           for i in range(100)]
+    cfg = parse_config(raw)
+    ens, comp = runner._prepare(cfg)
+    whole = sequence.advance(ens, comp, cfg.drive)
+    budget = 1 << 16
+    monkeypatch.setattr(sequence, "STORE_BUDGET_ENTRIES", budget)
+    store = Store()
+    bounded = sequence.advance(ens, comp, cfg.drive, store)
+    assert store.full
+    assert budget <= store.entries < budget + ens.n_classes * 4 * 4
+    assert _bytes(bounded) == _bytes(whole)
+    assert bounded.final.tobytes() == whole.final.tobytes()
+    assert bounded.stats == whole.stats
 
 
 def _thermal_off_balance():
@@ -975,18 +999,18 @@ def _thermal_off_balance():
     return ens
 
 
-@pytest.mark.parametrize("ens, comp, cal, again", [
-    (_thermal_off_balance(), _prefix_sequence(), NARROW, 0),
-    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, 0),
-    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, 0),
-    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), 0),
-    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, None),
-    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, 0),
-    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, 1),
-    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, 1),
+@pytest.mark.parametrize("ens, comp, cal, repump, again", [
+    (_thermal_off_balance(), _prefix_sequence(), NARROW, False, 0),
+    (_prefix_ens(center=0.3), _prefix_sequence(), NARROW, True, 0),
+    (_prefix_ens(field=1.5), _prefix_sequence(), NARROW, True, 0),
+    (_prefix_ens(), _prefix_sequence(), DriveCalibration(pump_linewidth_MHz=0.5), True, 0),
+    (_prefix_ens(), _prefix_sequence((2.0, 0.5)), NARROW, None, None),
+    (_prefix_ens(), _prefix_sequence(center=0.25), NARROW, True, 0),
+    (_prefix_ens(), _prefix_sequence(power=10.0), NARROW, True, 1),
+    (_prefix_ens(), _prefix_sequence(duration=0.4), NARROW, True, 1),
 ], ids=["initial state", "class centres", "transitions", "pump linewidth", "readout delay",
         "pump centre", "stimulation power", "pump duration"])
-def test_memo_misses_when_the_run_differs(ens, comp, cal, again, monkeypatch):
+def test_memo_misses_when_the_run_differs(ens, comp, cal, repump, again, monkeypatch):
     store = Store()
     sequence.advance(_prefix_ens(), _prefix_sequence(), NARROW, store)
     stacks, real = [], engine.propagator_batch
@@ -1002,7 +1026,9 @@ def test_memo_misses_when_the_run_differs(ens, comp, cal, again, monkeypatch):
         # the two new gaps, 0.5 and 1.5 ms, are exponentiated
         assert stacks == [1, 1] and evolved.stats["n_expm_matrices"] == 2
     else:
-        # the pumped item is used once in a run, so its propagator is not kept
-        # and it is exponentiated as in a fresh run; a pump-off item depends on
-        # its drive matrices alone, so only the again ones that differ are
-        assert stacks == pumped + [1] * again
+        # the first run stored its pumped item's propagator, keyed by the
+        # transitions, pump linewidth and groups, not the initial state, so
+        # only a run that differs in one of those exponentiates it again; a
+        # pump-off item depends on its drive matrices alone, so only the again
+        # ones that differ are
+        assert stacks == (pumped if repump else []) + [1] * again
